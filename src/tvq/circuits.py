@@ -35,21 +35,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fusion import FusionData, fibonacci_data
+from .fusion import FusionData
 from .lattice import (
     F_MOVE,
-    LOCAL_SWAP,
     PACHNER_13,
     PACHNER_31,
     PERMUTATION,
     MoveError,
     MoveRecord,
     SurfaceLattice,
+    _rewrite,
     pachner_13,
     pachner_22,
-    pachner_31,
+    replay_move,
 )
-from .gadgets import LOCAL, MoveSchedule, _apply_record
+from .gadgets import LOCAL, MoveSchedule
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -323,33 +323,6 @@ def compile_pachner13(
 # -- schedule lowering ---------------------------------------------------------
 
 
-def _swap_layers(sigma: dict[int, int]) -> list[list[Gate]]:
-    """Physical swap network for a local permutation, cycle by cycle."""
-    remaining = {s: d for s, d in sigma.items() if s != d}
-    rounds: list[list[Gate]] = []
-    cycles: list[list[int]] = []
-    seen: set[int] = set()
-    for start in sorted(remaining):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = remaining[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = remaining[cur]
-        cycles.append(cyc)
-    depth = max((len(c) - 1 for c in cycles), default=0)
-    for i in range(depth):
-        layer = []
-        for cyc in cycles:
-            if i < len(cyc) - 1:
-                layer.append(Gate("SWAP", (cyc[i], cyc[i + 1])))
-        rounds.append(layer)
-    return rounds
-
-
 def _record_layers(
     lat: SurfaceLattice, rec: MoveRecord
 ) -> tuple[list[list[Gate]], tuple[int, ...], tuple[int, ...]]:
@@ -363,8 +336,6 @@ def _record_layers(
         # exact inverse of the subdivision that would recreate the vertex
         fwd = _forward_13_layers_for_31(lat, rec)
         return _inverted_layers(fwd), (), tuple(rec.released_slots)
-    if rec.kind == LOCAL_SWAP:
-        return _swap_layers(dict(rec.sigma or {})), (), ()
     raise MoveError(f"cannot compile move kind {rec.kind!r}")
 
 
@@ -395,8 +366,9 @@ def compile_schedule(
     have their gate layers zipped position by position, which keeps
     supports disjoint because the moves' slot supports already are.
     PERMUTATION groups become free relabelings pinned between layers.
+    Each LOCAL group is replayed on one private lattice copy, every move
+    lowered against the lattice right before it.
     """
-    data = fibonacci_data() if data is None else data
     cur = lat
     layers: list[list[Gate]] = []
     perms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
@@ -406,6 +378,7 @@ def compile_schedule(
 
     for group in schedule.groups:
         if group.kind == LOCAL:
+            cur = cur._fork()
             for move_layer in group.layers:
                 gadgets = []
                 for rec in move_layer:
@@ -417,7 +390,7 @@ def compile_schedule(
                     allocated.extend(alloc)
                     released.extend(rel)
                     qubits.update(alloc)
-                    _, cur = _apply_record(None, cur, rec, None, data)
+                    _rewrite(cur, rec)
                 width = max((len(g) for g in gadgets), default=0)
                 for i in range(width):
                     merged: list[Gate] = []
@@ -432,7 +405,7 @@ def compile_schedule(
                 raise MoveError("permutation group must hold exactly one record")
             sigma = dict(recs[0].sigma or {})
             perms.append((len(layers), tuple(sorted(sigma.items()))))
-            _, cur = _apply_record(None, cur, recs[0], group.target, data)
+            cur = replay_move(cur, recs[0], group.target)
         else:
             raise MoveError(f"unknown group kind {group.kind!r}")
 

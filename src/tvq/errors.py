@@ -33,6 +33,8 @@ from .lattice import (
     apply_cpi,
     build_planar_patch,
     polar_vertex_id,
+    replay_move,
+    replay_moves,
 )
 
 __all__ = [
@@ -272,30 +274,27 @@ def braid_error_trial(
     conjugates the error inside its quad, which the light cone already
     over-covers) and remap through each relabeling. Each relabeling's
     sigma is recorded against the lattice right before it, so the walk
-    replays LOCAL groups on the lattice to keep the sources aligned.
+    replays LOCAL groups on the lattice to keep the sources aligned, each
+    group on one private lattice copy.
     Mid-protocol the edge set need not be a path (its own edges may sit
     on flipped diagonals); the edge count is still invariant, and the
     protocol closes on the starting layout where the span comparison
     is made. The returned lengths count edges: initial the string,
     final the light-cone-grown support.
     """
-    from .gadgets import _apply_record  # local import, avoids cycle at module load
-
     slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
     cur_edges = tuple(err.edges)
     cur_lat = lat
     for group in schedule.groups:
         if group.kind == LOCAL:
-            for layer in group.layers:
-                for rec in layer:
-                    _, cur_lat = _apply_record(None, cur_lat, rec, None, None)
+            cur_lat = replay_moves(cur_lat, group.records())
         elif group.kind == PERMUTATION:
             (rec,) = group.records()
             sigma = dict(rec.sigma)
             src_slot = {
                 e: r.qubit for e, r in cur_lat.edges.items() if r.qubit is not None
             }
-            _, cur_lat = _apply_record(None, cur_lat, rec, group.target, None)
+            cur_lat = replay_move(cur_lat, rec, group.target)
             dst_edge = {
                 r.qubit: e for e, r in cur_lat.edges.items() if r.qubit is not None
             }

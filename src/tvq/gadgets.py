@@ -42,19 +42,21 @@ import numpy as np
 from .fusion import FusionData, fibonacci_data
 from .lattice import (
     F_MOVE,
-    LOCAL_SWAP,
     PACHNER_13,
     PACHNER_31,
     PERMUTATION,
     MoveError,
     MoveRecord,
     SurfaceLattice,
+    _flip,
     apply_cpi,
     build_planar_patch,
     pachner_13,
     pachner_22,
     pachner_31,
     polar_vertex_id,
+    replay_move,
+    replay_moves,
     sigma_from_vertex_map,
 )
 from .statevec import (
@@ -282,36 +284,37 @@ def _record_slots(lat: SurfaceLattice, rec: MoveRecord) -> set[int]:
     if rec.kind == PACHNER_31:
         # new_edges here are the spokes the move removes; they exist now
         return slots_of(tuple(rec.legs) + tuple(rec.new_edges))
-    if rec.kind in (LOCAL_SWAP, PERMUTATION):
+    if rec.kind == PERMUTATION:
         sigma = rec.sigma or {}
         return set(sigma) | set(sigma.values())
     raise MoveError(f"unknown move kind {rec.kind!r}")
 
 
+def _check_disjoint(lat: SurfaceLattice, layer: Iterable[MoveRecord]) -> None:
+    """A parallel layer's moves must touch pairwise disjoint qubit slots."""
+    seen: set[int] = set()
+    for rec in layer:
+        slots = _record_slots(lat, rec)
+        if seen & slots:
+            raise MoveError("parallel layer has overlapping move supports")
+        seen |= slots
+
+
 def _apply_record(
-    state: StringNetState | None,
+    state: StringNetState,
     lat: SurfaceLattice,
     rec: MoveRecord,
     target: SurfaceLattice | None,
     data: FusionData,
-) -> tuple[StringNetState | None, SurfaceLattice]:
+) -> tuple[StringNetState, SurfaceLattice]:
     if rec.kind == F_MOVE:
-        if state is None:
-            return None, pachner_22(lat, rec.edge)[0]
         return apply_fmove(state, lat, rec.edge, data)
     if rec.kind == PACHNER_13:
-        if state is None:
-            return None, pachner_13(lat, rec.triangles[0])[0]
         return apply_pachner13(state, lat, rec.triangles[0], data)
     if rec.kind == PACHNER_31:
-        if state is None:
-            return None, pachner_31(lat, rec.vertex)[0]
         return apply_pachner31(state, lat, rec.vertex, data)
-    if rec.kind in (LOCAL_SWAP, PERMUTATION):
-        sigma = dict(rec.sigma or {})
-        if state is None:
-            return None, apply_cpi(lat, sigma, target=target)[0]
-        return apply_state_permutation(state, lat, sigma, target=target)
+    if rec.kind == PERMUTATION:
+        return apply_state_permutation(state, lat, dict(rec.sigma or {}), target=target)
     raise MoveError(f"unknown move kind {rec.kind!r}")
 
 
@@ -333,7 +336,8 @@ def run_schedule(
 
     Each LOCAL layer is verified to have pairwise disjoint qubit
     supports before it runs; overlap raises MoveError, since such a
-    layer could not execute in one parallel time step. With
+    layer could not execute in one parallel time step. Without a state
+    each layer is rewritten on one private lattice copy. With
     assert_code_space the state is re-projected after every LOCAL group
     and must be left unchanged within code_tol (relative).
     """
@@ -342,19 +346,20 @@ def run_schedule(
     for group in schedule.groups:
         if group.kind == LOCAL:
             for layer in group.layers:
-                seen: set[int] = set()
-                for rec in layer:
-                    slots = _record_slots(cur_lat, rec)
-                    if seen & slots:
-                        raise MoveError("parallel layer has overlapping move supports")
-                    seen |= slots
+                _check_disjoint(cur_lat, layer)
+                if cur is None:
+                    cur_lat = replay_moves(cur_lat, layer)
+                    continue
                 for rec in layer:
                     cur, cur_lat = _apply_record(cur, cur_lat, rec, None, data)
         elif group.kind == PERMUTATION:
             recs = tuple(group.records())
             if len(recs) != 1:
                 raise MoveError("permutation group must hold exactly one record")
-            cur, cur_lat = _apply_record(cur, cur_lat, recs[0], group.target, data)
+            if cur is None:
+                cur_lat = replay_move(cur_lat, recs[0], group.target)
+            else:
+                cur, cur_lat = _apply_record(cur, cur_lat, recs[0], group.target, data)
         else:
             raise MoveError(f"unknown group kind {group.kind!r}")
         if assert_code_space and cur is not None and group.kind == LOCAL:
@@ -411,6 +416,14 @@ def shear_step(
     there are not enough rings between the puncture and the pinned
     boundary.
     """
+    return _shear(lat, anyon_id, direction, stride)[0]
+
+
+def _shear(
+    lat: SurfaceLattice, anyon_id: int, direction: int, stride: int | None
+) -> tuple[MoveSchedule, SurfaceLattice]:
+    """shear_step's schedule plus the lattice its own dry run ends on,
+    which the braid builders chain on instead of replaying the step."""
     rows, cols = _canonical_disk(lat)
     if anyon_id not in lat.punctures:
         raise MoveError(f"vertex {anyon_id} is not a puncture")
@@ -431,9 +444,10 @@ def shear_step(
     if base + k > rows:
         raise MoveError("not enough rings between the puncture and the boundary")
 
-    # dry-run the flips; ids are stable so targets come from arithmetic
+    # dry-run the flips on one private copy; ids are stable so targets
+    # come from arithmetic
     layers: dict[tuple[int, int], list[MoveRecord]] = {}
-    cur = lat
+    cur = lat._fork()
     for j in range(k):
         r = base + j
         for s in range(cols):
@@ -441,12 +455,15 @@ def shear_step(
                 eid = _eid_diag(rows, cols, r, s)
             else:
                 eid = _eid_spoke(rows, cols, r, s)
-            cur, rec = pachner_22(cur, eid)
-            layers.setdefault((j % 2, s % 2), []).append(rec)
+            layers.setdefault((j % 2, s % 2), []).append(_flip(cur, eid))
     layer_order = [(0, 0), (0, 1), (1, 0), (1, 1)]
     local_layers = tuple(
         tuple(layers[key]) for key in layer_order if key in layers
     )
+    # the check run_schedule makes; flips keep every edge's slot, so the
+    # start lattice gives the slots each layer's pre-layer lattice would
+    for layer in local_layers:
+        _check_disjoint(lat, layer)
 
     vmap: dict[int, int] = {0: 0}
     for vid in lat.vertices:
@@ -462,9 +479,9 @@ def shear_step(
         vmap[vid] = polar_vertex_id(cols, r, s + rho)
     target = build_planar_patch(rows, cols)
     sigma = sigma_from_vertex_map(cur, target, vmap)
-    _, perm = apply_cpi(cur, sigma, target=target)
+    end, perm = apply_cpi(cur, sigma, target=target)
     grange = _cpi_grid_range(cur, vmap, cols)
-    return MoveSchedule(
+    schedule = MoveSchedule(
         (
             MoveGroup(LOCAL, local_layers, tag="shear flips"),
             MoveGroup(
@@ -472,6 +489,7 @@ def shear_step(
             ),
         )
     )
+    return schedule, end
 
 
 def braid_schedule(
@@ -509,9 +527,8 @@ def braid_schedule(
     cur_a = anyon_a
     sec_a = _disk_coords(anyon_a, cols)[1]
     for _ in range(steps):
-        step = shear_step(cur, cur_a, direction=-1, stride=k, data=data)
+        step, cur = _shear(cur, cur_a, -1, k)
         groups.extend(step.groups)
-        _, cur = run_schedule(None, cur, step, data=data)
         sec_a = (sec_a - k) % cols
         cur_a = polar_vertex_id(cols, ring_a, sec_a)
         if cur_a not in cur.punctures:
@@ -568,9 +585,8 @@ def baseline_schedule(
             raise MoveError("path hops must move to an adjacent sector")
         if nxt in cur.punctures:
             raise MoveError("path runs into another puncture")
-        step = shear_step(cur, cur_id, direction=direction, stride=1, data=data)
+        step, cur = _shear(cur, cur_id, direction, 1)
         groups.extend(step.groups)
-        _, cur = run_schedule(None, cur, step, data=data)
         cur_id = nxt
         if cur_id not in cur.punctures:
             raise MoveError("puncture tracking lost along the path")

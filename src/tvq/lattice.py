@@ -12,20 +12,21 @@ pair has a leg, the opposite edge of the triangle joining them.
 
 Rewrites (2-2 flip, 1-3 subdivision, 3-1 removal, qubit permutations) are
 value-semantic: they return a new lattice with a bumped version counter
-plus a MoveRecord that can replay the rewrite deterministically.
+plus a MoveRecord that can replay the rewrite deterministically. Each
+local rewrite is one in-place step on a private copy; ``pachner_22`` and
+friends copy once per move, ``replay_moves`` once per run of moves.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 F_MOVE = "F_MOVE"
 PACHNER_13 = "PACHNER_13"
 PACHNER_31 = "PACHNER_31"
-LOCAL_SWAP = "LOCAL_SWAP"
 PERMUTATION = "PERMUTATION"
 
 
@@ -112,28 +113,66 @@ class Plaquette:
 
 @dataclass
 class SurfaceLattice:
+    """A triangulated surface at one version.
+
+    The edge -> triangles and vertex -> edges maps are computed once per
+    lattice built from scratch and then kept: every rewrite hands its
+    output a copy updated at the entries it touched. That is sound
+    because a lattice is never mutated after it is returned; rewrites
+    only mutate private copies (``_fork``). Map entries are tuples, so
+    versions share them safely.
+    """
+
     topology: str  # sphere | torus | disk
     vertices: dict[int, tuple[float, float]]
     edges: dict[int, Edge]
     triangles: dict[int, tuple[int, int, int]]
     punctures: frozenset[int] = field(default_factory=frozenset)
     version: int = 0
+    _edge_tris: Optional[dict[int, tuple[int, ...]]] = field(default=None, init=False, repr=False, compare=False)
+    _vertex_edges: Optional[dict[int, tuple[int, ...]]] = field(default=None, init=False, repr=False, compare=False)
 
     # ---- derived structure -------------------------------------------------
 
-    def edge_triangles(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {e: [] for e in self.edges}
-        for t, es in sorted(self.triangles.items()):
-            for e in es:
-                out[e].append(t)
-        return out
+    def edge_triangles(self) -> dict[int, tuple[int, ...]]:
+        """edge id -> ascending ids of its triangles; kept, do not mutate."""
+        if self._edge_tris is None:
+            out: dict[int, list[int]] = {e: [] for e in self.edges}
+            for t, es in sorted(self.triangles.items()):
+                for e in es:
+                    out[e].append(t)
+            self._edge_tris = {e: tuple(ts) for e, ts in out.items()}
+        return self._edge_tris
 
-    def vertex_edges(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for e, rec in sorted(self.edges.items()):
-            out[rec.v1].append(e)
-            if rec.v2 != rec.v1:
-                out[rec.v2].append(e)
+    def vertex_edges(self) -> dict[int, tuple[int, ...]]:
+        """vertex id -> ascending ids of its edges; kept, do not mutate."""
+        if self._vertex_edges is None:
+            out: dict[int, list[int]] = {v: [] for v in self.vertices}
+            for e, rec in sorted(self.edges.items()):
+                out[rec.v1].append(e)
+                if rec.v2 != rec.v1:
+                    out[rec.v2].append(e)
+            self._vertex_edges = {v: tuple(es) for v, es in out.items()}
+        return self._vertex_edges
+
+    def _maps(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        """Both kept maps, calling the public accessors only to build one."""
+        et = self._edge_tris if self._edge_tris is not None else self.edge_triangles()
+        ve = self._vertex_edges if self._vertex_edges is not None else self.vertex_edges()
+        return et, ve
+
+    def _fork(self) -> "SurfaceLattice":
+        """Private copy that in-place rewrites may mutate; same version."""
+        et, ve = self._maps()
+        out = SurfaceLattice(
+            self.topology,
+            dict(self.vertices),
+            dict(self.edges),
+            dict(self.triangles),
+            self.punctures,
+            self.version,
+        )
+        out._edge_tris, out._vertex_edges = dict(et), dict(ve)
         return out
 
     def qubit_slots(self) -> list[int]:
@@ -153,7 +192,7 @@ class SurfaceLattice:
         return len(self.vertices) - len(self.edges) + len(self.triangles)
 
     def boundary_edge_ids(self) -> set[int]:
-        et = self.edge_triangles()
+        et = self._maps()[0]
         return {e for e, ts in et.items() if len(ts) == 1}
 
     def edge_midpoint(self, e: int) -> tuple[float, float]:
@@ -173,7 +212,7 @@ class SurfaceLattice:
 
     def check(self) -> None:
         """Basic sanity: each edge in 1 or 2 triangles, triangles well formed."""
-        et = self.edge_triangles()
+        et = self._maps()[0]
         for e, ts in et.items():
             if not 1 <= len(ts) <= 2:
                 raise MoveError(f"edge {e} lies in {len(ts)} triangles")
@@ -193,10 +232,10 @@ class SurfaceLattice:
 
     def plaquette(self, vertex: int) -> Optional[Plaquette]:
         """Closed fan at the vertex, or None for boundary vertices."""
-        incident = [e for e in self.vertex_edges().get(vertex, []) if True]
+        et, ve = self._maps()
+        incident = ve.get(vertex, [])
         if len(incident) < 2:
             return None
-        et = self.edge_triangles()
         # triangles at the vertex, with their two vertex-edges
         tri_pair: dict[int, list[int]] = {}
         for e in incident:
@@ -238,14 +277,11 @@ class SurfaceLattice:
     def plaquette_vertices(self) -> list[int]:
         return [v for v in sorted(self.vertices) if self.plaquette(v) is not None]
 
-    def _bump(self, **changes) -> "SurfaceLattice":
-        out = replace_lattice(self, **changes)
-        out.version = self.version + 1
-        return out
-
 
 def replace_lattice(lat: SurfaceLattice, **changes) -> SurfaceLattice:
-    return SurfaceLattice(
+    """Copy with some fields changed. The kept maps carry over only when
+    vertices, edges and triangles are all unchanged, so none goes stale."""
+    out = SurfaceLattice(
         topology=changes.get("topology", lat.topology),
         vertices=dict(changes.get("vertices", lat.vertices)),
         edges=dict(changes.get("edges", lat.edges)),
@@ -253,6 +289,9 @@ def replace_lattice(lat: SurfaceLattice, **changes) -> SurfaceLattice:
         punctures=frozenset(changes.get("punctures", lat.punctures)),
         version=changes.get("version", lat.version),
     )
+    if not changes.keys() & {"vertices", "edges", "triangles"}:
+        out._edge_tris, out._vertex_edges = lat._edge_tris, lat._vertex_edges
+    return out
 
 
 # ---- builders ---------------------------------------------------------------
@@ -436,7 +475,7 @@ def _flip_roles(lat: SurfaceLattice, edge_id: int):
     rec = lat.edges[edge_id]
     if rec.pinned:
         raise MoveError(f"edge {edge_id} is pinned (boundary)")
-    ts = lat.edge_triangles()[edge_id]
+    ts = lat._maps()[0][edge_id]
     if len(ts) != 2:
         raise MoveError(f"edge {edge_id} is a boundary edge")
     t1, t2 = sorted(ts)
@@ -472,29 +511,58 @@ def _flip_roles(lat: SurfaceLattice, edge_id: int):
     return t1, t2, u, v, w1, w2, a, b, c, d
 
 
-def pachner_22(lat: SurfaceLattice, edge_id: int) -> tuple[SurfaceLattice, MoveRecord]:
-    """Flip an interior edge across its quadrilateral; counts conserved."""
+def _refresh_incidence(
+    lat: SurfaceLattice, vertices: Iterable[int], edges: Iterable[int], tris: Iterable[int]
+) -> None:
+    """Bring the kept maps up to date after an in-place local rewrite.
+
+    The rewrite changed only the touched triangles and the endpoints of
+    the touched edges, so a touched entry keeps its untouched ids and
+    rechecks the touched ones. Entries are tuples, shared between versions.
+    """
+    et, ve = lat._edge_tris, lat._vertex_edges
+    edges, tris = tuple(edges), tuple(tris)
+    for e in edges:
+        if e not in lat.edges:
+            del et[e]
+            continue
+        kept = [t for t in et.get(e, ()) if t not in tris]
+        et[e] = tuple(sorted(kept + [t for t in tris if e in lat.triangles.get(t, ())]))
+    for v in vertices:
+        if v not in lat.vertices:
+            del ve[v]
+            continue
+        kept = [e for e in ve.get(v, ()) if e not in edges]
+        got = [e for e in edges if e in lat.edges and v in (lat.edges[e].v1, lat.edges[e].v2)]
+        ve[v] = tuple(sorted(kept + got))
+
+
+def _flip(lat: SurfaceLattice, edge_id: int) -> MoveRecord:
+    """2-2 flip in place on a private copy; see pachner_22."""
     t1, t2, u, v, w1, w2, a, b, c, d = _flip_roles(lat, edge_id)
-    rec = lat.edges[edge_id]
-    edges = dict(lat.edges)
-    edges[edge_id] = Edge(min(w1, w2), max(w1, w2), rec.qubit)
-    triangles = dict(lat.triangles)
+    qubits = tuple(lat.edges[e].qubit if lat.edges[e].qubit is not None else -1 for e in (edge_id, a, b, c, d))
+    lat.edges[edge_id] = Edge(min(w1, w2), max(w1, w2), lat.edges[edge_id].qubit)
     # id handoff: the face at the lower old endpoint inherits the id of the
     # old face with the lower apex, so flipping the same edge twice is the
     # identity on triangle ids, not just up to isomorphism
     face_u, face_v = (edge_id, b, c), (edge_id, a, d)
     if w1 < w2:
-        triangles[t1], triangles[t2] = face_u, face_v
+        lat.triangles[t1], lat.triangles[t2] = face_u, face_v
     else:
-        triangles[t1], triangles[t2] = face_v, face_u
-    out = lat._bump(edges=edges, triangles=triangles)
-    qubits = tuple(lat.edges[e].qubit if lat.edges[e].qubit is not None else -1 for e in (edge_id, a, b, c, d))
-    record = MoveRecord(kind=F_MOVE, edge=edge_id, legs=(a, b, c, d), triangles=(t1, t2), qubits=qubits)
-    return out, record
+        lat.triangles[t1], lat.triangles[t2] = face_v, face_u
+    _refresh_incidence(lat, (u, v, w1, w2), (edge_id, a, b, c, d), (t1, t2))
+    lat.version += 1
+    return MoveRecord(kind=F_MOVE, edge=edge_id, legs=(a, b, c, d), triangles=(t1, t2), qubits=qubits)
 
 
-def pachner_13(lat: SurfaceLattice, triangle_id: int) -> tuple[SurfaceLattice, MoveRecord]:
-    """Subdivide a triangle: one new vertex, three new qubit edges."""
+def pachner_22(lat: SurfaceLattice, edge_id: int) -> tuple[SurfaceLattice, MoveRecord]:
+    """Flip an interior edge across its quadrilateral; counts conserved."""
+    out = lat._fork()
+    return out, _flip(out, edge_id)
+
+
+def _subdivide(lat: SurfaceLattice, triangle_id: int) -> MoveRecord:
+    """1-3 move in place on a private copy; see pachner_13."""
     if triangle_id not in lat.triangles:
         raise MoveError(f"no triangle {triangle_id}")
     es = lat.triangles[triangle_id]
@@ -525,21 +593,21 @@ def pachner_13(lat: SurfaceLattice, triangle_id: int) -> tuple[SurfaceLattice, M
     d_e, e_e, f_e = next_edge, next_edge + 1, next_edge + 2
     new_slots = (next_slot, next_slot + 1, next_slot + 2)
 
-    edges = dict(lat.edges)
-    edges[d_e] = Edge(min(w, p), max(w, p), new_slots[0])
-    edges[e_e] = Edge(min(w, r), max(w, r), new_slots[1])
-    edges[f_e] = Edge(min(w, q), max(w, q), new_slots[2])
+    lat.edges[d_e] = Edge(min(w, p), max(w, p), new_slots[0])
+    lat.edges[e_e] = Edge(min(w, r), max(w, r), new_slots[1])
+    lat.edges[f_e] = Edge(min(w, q), max(w, q), new_slots[2])
 
     next_tri = max(lat.triangles) + 1
-    triangles = dict(lat.triangles)
-    triangles[triangle_id] = (a_e, f_e, e_e)
-    triangles[next_tri] = (b_e, e_e, d_e)
-    triangles[next_tri + 1] = (c_e, d_e, f_e)
+    lat.triangles[triangle_id] = (a_e, f_e, e_e)
+    lat.triangles[next_tri] = (b_e, e_e, d_e)
+    lat.triangles[next_tri + 1] = (c_e, d_e, f_e)
 
-    vertices = dict(lat.vertices)
-    vertices[w] = (px, py)
-    out = lat._bump(vertices=vertices, edges=edges, triangles=triangles)
-    record = MoveRecord(
+    lat.vertices[w] = (px, py)
+    _refresh_incidence(
+        lat, (p, q, r, w), (a_e, b_e, c_e, d_e, e_e, f_e), (triangle_id, next_tri, next_tri + 1)
+    )
+    lat.version += 1
+    return MoveRecord(
         kind=PACHNER_13,
         triangles=(triangle_id,),
         legs=(a_e, b_e, c_e),
@@ -548,17 +616,22 @@ def pachner_13(lat: SurfaceLattice, triangle_id: int) -> tuple[SurfaceLattice, M
         new_triangles=(triangle_id, next_tri, next_tri + 1),
         new_slots=new_slots,
     )
-    return out, record
+
+
+def pachner_13(lat: SurfaceLattice, triangle_id: int) -> tuple[SurfaceLattice, MoveRecord]:
+    """Subdivide a triangle: one new vertex, three new qubit edges."""
+    out = lat._fork()
+    return out, _subdivide(out, triangle_id)
 
 
 def pachner_31_roles(lat: SurfaceLattice, vertex_id: int):
     """Role assignment for removing a degree-3 vertex; mirrors pachner_13."""
     if vertex_id not in lat.vertices:
         raise MoveError(f"no vertex {vertex_id}")
-    incident = lat.vertex_edges()[vertex_id]
+    et, ve = lat._maps()
+    incident = ve[vertex_id]
     if len(incident) != 3:
         raise MoveError(f"vertex {vertex_id} has degree {len(incident)}, need 3")
-    et = lat.edge_triangles()
     tris = sorted({t for e in incident for t in et[e]})
     if len(tris) != 3:
         raise MoveError(f"vertex {vertex_id} is not enclosed by 3 triangles")
@@ -597,23 +670,22 @@ def pachner_31_roles(lat: SurfaceLattice, vertex_id: int):
     return tris, (a_e, b_e, c_e), (d_e, e_e, f_e)
 
 
-def pachner_31(lat: SurfaceLattice, vertex_id: int) -> tuple[SurfaceLattice, MoveRecord]:
-    """Remove a degree-3 vertex; inverse of pachner_13."""
+def _unsubdivide(lat: SurfaceLattice, vertex_id: int) -> MoveRecord:
+    """3-1 move in place on a private copy; see pachner_31."""
     tris, (a_e, b_e, c_e), (d_e, e_e, f_e) = pachner_31_roles(lat, vertex_id)
     released = tuple(lat.edges[e].qubit for e in (d_e, e_e, f_e))
     if any(s is None for s in released):
         raise MoveError(f"vertex {vertex_id}: spokes include a pinned edge")
-    edges = dict(lat.edges)
+    corners = {x for e in (d_e, e_e, f_e) for x in lat.edges[e].endpoints()}
     for e in (d_e, e_e, f_e):
-        del edges[e]
-    triangles = dict(lat.triangles)
+        del lat.edges[e]
     for t in tris:
-        del triangles[t]
-    triangles[tris[0]] = (a_e, b_e, c_e)
-    vertices = dict(lat.vertices)
-    del vertices[vertex_id]
-    out = lat._bump(vertices=vertices, edges=edges, triangles=triangles)
-    record = MoveRecord(
+        del lat.triangles[t]
+    lat.triangles[tris[0]] = (a_e, b_e, c_e)
+    del lat.vertices[vertex_id]
+    _refresh_incidence(lat, corners, (a_e, b_e, c_e, d_e, e_e, f_e), tris)
+    lat.version += 1
+    return MoveRecord(
         kind=PACHNER_31,
         vertex=vertex_id,
         legs=(a_e, b_e, c_e),
@@ -622,7 +694,35 @@ def pachner_31(lat: SurfaceLattice, vertex_id: int) -> tuple[SurfaceLattice, Mov
         new_triangles=(tris[0],),
         released_slots=tuple(int(s) for s in released),
     )
-    return out, record
+
+
+def pachner_31(lat: SurfaceLattice, vertex_id: int) -> tuple[SurfaceLattice, MoveRecord]:
+    """Remove a degree-3 vertex; inverse of pachner_13."""
+    out = lat._fork()
+    return out, _unsubdivide(out, vertex_id)
+
+
+def _rewrite(lat: SurfaceLattice, record: MoveRecord) -> MoveRecord:
+    """Replay one local record in place on a private copy (see _fork)."""
+    if record.kind == F_MOVE:
+        return _flip(lat, record.edge)
+    if record.kind == PACHNER_13:
+        return _subdivide(lat, record.triangles[0])
+    if record.kind == PACHNER_31:
+        return _unsubdivide(lat, record.vertex)
+    raise MoveError(f"unknown move kind {record.kind}")
+
+
+def replay_moves(lat: SurfaceLattice, records: Iterable[MoveRecord]) -> SurfaceLattice:
+    """Lattice after local records in order, rewritten on one private copy.
+
+    Equal, version included, to chaining replay_move over the records,
+    but the lattice dicts are copied once instead of once per move.
+    """
+    out = lat._fork()
+    for rec in records:
+        _rewrite(out, rec)
+    return out
 
 
 # ---- connectivity-preserving qubit permutations -------------------------------
@@ -638,7 +738,7 @@ def _induced_vertex_map(
     backtracking pass settles symmetric leftovers. Raises MoveError when
     no consistent assignment exists (the CPI rejection path).
     """
-    ve = source.vertex_edges()
+    ve = source._maps()[1]
     cand: dict[int, set[int]] = {}
     for v in source.vertices:
         sets = []
@@ -678,24 +778,27 @@ def _induced_vertex_map(
                     return False
         return True
 
-    def dfs(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for img in sorted(cand[v]):
-            if img in used or not consistent(v, img):
-                continue
-            assign[v] = img
-            used.add(img)
-            if dfs(i + 1):
-                return True
-            del assign[v]
-            used.discard(img)
-        return False
-
-    if not dfs(0):
-        raise MoveError("qubit permutation does not preserve connectivity")
-    return assign
+    # depth-first search with an explicit stack (one candidate iterator per
+    # assigned vertex), so arenas of any size stay off the call stack
+    if not order:
+        return assign
+    frames = [iter(sorted(cand[order[0]]))]
+    while frames:
+        v = order[len(frames) - 1]
+        if v in assign:  # backtracked into v: release its image
+            used.discard(assign.pop(v))
+        for img in frames[-1]:
+            if img not in used and consistent(v, img):
+                assign[v] = img
+                used.add(img)
+                break
+        else:
+            frames.pop()
+            continue
+        if len(frames) == len(order):
+            return assign
+        frames.append(iter(sorted(cand[order[len(frames)]])))
+    raise MoveError("qubit permutation does not preserve connectivity")
 
 
 def apply_cpi(
@@ -776,15 +879,9 @@ def sigma_from_vertex_map(
 
 
 def replay_move(lat: SurfaceLattice, record: MoveRecord, target: Optional[SurfaceLattice] = None):
-    if record.kind == F_MOVE:
-        return pachner_22(lat, record.edge)[0]
-    if record.kind == PACHNER_13:
-        return pachner_13(lat, record.triangles[0])[0]
-    if record.kind == PACHNER_31:
-        return pachner_31(lat, record.vertex)[0]
-    if record.kind in (PERMUTATION, LOCAL_SWAP):
+    if record.kind == PERMUTATION:
         return apply_cpi(lat, record.sigma or {}, target=target)[0]
-    raise MoveError(f"unknown move kind {record.kind}")
+    return replay_moves(lat, (record,))
 
 
 # ---- isomorphism ---------------------------------------------------------------

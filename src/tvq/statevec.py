@@ -30,6 +30,7 @@ from .lattice import (
 
 CHUNK = 200_000
 U64 = np.uint64
+CONFIG_BITS = 64  # one bit per qubit slot in a uint64 config
 
 
 class VersionError(ValueError):
@@ -60,6 +61,14 @@ def _check_version(state: StringNetState, lat: SurfaceLattice) -> None:
         raise VersionError(
             f"state bound to lattice version {state.lattice_version}, got {lat.version}"
         )
+
+
+def _check_width(lat: SurfaceLattice) -> None:
+    """Configs hold one bit per qubit slot; numpy reads shifts of 64 or
+    more as 0, so wider lattices would silently drop labels."""
+    n = sum(1 for rec in lat.edges.values() if rec.qubit is not None)
+    if n > CONFIG_BITS:
+        raise MoveError(f"{n} qubit slots exceed the {CONFIG_BITS}-bit config width")
 
 
 def bit_positions(lat: SurfaceLattice) -> dict[int, int]:
@@ -101,6 +110,7 @@ def make_state(
     amps: np.ndarray,
     tolerance: float = 1e-14,
 ) -> StringNetState:
+    _check_width(lat)
     c, a = _coalesce(np.asarray(configs, dtype=U64), np.asarray(amps, dtype=np.complex128), tolerance)
     return StringNetState(
         lattice_version=lat.version,
@@ -436,6 +446,7 @@ def _fmove_record(
     state: StringNetState, lat: SurfaceLattice, edge_id: int, data: FusionData | None = None
 ):
     _check_version(state, lat)
+    _check_width(lat)
     data = data or fibonacci_data()
     out, rec = pachner_22(lat, edge_id)
     a_e, b_e, c_e, d_e = rec.legs
@@ -510,6 +521,7 @@ def _pachner13_record(
     _check_version(state, lat)
     data = data or fibonacci_data()
     out, rec = pachner_13(lat, triangle_id)
+    _check_width(out)
     a_e, b_e, c_e = rec.legs
     pos_old = bit_positions(lat)
     pos_new = bit_positions(out)
@@ -643,6 +655,7 @@ def _permutation_record(
     target: SurfaceLattice | None = None,
 ):
     _check_version(state, lat)
+    _check_width(lat)
     out, rec = apply_cpi(lat, sigma, target=target)
     tgt = target if target is not None else lat
     src_slots = lat.qubit_slots()

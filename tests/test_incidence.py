@@ -1,0 +1,177 @@
+"""Kept incidence maps and one-copy replay.
+
+Every lattice keeps its edge -> triangles and vertex -> edges maps, and
+each rewrite updates a copy at the entries it touched. These tests walk
+random rewrites and compare the kept maps with a from-scratch rebuild
+after every step, check that no earlier version changes, and check that
+replaying local moves on one private copy equals replaying them one
+move at a time.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tvq.circuits import compile_schedule
+from tvq.gadgets import (
+    LOCAL,
+    baseline_schedule,
+    braid_schedule,
+    merge_rows,
+    run_schedule,
+    split_row,
+)
+from tvq.lattice import (
+    F_MOVE,
+    Edge,
+    MoveError,
+    MoveRecord,
+    SurfaceLattice,
+    apply_cpi,
+    build_honeycomb_torus,
+    build_planar_patch,
+    build_tetra_sphere,
+    pachner_13,
+    pachner_22,
+    pachner_31,
+    polar_vertex_id,
+    replay_move,
+    replay_moves,
+)
+
+LATTICES = {
+    "tetra": build_tetra_sphere,
+    "torus": lambda: build_honeycomb_torus(2, 2),
+    "patch": lambda: build_planar_patch(3, 4, punctures=[(1, 0)]),
+}
+
+
+def rebuilt(lat):
+    """The same lattice with no kept maps, so every map is scanned anew."""
+    return SurfaceLattice(
+        lat.topology, dict(lat.vertices), dict(lat.edges), dict(lat.triangles), lat.punctures, lat.version
+    )
+
+
+def assert_maps_current(lat):
+    fresh = rebuilt(lat)
+    assert lat.edge_triangles() == fresh.edge_triangles()
+    assert lat.vertex_edges() == fresh.vertex_edges()
+    for v in lat.vertices:
+        assert lat.plaquette(v) == fresh.plaquette(v)
+
+
+def shuffled_slots(lat, pick):
+    """A copy of lat with its qubit slots rotated, and the sigma onto it."""
+    slots = lat.qubit_slots()
+    shift = pick % len(slots)
+    moved = dict(zip(slots, slots[shift:] + slots[:shift]))
+    edges = {
+        e: rec if rec.qubit is None else Edge(rec.v1, rec.v2, moved[rec.qubit])
+        for e, rec in lat.edges.items()
+    }
+    target = SurfaceLattice(lat.topology, dict(lat.vertices), edges, dict(lat.triangles), lat.punctures)
+    target.check()  # builds the target's maps, which apply_cpi passes on
+    return moved, target
+
+
+def step(lat, kind, pick):
+    if kind == "22":
+        return pachner_22(lat, sorted(lat.edges)[pick % len(lat.edges)])[0]
+    if kind == "13":
+        return pachner_13(lat, sorted(lat.triangles)[pick % len(lat.triangles)])[0]
+    if kind == "31":
+        ve = lat.vertex_edges()
+        cubic = sorted(v for v in lat.vertices if len(ve[v]) == 3) or sorted(lat.vertices)
+        return pachner_31(lat, cubic[pick % len(cubic)])[0]
+    sigma, target = shuffled_slots(lat, pick)
+    return apply_cpi(lat, sigma, target=target)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LATTICES)),
+    moves=st.lists(
+        st.tuples(st.sampled_from(["22", "13", "31", "cpi"]), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_kept_maps_match_a_rebuild(name, moves):
+    lat = LATTICES[name]()
+    history = [(lat, lat.signature(), lat.version)]
+    for kind, pick in moves:
+        try:
+            lat = step(lat, kind, pick)
+        except MoveError:
+            pass  # a rejected move must leave its input untouched, checked below
+        assert_maps_current(lat)
+        history.append((lat, lat.signature(), lat.version))
+    for old, sig, version in history:
+        assert old.signature() == sig and old.version == version
+        assert_maps_current(old)
+
+
+def replay_per_move(lat, schedule):
+    cur = lat
+    for group in schedule.groups:
+        for rec in group.records():
+            cur = replay_move(cur, rec, None if group.kind == LOCAL else group.target)
+    return cur
+
+
+def assert_same_end(lat, schedule):
+    one_copy = run_schedule(None, lat, schedule)[1]
+    per_move = replay_per_move(lat, schedule)
+    assert one_copy.signature() == per_move.signature()
+    assert one_copy.version == per_move.version == lat.version + schedule.move_count()
+    assert one_copy.vertices == per_move.vertices
+    assert_maps_current(one_copy)
+
+
+def test_layer_replay_equals_per_move_replay_on_braid_and_baseline():
+    cols = 12
+    lat = build_planar_patch(6, cols, punctures=[(0, 0), (2, 0)])
+    anyon = polar_vertex_id(cols, 2, 0)
+    assert_same_end(lat, braid_schedule(lat, anyon, 0, steps=6))
+    path = [polar_vertex_id(cols, 2, -(i + 1) % cols) for i in range(3)]
+    assert_same_end(lat, baseline_schedule(lat, anyon, path))
+
+
+def test_layer_replay_equals_per_move_replay_on_split_and_merge():
+    lat = build_planar_patch(3, 4)
+    split = split_row(lat, 1)
+    assert_same_end(lat, split)
+    mid = run_schedule(None, lat, split)[1]
+    fresh = [rec.vertex for rec in split.groups[0].layers[0]]
+    merge = merge_rows(mid, fresh)
+    assert_same_end(mid, merge)
+    assert run_schedule(None, mid, merge)[1].signature() == lat.signature()
+
+
+def test_failed_layer_replay_leaves_the_input_untouched():
+    lat = build_planar_patch(3, 4)
+    sig = lat.signature()
+    inner = next(e for e, rec in sorted(lat.edges.items()) if not rec.pinned and 0 not in rec.endpoints())
+    pinned = next(e for e, rec in sorted(lat.edges.items()) if rec.pinned)
+    recs = [MoveRecord(F_MOVE, edge=inner), MoveRecord(F_MOVE, edge=pinned)]
+    with pytest.raises(MoveError, match="pinned"):
+        replay_moves(lat, recs)
+    assert lat.signature() == sig and lat.version == 0
+    assert_maps_current(lat)
+
+
+def test_braid_at_distance_32_builds_and_compiles():
+    d = 32
+    cols = 3 * d
+    lat = build_planar_patch(d // 2 + 4, cols, punctures=[(0, 0), (2, 0)])
+    assert len(lat.vertices) == 1921
+    sched = braid_schedule(lat, polar_vertex_id(cols, 2, 0), 0, steps=6)
+    circ = compile_schedule(lat, sched)
+    rep = sched.depth_report()
+    assert circ.depth() == 168
+    assert (rep.local_depth, rep.total_steps) == (4, 12)
+    assert sched.move_count() == 9 * d * d + 6 == 9222
+    assert circ.gate_count() == 63 * d * d == 64512
+    assert rep.permutation_range == d / 2
+    assert run_schedule(None, lat, sched)[1].signature() == lat.signature()

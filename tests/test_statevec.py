@@ -22,6 +22,7 @@ from tvq.lattice import (
     sigma_from_vertex_map,
 )
 from tvq.statevec import (
+    StringNetState,
     VersionError,
     apply_bp,
     apply_fmove,
@@ -467,3 +468,30 @@ def test_rebind_requires_matching_signature(torus, tetra):
     assert rebind_state(st, lat2).lattice_version == lat2.version
     with pytest.raises(VersionError):
         rebind_state(st, tetra)
+
+
+# ---- config width ----------------------------------------------------------------
+
+
+def test_width_guard_rejects_more_than_64_slots():
+    lat = build_planar_patch(6, 12)  # 192 qubit slots
+    with pytest.raises(MoveError, match="64-bit"):
+        apply_pachner13(make_delta_state(lat, 0), lat, 0)
+    # states that bypass make_state are refused by each move record too
+    state = StringNetState(lat.version, 0, np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.complex128))
+    edge = next(e for e, rec in sorted(lat.edges.items()) if not rec.pinned and 0 not in rec.endpoints())
+    with pytest.raises(MoveError, match="64-bit"):
+        apply_fmove(state, lat, edge)
+    with pytest.raises(MoveError, match="64-bit"):
+        apply_pachner13(state, lat, 0)
+    with pytest.raises(MoveError, match="64-bit"):
+        apply_state_permutation(state, lat, {})
+
+
+def test_width_guard_allows_exactly_64_slots_and_stops_growth_past_them():
+    lat = build_planar_patch(2, 16)
+    assert len(lat.qubit_slots()) == 64
+    state = make_delta_state(lat, 0)
+    assert apply_state_permutation(state, lat, {})[0].norm() == pytest.approx(1.0)
+    with pytest.raises(MoveError, match="67 qubit slots"):
+        apply_pachner13(state, lat, 0)
