@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fusion import FusionData
+from .fusion import PHI, FusionData
 from .lattice import (
     F_MOVE,
     PACHNER_13,
@@ -44,14 +44,10 @@ from .lattice import (
     MoveError,
     MoveRecord,
     SurfaceLattice,
-    _rewrite,
     pachner_13,
     pachner_22,
-    replay_move,
 )
-from .gadgets import LOCAL, MoveSchedule
-
-PHI = (1.0 + math.sqrt(5.0)) / 2.0
+from .gadgets import LOCAL, MoveGroup, MoveSchedule
 
 # angles are rounded to 15 significant digits once, here, so that the
 # JSON export (which prints 15 significant digits) round-trips circuits
@@ -185,19 +181,17 @@ def sprep_matrix() -> np.ndarray:
 # -- F-move lowering ----------------------------------------------------------
 
 
-def _fold_controls(
-    legs: Sequence[tuple[int | None, bool]], pattern: Sequence[int]
-) -> dict[int, int] | None:
+def _fold_controls(legs: Sequence[int], pattern: Sequence[int]) -> dict[int, int] | None:
     """Collapse per-leg wants into per-slot polarities.
 
-    legs lists (qubit slot, pinned) per quad side; pinned legs read 0.
-    Returns slot -> polarity, or None when the pattern can never fire
-    (a pinned leg wanted at 1, or one slot wanted at both polarities,
-    which happens when quad sides repeat an edge).
+    legs lists the qubit slot per quad side, -1 for a pinned leg, which
+    reads 0. Returns slot -> polarity, or None when the pattern can never
+    fire (a pinned leg wanted at 1, or one slot wanted at both
+    polarities, which happens when quad sides repeat an edge).
     """
     out: dict[int, int] = {}
-    for (slot, pinned), want in zip(legs, pattern):
-        if pinned:
+    for slot, want in zip(legs, pattern):
+        if slot < 0:
             if want == 1:
                 return None
             continue
@@ -220,9 +214,7 @@ def _controlled_x(target: int, ctrl: dict[int, int]) -> Gate:
     )
 
 
-def _fmove_layers(
-    target: int, legs: Sequence[tuple[int | None, bool]]
-) -> list[list[Gate]]:
+def _fmove_layers(target: int, legs: Sequence[int]) -> list[list[Gate]]:
     layers: list[list[Gate]] = []
     sandwich = _fold_controls(legs, (1, 1, 1, 1))
     if sandwich is not None:
@@ -236,55 +228,38 @@ def _fmove_layers(
     return layers
 
 
-def _leg_info(lat: SurfaceLattice, edge_ids: Iterable[int]) -> list[tuple[int | None, bool]]:
-    out = []
-    for eid in edge_ids:
-        edge = lat.edges[eid]
-        out.append((edge.qubit, edge.pinned))
-    return out
+def _one_move(lat: SurfaceLattice, rec: MoveRecord, data: FusionData | None) -> GateCircuit:
+    return compile_schedule(lat, MoveSchedule((MoveGroup(LOCAL, ((rec,),)),)), data)
 
 
 def compile_fmove(
     lat: SurfaceLattice, edge_id: int, data: FusionData | None = None
 ) -> GateCircuit:
     """Gate circuit applying one edge flip to the full qubit register."""
-    _, rec = pachner_22(lat, edge_id)  # validates the move and names the legs
-    target = lat.edges[edge_id].qubit
-    layers = _fmove_layers(target, _leg_info(lat, rec.legs))
-    circ = GateCircuit(
-        qubits=tuple(sorted(lat.qubit_slots())),
-        layers=tuple(tuple(layer) for layer in layers),
-        lattice_version=lat.version,
-    )
-    circ.check()
-    return circ
+    return _one_move(lat, pachner_22(lat, edge_id)[1], data)
 
 
 # -- triangle subdivision lowering --------------------------------------------
 
 
-def _pachner13_layers(
-    lat: SurfaceLattice, rec: MoveRecord
-) -> list[list[Gate]]:
-    """Gate layers of one subdivision, legs resolved on the pre-move lattice.
+def _pachner13_layers(legs: Sequence[int], fresh: Sequence[int]) -> list[list[Gate]]:
+    """Gate layers of one subdivision of the triangle with legs (a, b, c).
 
     The closed form of the move factors as a vacuum-loop preparation on
-    the first fresh edge, a flip of the second fresh edge across the
-    bubble (legs b, b, d, d), and a flip of the third fresh edge that
+    the first fresh slot d, a flip of the second fresh slot e across the
+    bubble (legs b, b, d, d), and a flip of the third fresh slot f that
     carries the copied label b across the quad (legs a, c, d, e). The
     CX makes that copy; it is dropped when b is pinned, since the fresh
-    edge already starts at 0.
+    slot already starts at 0.
     """
-    b_e, a_e, c_e = sorted(lat.triangles[rec.triangles[0]])
-    qd, qe, qf = rec.new_slots
-    (qa, pa), (qb, pb), (qc, pc) = _leg_info(lat, (a_e, b_e, c_e))
-
+    qa, qb, qc = legs
+    qd, qe, qf = fresh
     first: list[Gate] = [Gate("SPREP", (qd,))]
-    if not pb:
+    if qb >= 0:
         first.append(Gate("CX", (qf,), controls=(qb,), polarities=(1,)))
     layers = [first]
-    layers += _fmove_layers(qe, [(qb, pb), (qb, pb), (qd, False), (qd, False)])
-    layers += _fmove_layers(qf, [(qa, pa), (qc, pc), (qd, False), (qe, False)])
+    layers += _fmove_layers(qe, (qb, qb, qd, qd))
+    layers += _fmove_layers(qf, (qa, qc, qd, qe))
     return layers
 
 
@@ -308,51 +283,32 @@ def compile_pachner13(
     lat: SurfaceLattice, triangle_id: int, data: FusionData | None = None
 ) -> GateCircuit:
     """Gate circuit of one triangle subdivision, three fresh slots in |0>."""
-    _, rec = pachner_13(lat, triangle_id)
-    layers = _pachner13_layers(lat, rec)
-    circ = GateCircuit(
-        qubits=tuple(sorted(set(lat.qubit_slots()) | set(rec.new_slots))),
-        layers=tuple(tuple(layer) for layer in layers),
-        allocated=tuple(rec.new_slots),
-        lattice_version=lat.version,
-    )
-    circ.check()
-    return circ
+    return _one_move(lat, pachner_13(lat, triangle_id)[1], data)
 
 
 # -- schedule lowering ---------------------------------------------------------
 
+# qubit slots a record holds, per move kind (see MoveRecord)
+_RECORD_SLOTS = {F_MOVE: 5, PACHNER_13: 3, PACHNER_31: 3}
+
 
 def _record_layers(
-    lat: SurfaceLattice, rec: MoveRecord
+    rec: MoveRecord,
 ) -> tuple[list[list[Gate]], tuple[int, ...], tuple[int, ...]]:
-    """Gate layers plus (allocated, released) slots for one move."""
+    """Gate layers plus (allocated, released) slots for one move, read
+    from the slots its record holds."""
+    want = _RECORD_SLOTS.get(rec.kind)
+    if want is None:
+        raise MoveError(f"cannot compile move kind {rec.kind!r}")
+    if len(rec.qubits) != want:
+        raise MoveError(f"{rec.kind} record carries {len(rec.qubits)} qubit slots, need {want}")
     if rec.kind == F_MOVE:
-        target = lat.edges[rec.edge].qubit
-        return _fmove_layers(target, _leg_info(lat, rec.legs)), (), ()
+        return _fmove_layers(rec.qubits[0], rec.qubits[1:]), (), ()
     if rec.kind == PACHNER_13:
-        return _pachner13_layers(lat, rec), tuple(rec.new_slots), ()
-    if rec.kind == PACHNER_31:
-        # exact inverse of the subdivision that would recreate the vertex
-        fwd = _forward_13_layers_for_31(lat, rec)
-        return _inverted_layers(fwd), (), tuple(rec.released_slots)
-    raise MoveError(f"cannot compile move kind {rec.kind!r}")
-
-
-def _forward_13_layers_for_31(
-    lat: SurfaceLattice, rec: MoveRecord
-) -> list[list[Gate]]:
-    b_e, a_e, c_e = sorted(rec.legs)
-    d_e, e_e, f_e = rec.new_edges
-    qd, qe, qf = (lat.edges[x].qubit for x in (d_e, e_e, f_e))
-    (qa, pa), (qb, pb), (qc, pc) = _leg_info(lat, (a_e, b_e, c_e))
-    first: list[Gate] = [Gate("SPREP", (qd,))]
-    if not pb:
-        first.append(Gate("CX", (qf,), controls=(qb,), polarities=(1,)))
-    layers = [first]
-    layers += _fmove_layers(qe, [(qb, pb), (qb, pb), (qd, False), (qd, False)])
-    layers += _fmove_layers(qf, [(qa, pa), (qc, pc), (qd, False), (qe, False)])
-    return layers
+        return _pachner13_layers(rec.qubits, rec.new_slots), tuple(rec.new_slots), ()
+    # exact inverse of the subdivision that would recreate the vertex
+    fwd = _pachner13_layers(rec.qubits, rec.released_slots)
+    return _inverted_layers(fwd), (), tuple(rec.released_slots)
 
 
 def compile_schedule(
@@ -366,10 +322,9 @@ def compile_schedule(
     have their gate layers zipped position by position, which keeps
     supports disjoint because the moves' slot supports already are.
     PERMUTATION groups become free relabelings pinned between layers.
-    Each LOCAL group is replayed on one private lattice copy, every move
-    lowered against the lattice right before it.
+    Each move is lowered from the qubit slots its record holds; lat
+    gives only the starting register and the version.
     """
-    cur = lat
     layers: list[list[Gate]] = []
     perms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     allocated: list[int] = []
@@ -378,11 +333,10 @@ def compile_schedule(
 
     for group in schedule.groups:
         if group.kind == LOCAL:
-            cur = cur._fork()
             for move_layer in group.layers:
                 gadgets = []
                 for rec in move_layer:
-                    glayers, alloc, rel = _record_layers(cur, rec)
+                    glayers, alloc, rel = _record_layers(rec)
                     for slot in alloc:
                         if slot in qubits or slot in allocated:
                             raise MoveError("slot allocated twice in one circuit")
@@ -390,7 +344,6 @@ def compile_schedule(
                     allocated.extend(alloc)
                     released.extend(rel)
                     qubits.update(alloc)
-                    _rewrite(cur, rec)
                 width = max((len(g) for g in gadgets), default=0)
                 for i in range(width):
                     merged: list[Gate] = []
@@ -405,7 +358,6 @@ def compile_schedule(
                 raise MoveError("permutation group must hold exactly one record")
             sigma = dict(recs[0].sigma or {})
             perms.append((len(layers), tuple(sorted(sigma.items()))))
-            cur = replay_move(cur, recs[0], group.target)
         else:
             raise MoveError(f"unknown group kind {group.kind!r}")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -21,8 +20,8 @@ import numpy as np
 
 from .circuits import compile_schedule, export_circuit
 from .errors import report_to_csv, report_to_json, stretch_report
-from .fusion import admissible_ef, fibonacci_data, verify_pentagon_coherence
-from .gadgets import baseline_schedule, braid_schedule, run_schedule
+from .fusion import PHI, admissible_ef, fibonacci_data, verify_pentagon_coherence
+from .gadgets import baseline_schedule, braid_arena, braid_schedule, run_schedule
 from .lattice import (
     MoveError,
     build_honeycomb_torus,
@@ -43,14 +42,13 @@ from .statevec import (
     apply_pachner31,
     apply_qv,
     code_space_dim,
+    diff_norm,
     inner,
     make_state,
     random_valid_state,
 )
 
 log = logging.getLogger("tvq")
-
-PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,6 @@ def _fusion_checks(tol: float) -> list[dict]:
     return checks
 
 
-def _state_diff(lat, a, b) -> float:
-    cfg = np.concatenate([a.configs, b.configs])
-    amp = np.concatenate([a.amps, -b.amps])
-    return make_state(lat, cfg, amp, tolerance=0.0).norm()
-
-
 def _projector_checks(tol: float, seed: int) -> list[dict]:
     data = fibonacci_data()
     lat = build_honeycomb_torus(2, 2)
@@ -142,20 +134,20 @@ def _projector_checks(tol: float, seed: int) -> list[dict]:
     for st in states:
         for p in plaqs:
             once = apply_bp(st, lat, p, data)
-            res_bp = max(res_bp, _state_diff(lat, apply_bp(once, lat, p, data), once))
+            res_bp = max(res_bp, diff_norm(lat, apply_bp(once, lat, p, data), once))
         for t in tris[:4]:
             once = apply_qv(st, lat, t, data)
-            res_qv = max(res_qv, _state_diff(lat, apply_qv(once, lat, t, data), once))
+            res_qv = max(res_qv, diff_norm(lat, apply_qv(once, lat, t, data), once))
         for i, p in enumerate(plaqs):
             for q in plaqs[i + 1 :]:
                 pq = apply_bp(apply_bp(st, lat, q, data), lat, p, data)
                 qp = apply_bp(apply_bp(st, lat, p, data), lat, q, data)
-                res_comm = max(res_comm, _state_diff(lat, pq, qp))
+                res_comm = max(res_comm, diff_norm(lat, pq, qp))
         for p in plaqs[:2]:
             for t in tris[:2]:
                 bv = apply_bp(apply_qv(st, lat, t, data), lat, p, data)
                 vb = apply_qv(apply_bp(st, lat, p, data), lat, t, data)
-                res_comm = max(res_comm, _state_diff(lat, bv, vb))
+                res_comm = max(res_comm, diff_norm(lat, bv, vb))
     return [
         _check("projectors.bp_idempotent", res_bp, tol),
         _check("projectors.qv_idempotent", res_qv, tol),
@@ -175,7 +167,7 @@ def _pachner_checks(tol: float, seed: int) -> list[dict]:
         mid, mid_lat = apply_fmove(st, lat, edge, data)
         back, back_lat = apply_fmove(mid, mid_lat, edge, data)
         back = make_state(lat, back.configs, back.amps)
-        res_flip = max(res_flip, _state_diff(lat, back, st))
+        res_flip = max(res_flip, diff_norm(lat, back, st))
 
     res_sub = 0.0
     tri = sorted(lat.triangles)[0]
@@ -185,7 +177,7 @@ def _pachner_checks(tol: float, seed: int) -> list[dict]:
         _, rec = pachner_13(lat, tri)
         back, back_lat = apply_pachner31(mid, mid_lat, rec.vertex, data)
         back = make_state(lat, back.configs, back.amps)
-        res_sub = max(res_sub, _state_diff(lat, back, st))
+        res_sub = max(res_sub, diff_norm(lat, back, st))
 
     dims = {code_space_dim(lat, data)}
     cur = lat
@@ -289,18 +281,12 @@ def cmd_ground_dim(cfg: RunConfig) -> tuple[dict, int]:
 # ---- protocol commands ---------------------------------------------------------
 
 
-def _braid_geometry(d: int):
-    rows, cols = d // 2 + 4, 3 * d
-    lat = build_planar_patch(rows, cols, punctures=[(0, 0), (2, 0)])
-    return lat, cols, polar_vertex_id(cols, 2, 0)
-
-
 def cmd_braid(cfg: RunConfig) -> tuple[dict, int]:
     d = cfg.params["distance"]
     if d not in (4, 6, 8):
         raise MoveError("distance must be one of 4, 6, 8 (desk-scale guard)")
     data = fibonacci_data()
-    lat, cols, anyon = _braid_geometry(d)
+    lat, cols, anyon = braid_arena(d)
     sched = braid_schedule(lat, anyon, 0, steps=6, data=data)
     rep = sched.depth_report()
     circ = compile_schedule(lat, sched, data)
@@ -390,7 +376,7 @@ def cmd_compile(cfg: RunConfig) -> tuple[dict, int]:
     if d not in (4, 6, 8):
         raise MoveError("distance must be one of 4, 6, 8 (desk-scale guard)")
     data = fibonacci_data()
-    lat, cols, anyon = _braid_geometry(d)
+    lat, cols, anyon = braid_arena(d)
     sched = braid_schedule(lat, anyon, 0, steps=6, data=data)
     circ = compile_schedule(lat, sched, data)
     text = export_circuit(circ, cfg.out) if cfg.out else export_circuit(circ, _NullSink())

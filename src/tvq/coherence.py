@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from .lattice import Edge, MoveError, SurfaceLattice, pachner_22
-from .statevec import enumerate_valid_configs
+from .statevec import bit_positions, enumerate_valid_configs
 
 
 def _fan_polygon(n: int) -> SurfaceLattice:
@@ -52,18 +52,12 @@ def _fan_polygon(n: int) -> SurfaceLattice:
     return lat
 
 
-def _bits(lat: SurfaceLattice) -> dict[int, int]:
-    slots = lat.qubit_slots()
-    rank = {s: i for i, s in enumerate(slots)}
-    return {e: rank[rec.qubit] for e, rec in lat.edges.items() if rec.qubit is not None}
-
-
 def _flip_map(lat: SurfaceLattice, edge_id: int, data, in_cfgs: np.ndarray):
     """One rewrite as a dense matrix from the valid span of lat onto the
     valid span of the rewritten complex."""
     out, rec = pachner_22(lat, edge_id)
     out_cfgs = enumerate_valid_configs(out, data)
-    pos = _bits(lat)
+    pos = bit_positions(lat)
     eb = pos[edge_id]
     la, lb, lc, ld = (((in_cfgs >> pos[x]) & 1).astype(np.int64) for x in rec.legs)
     le = ((in_cfgs >> eb) & 1).astype(np.int64)
@@ -91,7 +85,7 @@ def _structure_key(lat: SurfaceLattice):
 def _slot_matchings(lat_a: SurfaceLattice, lat_b: SurfaceLattice):
     """Bit permutations sending qubit edges of a onto same-endpoint qubit
     edges of b; parallel edges branch the matching."""
-    pos_a, pos_b = _bits(lat_a), _bits(lat_b)
+    pos_a, pos_b = bit_positions(lat_a), bit_positions(lat_b)
     nbits = len(pos_a)
     by_pair: dict[frozenset, list[int]] = {}
     for e, rec in lat_b.edges.items():

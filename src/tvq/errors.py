@@ -25,17 +25,8 @@ import numpy as np
 
 from .circuits import GateCircuit, compile_schedule
 from .fusion import FusionData, fibonacci_data
-from .gadgets import LOCAL, MoveSchedule, braid_schedule
-from .lattice import (
-    PERMUTATION,
-    MoveError,
-    SurfaceLattice,
-    apply_cpi,
-    build_planar_patch,
-    polar_vertex_id,
-    replay_move,
-    replay_moves,
-)
+from .gadgets import LOCAL, MoveSchedule, _disk_coords, braid_arena, braid_schedule
+from .lattice import PERMUTATION, MoveError, SurfaceLattice, apply_cpi
 
 __all__ = [
     "ErrorString",
@@ -97,12 +88,6 @@ def string_endpoints(lat: SurfaceLattice, err: ErrorString) -> tuple[int, int]:
     return start, end
 
 
-def _ring_sector(lat: SurfaceLattice, vid: int, cols: int) -> tuple[int, int]:
-    if vid == 0:
-        return 0, 0
-    return (vid - 1) // cols + 1, (vid - 1) % cols
-
-
 def grid_span(lat: SurfaceLattice, err: ErrorString, cols: int) -> int:
     """Ring-plus-sector distance between the string's endpoints.
 
@@ -110,8 +95,8 @@ def grid_span(lat: SurfaceLattice, err: ErrorString, cols: int) -> int:
     span is what the shear squeezes or stretches.
     """
     u, v = string_endpoints(lat, err)
-    ru, su = _ring_sector(lat, u, cols)
-    rv, sv = _ring_sector(lat, v, cols)
+    ru, su = _disk_coords(u, cols)
+    rv, sv = _disk_coords(v, cols)
     ds = abs(su - sv)
     return abs(ru - rv) + min(ds, cols - ds)
 
@@ -223,8 +208,8 @@ def _sample_string(
         pool = []
         for e in sorted(adj):
             rec = lat.edges[e]
-            r1 = _ring_sector(lat, rec.v1, cols)[0]
-            r2 = _ring_sector(lat, rec.v2, cols)[0]
+            r1 = _disk_coords(rec.v1, cols)[0]
+            r2 = _disk_coords(rec.v2, cols)[0]
             if lo <= r1 <= hi or lo <= r2 <= hi:
                 pool.append(e)
     for _ in range(256):
@@ -270,12 +255,12 @@ def braid_error_trial(
 ) -> dict:
     """Push one string through one braid, both mechanisms at once.
 
-    The string's edge ids ride through LOCAL moves unchanged (a flip
-    conjugates the error inside its quad, which the light cone already
-    over-covers) and remap through each relabeling. Each relabeling's
-    sigma is recorded against the lattice right before it, so the walk
-    replays LOCAL groups on the lattice to keep the sources aligned, each
-    group on one private lattice copy.
+    The string is tracked by its qubit slots. LOCAL moves leave the slot
+    of every surviving edge unchanged (a flip conjugates the error inside
+    its quad, which the light cone already over-covers), and each
+    relabeling maps the slots through its sigma. The end layout is the
+    target of the last group, which must be a relabeling with a target;
+    otherwise MoveError.
     Mid-protocol the edge set need not be a path (its own edges may sit
     on flipped diagonals); the edge count is still invariant, and the
     protocol closes on the starting layout where the span comparison
@@ -283,39 +268,34 @@ def braid_error_trial(
     final the light-cone-grown support.
     """
     slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
-    cur_edges = tuple(err.edges)
-    cur_lat = lat
+    slots = [slot_of[e] for e in err.edges]
+    end_lat = None
     for group in schedule.groups:
         if group.kind == LOCAL:
-            cur_lat = replay_moves(cur_lat, group.records())
+            end_lat = None
         elif group.kind == PERMUTATION:
             (rec,) = group.records()
-            sigma = dict(rec.sigma)
-            src_slot = {
-                e: r.qubit for e, r in cur_lat.edges.items() if r.qubit is not None
-            }
-            cur_lat = replay_move(cur_lat, rec, group.target)
-            dst_edge = {
-                r.qubit: e for e, r in cur_lat.edges.items() if r.qubit is not None
-            }
-            cur_edges = tuple(
-                dst_edge[sigma.get(src_slot[e], src_slot[e])] for e in cur_edges
-            )
+            sigma = rec.sigma or {}
+            slots = [sigma.get(s, s) for s in slots]
+            end_lat = group.target
         else:
             raise MoveError(f"unknown group kind {group.kind!r}")
-    if len(cur_edges) != err.length:
+    if end_lat is None:
+        raise MoveError("error trial needs a schedule that ends on a relabeling with a target")
+    edge_of = end_lat.slot_edge_map()
+    cur_edges = tuple(edge_of.get(s) for s in slots)
+    if None in cur_edges or len(set(cur_edges)) != err.length:
         raise MoveError("relabeling changed an error string's edge count")
     final_err = ErrorString(cur_edges)
 
     support = frozenset(slot_of[e] for e in err.edges)
     grown = lightcone_grow(support, circuit)
-    edge_of = {rec.qubit: e for e, rec in cur_lat.edges.items() if rec.qubit is not None}
     final_edges = sorted(edge_of[q] for q in grown)
 
-    adj = _edge_adjacency(cur_lat)
+    adj = _edge_adjacency(end_lat)
     spread = _bfs_distance(adj, set(cur_edges), set(final_edges))
     span0 = grid_span(lat, err, cols)
-    span1 = grid_span(cur_lat, final_err, cols)
+    span1 = grid_span(end_lat, final_err, cols)
     return {
         # the anyon-pair separation is the length a decoder sees; the
         # edge count is invariant by construction and asserted above
@@ -329,9 +309,7 @@ def braid_error_trial(
 
 
 def _braid_setup(d: int, data: FusionData):
-    rows, cols = d // 2 + 4, 3 * d
-    lat = build_planar_patch(rows, cols, punctures=[(0, 0), (2, 0)])
-    anyon = polar_vertex_id(cols, 2, 0)
+    lat, cols, anyon = braid_arena(d)
     sched = braid_schedule(lat, anyon, 0, steps=6, data=data)
     circ = compile_schedule(lat, sched, data)
     return lat, cols, sched, circ

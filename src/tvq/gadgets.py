@@ -65,6 +65,7 @@ from .statevec import (
     apply_pachner13,
     apply_pachner31,
     apply_state_permutation,
+    diff_norm,
     enumerate_valid_configs,
     ground_project,
     inner,
@@ -82,6 +83,7 @@ __all__ = [
     "DepthReport",
     "run_schedule",
     "shear_step",
+    "braid_arena",
     "braid_schedule",
     "braid",
     "baseline_schedule",
@@ -318,12 +320,6 @@ def _apply_record(
     raise MoveError(f"unknown move kind {rec.kind!r}")
 
 
-def _diff_norm(lat: SurfaceLattice, a: StringNetState, b: StringNetState) -> float:
-    cfg = np.concatenate([a.configs, b.configs])
-    amp = np.concatenate([a.amps, -b.amps])
-    return make_state(lat, cfg, amp, tolerance=0.0).norm()
-
-
 def run_schedule(
     state: StringNetState | None,
     lat: SurfaceLattice,
@@ -364,7 +360,7 @@ def run_schedule(
             raise MoveError(f"unknown group kind {group.kind!r}")
         if assert_code_space and cur is not None and group.kind == LOCAL:
             proj = ground_project(cur, cur_lat, data)
-            if _diff_norm(cur_lat, proj, cur) > code_tol * max(cur.norm(), 1.0):
+            if diff_norm(cur_lat, proj, cur) > code_tol * max(cur.norm(), 1.0):
                 raise MoveError("schedule left the code space after a local group")
     return cur, cur_lat
 
@@ -490,6 +486,17 @@ def _shear(
         )
     )
     return schedule, end
+
+
+def braid_arena(d: int) -> tuple[SurfaceLattice, int, int]:
+    """The patch of the distance-d braid: d // 2 + 4 rings of 3d sectors,
+    one puncture at the center and one at ring 2, sector 0.
+
+    Returns (lattice, cols, the moving puncture).
+    """
+    rows, cols = d // 2 + 4, 3 * d
+    lat = build_planar_patch(rows, cols, punctures=[(0, 0), (2, 0)])
+    return lat, cols, polar_vertex_id(cols, 2, 0)
 
 
 def braid_schedule(

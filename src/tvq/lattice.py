@@ -57,6 +57,17 @@ class Edge:
 
 @dataclass(frozen=True)
 class MoveRecord:
+    """One rewrite, resolved on the lattice right before it.
+
+    ``qubits`` holds the qubit slots the move's gates act on, -1 for a
+    pinned leg, so the move lowers without that lattice:
+
+    * F_MOVE: (edge, a, b, c, d), the flipped edge then its quad legs;
+    * PACHNER_13 / PACHNER_31: (a, b, c), the legs of the subdivided
+      triangle; the fresh spokes are ``new_slots`` / ``released_slots``;
+    * PERMUTATION: empty, the relabeling is ``sigma``.
+    """
+
     kind: str
     edge: Optional[int] = None
     legs: tuple[int, ...] = ()
@@ -537,10 +548,15 @@ def _refresh_incidence(
         ve[v] = tuple(sorted(kept + got))
 
 
+def _slots(lat: SurfaceLattice, edge_ids: Iterable[int]) -> tuple[int, ...]:
+    """Qubit slot of each edge, -1 for a pinned one."""
+    return tuple(-1 if lat.edges[e].qubit is None else lat.edges[e].qubit for e in edge_ids)
+
+
 def _flip(lat: SurfaceLattice, edge_id: int) -> MoveRecord:
     """2-2 flip in place on a private copy; see pachner_22."""
     t1, t2, u, v, w1, w2, a, b, c, d = _flip_roles(lat, edge_id)
-    qubits = tuple(lat.edges[e].qubit if lat.edges[e].qubit is not None else -1 for e in (edge_id, a, b, c, d))
+    qubits = _slots(lat, (edge_id, a, b, c, d))
     lat.edges[edge_id] = Edge(min(w1, w2), max(w1, w2), lat.edges[edge_id].qubit)
     # id handoff: the face at the lower old endpoint inherits the id of the
     # old face with the lower apex, so flipping the same edge twice is the
@@ -592,6 +608,7 @@ def _subdivide(lat: SurfaceLattice, triangle_id: int) -> MoveRecord:
     next_slot = (slots[-1] + 1) if slots else 0
     d_e, e_e, f_e = next_edge, next_edge + 1, next_edge + 2
     new_slots = (next_slot, next_slot + 1, next_slot + 2)
+    qubits = _slots(lat, (a_e, b_e, c_e))
 
     lat.edges[d_e] = Edge(min(w, p), max(w, p), new_slots[0])
     lat.edges[e_e] = Edge(min(w, r), max(w, r), new_slots[1])
@@ -615,6 +632,7 @@ def _subdivide(lat: SurfaceLattice, triangle_id: int) -> MoveRecord:
         new_edges=(d_e, e_e, f_e),
         new_triangles=(triangle_id, next_tri, next_tri + 1),
         new_slots=new_slots,
+        qubits=qubits,
     )
 
 
@@ -677,6 +695,7 @@ def _unsubdivide(lat: SurfaceLattice, vertex_id: int) -> MoveRecord:
     if any(s is None for s in released):
         raise MoveError(f"vertex {vertex_id}: spokes include a pinned edge")
     corners = {x for e in (d_e, e_e, f_e) for x in lat.edges[e].endpoints()}
+    qubits = _slots(lat, (a_e, b_e, c_e))
     for e in (d_e, e_e, f_e):
         del lat.edges[e]
     for t in tris:
@@ -693,6 +712,7 @@ def _unsubdivide(lat: SurfaceLattice, vertex_id: int) -> MoveRecord:
         triangles=tuple(tris),
         new_triangles=(tris[0],),
         released_slots=tuple(int(s) for s in released),
+        qubits=qubits,
     )
 
 

@@ -78,13 +78,12 @@ def bit_positions(lat: SurfaceLattice) -> dict[int, int]:
     return {e: rank[rec.qubit] for e, rec in lat.edges.items() if rec.qubit is not None}
 
 
-def edge_labels(lat: SurfaceLattice, configs: np.ndarray, edge: int) -> np.ndarray:
-    """Per-config label of one edge; pinned edges read 0."""
-    rec = lat.edges[edge]
-    if rec.qubit is None:
+def _labels(configs: np.ndarray, pos: dict[int, int], edge: int) -> np.ndarray:
+    """Per-config label of one edge, given bit_positions; pinned edges read 0."""
+    b = pos.get(edge)
+    if b is None:
         return np.zeros(len(configs), dtype=np.int64)
-    pos = bit_positions(lat)[edge]
-    return ((configs >> U64(pos)) & U64(1)).astype(np.int64)
+    return ((configs >> U64(b)) & U64(1)).astype(np.int64)
 
 
 def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,6 +118,13 @@ def make_state(
         amps=a,
         tolerance=tolerance,
     )
+
+
+def diff_norm(lat: SurfaceLattice, a: StringNetState, b: StringNetState) -> float:
+    """Norm of a - b, both bound to lat."""
+    cfg = np.concatenate([a.configs, b.configs])
+    amp = np.concatenate([a.amps, -b.amps])
+    return make_state(lat, cfg, amp, tolerance=0.0).norm()
 
 
 def rebind_state(state: StringNetState, lat: SurfaceLattice) -> StringNetState:
@@ -438,29 +444,14 @@ def apply_fmove(
 ):
     """2-2 move: rewrite the lattice and rotate the switched edge label by
     the admissible F-block controlled on the four legs."""
-    st, out, _rec = _fmove_record(state, lat, edge_id, data)
-    return st, out
-
-
-def _fmove_record(
-    state: StringNetState, lat: SurfaceLattice, edge_id: int, data: FusionData | None = None
-):
     _check_version(state, lat)
     _check_width(lat)
     data = data or fibonacci_data()
     out, rec = pachner_22(lat, edge_id)
-    a_e, b_e, c_e, d_e = rec.legs
     pos = bit_positions(lat)
-
-    def lab(edge):
-        b = pos.get(edge)
-        if b is None:
-            return np.zeros(len(state.configs), dtype=np.int64)
-        return ((state.configs >> U64(b)) & U64(1)).astype(np.int64)
-
-    la, lb, lc, ld = lab(a_e), lab(b_e), lab(c_e), lab(d_e)
+    la, lb, lc, ld = (_labels(state.configs, pos, e) for e in rec.legs)
     ebit = pos[edge_id]
-    le = ((state.configs >> U64(ebit)) & U64(1)).astype(np.int64)
+    le = _labels(state.configs, pos, edge_id)
     pieces_c = []
     pieces_a = []
     for f in range(data.num_labels):
@@ -482,7 +473,7 @@ def _fmove_record(
         amps=a,
         tolerance=state.tolerance,
     )
-    return new_state, out, rec
+    return new_state, out
 
 
 def _pachner13_coeffs(data: FusionData, la: int, lb: int, lc: int):
@@ -511,29 +502,14 @@ def apply_pachner13(
     state: StringNetState, lat: SurfaceLattice, triangle_id: int, data: FusionData | None = None
 ):
     """1-3 move: three new qubit edges entangled by the exact isometry."""
-    st, out, _rec = _pachner13_record(state, lat, triangle_id, data)
-    return st, out
-
-
-def _pachner13_record(
-    state: StringNetState, lat: SurfaceLattice, triangle_id: int, data: FusionData | None = None
-):
     _check_version(state, lat)
     data = data or fibonacci_data()
     out, rec = pachner_13(lat, triangle_id)
     _check_width(out)
-    a_e, b_e, c_e = rec.legs
     pos_old = bit_positions(lat)
     pos_new = bit_positions(out)
     pd, pe, pf = (pos_new[e] for e in rec.new_edges)
-
-    def lab(edge):
-        b = pos_old.get(edge)
-        if b is None:
-            return np.zeros(len(state.configs), dtype=np.int64)
-        return ((state.configs >> U64(b)) & U64(1)).astype(np.int64)
-
-    la, lb, lc = lab(a_e), lab(b_e), lab(c_e)
+    la, lb, lc = (_labels(state.configs, pos_old, e) for e in rec.legs)
     key = (la << 2) | (lb << 1) | lc
     pieces_c = []
     pieces_a = []
@@ -555,7 +531,7 @@ def _pachner13_record(
         amps=a,
         tolerance=state.tolerance,
     )
-    return new_state, out, rec
+    return new_state, out
 
 
 def _drop_bits(configs: np.ndarray, nbits: int, drop: list[int]) -> np.ndarray:
@@ -576,34 +552,14 @@ def apply_pachner31(
 ):
     """3-1 move: adjoint of the 1-3 isometry. Fails when the released
     qubits are entangled with the rest (weight lost above residual_tol)."""
-    st, out, _rec = _pachner31_record(state, lat, vertex_id, data, residual_tol)
-    return st, out
-
-
-def _pachner31_record(
-    state: StringNetState,
-    lat: SurfaceLattice,
-    vertex_id: int,
-    data: FusionData | None = None,
-    residual_tol: float = 1e-10,
-):
     _check_version(state, lat)
     data = data or fibonacci_data()
-    tris, (a_e, b_e, c_e), (d_e, e_e, f_e) = pachner_31_roles(lat, vertex_id)
+    tris, legs, spokes = pachner_31_roles(lat, vertex_id)
     pos = bit_positions(lat)
     nbits = len(lat.qubit_slots())
-    pd, pe, pf = pos[d_e], pos[e_e], pos[f_e]
-
-    def lab(edge):
-        b = pos.get(edge)
-        if b is None:
-            return np.zeros(len(state.configs), dtype=np.int64)
-        return ((state.configs >> U64(b)) & U64(1)).astype(np.int64)
-
-    la, lb, lc = lab(a_e), lab(b_e), lab(c_e)
-    ldl = ((state.configs >> U64(pd)) & U64(1)).astype(np.int64)
-    lel = ((state.configs >> U64(pe)) & U64(1)).astype(np.int64)
-    lfl = ((state.configs >> U64(pf)) & U64(1)).astype(np.int64)
+    pd, pe, pf = (pos[e] for e in spokes)
+    la, lb, lc = (_labels(state.configs, pos, e) for e in legs)
+    ldl, lel, lfl = (_labels(state.configs, pos, e) for e in spokes)
     key = (la << 5) | (lb << 4) | (lc << 3) | (ldl << 2) | (lel << 1) | lfl
 
     coeff = np.zeros(len(state.configs))
@@ -619,7 +575,7 @@ def _pachner31_record(
     stripped = _drop_bits(state.configs[nz], nbits, [pd, pe, pf])
     c, a = _coalesce(stripped, state.amps[nz] * coeff[nz], state.tolerance)
 
-    out, rec = pachner_31(lat, vertex_id)
+    out, _rec = pachner_31(lat, vertex_id)
     in_norm2 = float(np.sum(np.abs(state.amps) ** 2))
     out_norm2 = float(np.sum(np.abs(a) ** 2))
     if in_norm2 - out_norm2 > residual_tol * max(in_norm2, 1.0):
@@ -634,7 +590,7 @@ def _pachner31_record(
         amps=a,
         tolerance=state.tolerance,
     )
-    return new_state, out, rec
+    return new_state, out
 
 
 def apply_state_permutation(
@@ -644,16 +600,6 @@ def apply_state_permutation(
     target: SurfaceLattice | None = None,
 ):
     """Relabel configuration bits by an accepted qubit permutation."""
-    st, out, _rec = _permutation_record(state, lat, sigma, target)
-    return st, out
-
-
-def _permutation_record(
-    state: StringNetState,
-    lat: SurfaceLattice,
-    sigma: dict[int, int],
-    target: SurfaceLattice | None = None,
-):
     _check_version(state, lat)
     _check_width(lat)
     out, rec = apply_cpi(lat, sigma, target=target)
@@ -674,7 +620,7 @@ def _permutation_record(
         amps=a,
         tolerance=state.tolerance,
     )
-    return new_state, out, rec
+    return new_state, out
 
 
 # ---- snapshots ---------------------------------------------------------------------

@@ -16,7 +16,9 @@ import pytest
 
 from tvq.fusion import fibonacci_data
 from tvq.lattice import (
+    F_MOVE,
     MoveError,
+    MoveRecord,
     build_honeycomb_torus,
     build_planar_patch,
     build_tetra_sphere,
@@ -36,7 +38,17 @@ from tvq.statevec import (
     random_valid_state,
     valid_mask,
 )
-from tvq.gadgets import LOCAL, MoveGroup, MoveSchedule, braid_schedule, baseline_schedule, run_schedule, shear_step
+from tvq.gadgets import (
+    LOCAL,
+    MoveGroup,
+    MoveSchedule,
+    baseline_schedule,
+    braid_schedule,
+    merge_rows,
+    run_schedule,
+    shear_step,
+    split_row,
+)
 from tvq.circuits import (
     SPREP_ANGLE,
     THETA,
@@ -272,6 +284,32 @@ def test_compiled_shear_weaves_permutation_into_simulation():
     out, out_lat = run_schedule(st, lat, sched, data=DATA)
     got = simulate_circuit(circ, to_dense(st, lat))
     assert np.linalg.norm(got - to_dense(out, out_lat)) < 1e-10
+
+
+def test_compiled_split_then_merge_matches_semantic():
+    """1-3 and 3-1 moves lowered inside one schedule, between flip layers."""
+    lat = build_planar_patch(2, 2)
+    split = split_row(lat, 1, data=DATA)
+    mid = run_schedule(None, lat, split)[1]
+    fresh = [rec.vertex for rec in split.groups[0].layers[0]]
+    sched = split.then(merge_rows(mid, fresh, data=DATA))
+    circ = compile_schedule(lat, sched, DATA)
+    assert len(circ.qubits) == 14
+    assert len(circ.allocated) == 6 and set(circ.released) == set(circ.allocated)
+    rng = np.random.default_rng(43)
+    st = random_valid_state(lat, rng, data=DATA)
+    out, out_lat = run_schedule(st, lat, sched, data=DATA)
+    assert out_lat.signature() == lat.signature()
+    got = simulate_circuit(circ, embed_dense(to_dense(st, lat), lat.qubit_slots(), circ.qubits))
+    want = embed_dense(to_dense(out, out_lat), out_lat.qubit_slots(), circ.qubits)
+    assert np.linalg.norm(got - want) < 1e-10
+
+
+def test_compile_schedule_rejects_record_without_slots():
+    lat = build_tetra_sphere()
+    sched = MoveSchedule((MoveGroup(LOCAL, ((MoveRecord(F_MOVE, edge=0),),)),))
+    with pytest.raises(MoveError, match="qubit slots"):
+        compile_schedule(lat, sched)
 
 
 def test_braid_gate_depth_constant_across_tiers():

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, guards, deterministic reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from tvq.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -171,3 +175,30 @@ def test_text_format_renders_checks(capsys):
 def test_unknown_scope_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "everything"])
+
+
+# ---- golden bytes ------------------------------------------------------------
+#
+# Written once from the CLI and committed; a refactor that changes any of
+# these bytes changes what users see.
+
+
+def test_braid_stdout_matches_golden(capsys):
+    status, out = run_cli(["braid", "--distance", "4"], capsys)
+    assert status == 0
+    assert out == (GOLDEN / "braid_d4.txt").read_text()
+
+
+def test_compile_circuit_file_matches_golden(tmp_path, capsys):
+    # stdout embeds the --out path, so the circuit file is compared instead
+    path = tmp_path / "circ.json"
+    status, _ = run_cli(["compile", "--distance", "4", "--out", str(path)], capsys)
+    assert status == 0
+    assert path.read_bytes() == (GOLDEN / "compile_d4.json").read_bytes()
+
+
+def test_errors_csv_matches_golden(capsys):
+    argv = ["errors", "--distances", "4", "--trials", "20", "--seed", "17", "--format", "csv"]
+    status, out = run_cli(argv, capsys)
+    assert status == 0
+    assert out == (GOLDEN / "errors_d4_t20_s17.csv").read_text()

@@ -1,5 +1,6 @@
 """Error strings: exact relabeling transport plus light-cone growth."""
 
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,7 @@ from tvq.lattice import (
     pachner_22,
     polar_vertex_id,
 )
-from tvq.gadgets import LOCAL, shear_step
+from tvq.gadgets import LOCAL, MoveSchedule, run_schedule, shear_step, split_row
 from tvq.circuits import Gate, GateCircuit
 from tvq.errors import (
     ErrorString,
@@ -211,6 +212,31 @@ def test_braid_trial_preserves_edge_count_and_stays_local():
     assert res["initial_len"] == 2  # endpoint span of a radial 2-chain
     assert res["support_size"] >= res["edge_count"]
     assert res["lightcone_spread"] < cols
+
+
+def test_braid_trial_needs_a_schedule_ending_on_a_relabeling():
+    from tvq.errors import _braid_setup
+
+    lat, cols, _, circ = _braid_setup(4, DATA)
+    err = radial_string(lat, cols, 3, 4, 6)
+    shear = shear_step(lat, polar_vertex_id(cols, 2, 0), stride=2, data=DATA)
+    mid = run_schedule(None, lat, shear)[1]
+    for sched in (split_row(lat, 3, data=DATA), MoveSchedule(()), shear.then(split_row(mid, 3))):
+        with pytest.raises(MoveError, match="ends on a relabeling"):
+            braid_error_trial(lat, sched, circ, err, cols)
+
+
+def test_braid_trial_rejects_a_relabeling_that_merges_the_string():
+    from tvq.errors import _braid_setup
+
+    lat, cols, sched, circ = _braid_setup(4, DATA)
+    err = radial_string(lat, cols, 3, 4, 6)
+    last = sched.groups[-1]
+    (rec,) = last.records()
+    for sigma in ({s: 0 for s in rec.sigma}, {s: -5 for s in rec.sigma}):
+        bad = dataclasses.replace(last, layers=((dataclasses.replace(rec, sigma=sigma),),))
+        with pytest.raises(MoveError, match="edge count"):
+            braid_error_trial(lat, MoveSchedule(sched.groups[:-1] + (bad,)), circ, err, cols)
 
 
 def test_stretch_report_is_size_independent():

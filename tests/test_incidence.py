@@ -23,6 +23,8 @@ from tvq.gadgets import (
 )
 from tvq.lattice import (
     F_MOVE,
+    PACHNER_31,
+    PERMUTATION,
     Edge,
     MoveError,
     MoveRecord,
@@ -76,16 +78,33 @@ def shuffled_slots(lat, pick):
 
 
 def step(lat, kind, pick):
+    """One rewrite: (new lattice, its record)."""
     if kind == "22":
-        return pachner_22(lat, sorted(lat.edges)[pick % len(lat.edges)])[0]
+        return pachner_22(lat, sorted(lat.edges)[pick % len(lat.edges)])
     if kind == "13":
-        return pachner_13(lat, sorted(lat.triangles)[pick % len(lat.triangles)])[0]
+        return pachner_13(lat, sorted(lat.triangles)[pick % len(lat.triangles)])
     if kind == "31":
         ve = lat.vertex_edges()
         cubic = sorted(v for v in lat.vertices if len(ve[v]) == 3) or sorted(lat.vertices)
-        return pachner_31(lat, cubic[pick % len(cubic)])[0]
+        return pachner_31(lat, cubic[pick % len(cubic)])
     sigma, target = shuffled_slots(lat, pick)
-    return apply_cpi(lat, sigma, target=target)[0]
+    return apply_cpi(lat, sigma, target=target)
+
+
+def assert_record_slots(lat, rec):
+    """A record's qubit slots are those of its edges on the pre-move lattice."""
+
+    def slots(edge_ids):
+        return tuple(-1 if lat.edges[e].pinned else lat.edges[e].qubit for e in edge_ids)
+
+    if rec.kind == F_MOVE:
+        assert rec.qubits == slots((rec.edge,) + rec.legs)
+    elif rec.kind == PERMUTATION:
+        assert rec.qubits == ()
+    else:
+        assert rec.qubits == slots(rec.legs)
+    if rec.kind == PACHNER_31:
+        assert rec.released_slots == slots(rec.new_edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,9 +121,12 @@ def test_kept_maps_match_a_rebuild(name, moves):
     history = [(lat, lat.signature(), lat.version)]
     for kind, pick in moves:
         try:
-            lat = step(lat, kind, pick)
+            nxt, rec = step(lat, kind, pick)
         except MoveError:
             pass  # a rejected move must leave its input untouched, checked below
+        else:
+            assert_record_slots(lat, rec)
+            lat = nxt
         assert_maps_current(lat)
         history.append((lat, lat.signature(), lat.version))
     for old, sig, version in history:
