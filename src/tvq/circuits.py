@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fusion import PHI, FusionData
+from .fusion import PHI, FusionData, fibonacci_data
 from .lattice import (
     F_MOVE,
     PACHNER_13,
@@ -323,8 +323,11 @@ def compile_schedule(
     supports disjoint because the moves' slot supports already are.
     PERMUTATION groups become free relabelings pinned between layers.
     Each move is lowered from the qubit slots its record holds; lat
-    gives only the starting register and the version.
+    gives only the starting register and the version. The gate angles
+    are the Fibonacci ones, so any other category raises MoveError.
     """
+    if data is not None and not np.array_equal(data.fsym, fibonacci_data().fsym):
+        raise MoveError("gate compilation covers only the Fibonacci F-symbols")
     layers: list[list[Gate]] = []
     perms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     allocated: list[int] = []

@@ -259,39 +259,41 @@ def _bp_plaquette_ctx(lat: SurfaceLattice, vertex: int, data: FusionData):
     return plq, n, bpos, lpos, mask, spread
 
 
-def _bp_row(data: FusionData, n: int, legs: np.ndarray, e_in: int) -> np.ndarray:
-    """Coefficients over all 2^n output boundary patterns for one input."""
-    outs = np.arange(1 << n)
-    ei = np.array([(e_in >> i) & 1 for i in range(n)])
-    epo = ((outs[:, None] >> np.arange(n)[None, :]) & 1)  # (2^n, n)
-    coeffs = np.zeros(1 << n)
-    dsq = data.total_dim_sq
-    for s in range(data.num_labels):
-        fac = data.fsym[
-            legs[None, :].repeat(len(outs), axis=0),
-            ei[None, :].repeat(len(outs), axis=0),
-            s,
-            np.roll(epo, -1, axis=1),
-            np.roll(ei, -1)[None, :].repeat(len(outs), axis=0),
-            epo,
-        ]
-        coeffs += (data.qdim[s] / dsq) * np.prod(fac, axis=1)
-    return coeffs
-
-
 _BP_MATS: dict[tuple, np.ndarray] = {}
 
 
 def _bp_matrix(data: FusionData, n: int, lkey: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix over boundary patterns for one leg pattern."""
+    """Dense 2^n x 2^n matrix over boundary patterns for one leg pattern.
+
+    Entry [out, in] is sum_s (d_s/D^2) prod_i F[leg_i, in_i, s, out_{i+1},
+    in_{i+1}, out_i], indices cyclic in i. The block is built as a
+    (2,)*2n array with one axis per boundary bit, outputs then inputs,
+    each most significant bit first, so a C-order reshape gives the
+    pattern integers. Per s, the n factors F[leg_i, :, s] are broadcast
+    onto the four bit axes each touches and multiplied in, i = 0 .. n-1.
+    """
     fp = hash(data.fsym.tobytes())
     key = (fp, n, lkey)
     mat = _BP_MATS.get(key)
     if mat is None:
         if len(_BP_MATS) > 512:
             _BP_MATS.clear()
-        legs = np.array([(lkey >> i) & 1 for i in range(n)])
-        mat = np.stack([_bp_row(data, n, legs, ei) for ei in range(1 << n)], axis=1)
+        dim = 1 << n
+        out_ax = [n - 1 - i for i in range(n)]
+        in_ax = [2 * n - 1 - i for i in range(n)]
+        mat = np.zeros((dim, dim))
+        for s in range(data.num_labels):
+            prod = np.ones((2,) * (2 * n))
+            for i in range(n):
+                j = (i + 1) % n
+                axes = (in_ax[i], out_ax[j], in_ax[j], out_ax[i])  # axes of fac
+                fac = data.fsym[(lkey >> i) & 1, :, s]
+                shape = [1] * (2 * n)
+                for a in axes:
+                    shape[a] = 2
+                prod *= fac.transpose(np.argsort(axes)).reshape(shape)
+            prod *= data.qdim[s] / data.total_dim_sq
+            mat += prod.reshape(dim, dim)
         mat.setflags(write=False)
         _BP_MATS[key] = mat
     return mat
@@ -306,7 +308,9 @@ def apply_bp(
 
     Configs sharing all non-boundary bits form closed blocks; each block
     is hit with a dense 2^n matrix picked by its (frozen) leg labels, so
-    no duplicate outputs arise and no coalescing pass is needed.
+    no duplicate outputs arise and no coalescing pass is needed. Each
+    matrix is built once per (category, n, leg pattern) as a broadcast
+    product of the n F-factors over the 2n boundary bits (_bp_matrix).
     """
     _check_version(state, lat)
     data = data or fibonacci_data()
@@ -364,7 +368,10 @@ def apply_bp(
         out_a.append(hit[nzb, nzj])
     c = np.concatenate(out_c) if out_c else np.array([], dtype=U64)
     a = np.concatenate(out_a) if out_a else np.array([], dtype=np.complex128)
-    return replace(state, configs=c, amps=a)
+    # outputs run in (rest, boundary pattern) order; rest and boundary bits
+    # interleave, so one sort restores increasing configs
+    srt = np.argsort(c)
+    return replace(state, configs=c[srt], amps=a[srt])
 
 
 def ground_project(
@@ -387,10 +394,14 @@ def inner(a: StringNetState, b: StringNetState) -> complex:
     """Hermitian inner product <a|b> over sparse supports."""
     if a.lattice_version != b.lattice_version or a.sig_key != b.sig_key:
         raise VersionError("inner product requires states on the same lattice version")
-    common, ia, ib = np.intersect1d(a.configs, b.configs, return_indices=True)
-    if len(common) == 0:
+    if len(a.configs) == 0 or len(b.configs) == 0:
         return 0.0 + 0.0j
-    return complex(np.sum(np.conj(a.amps[ia]) * b.amps[ib]))
+    # configs are sorted and unique, so the matched pairs come out in
+    # config order, as from a sorted-set intersection
+    at = np.searchsorted(b.configs, a.configs)
+    at[at == len(b.configs)] = 0
+    hit = np.flatnonzero(b.configs[at] == a.configs)
+    return complex(np.sum(np.conj(a.amps[hit]) * b.amps[at[hit]]))
 
 
 def code_space_dim(
@@ -403,7 +414,9 @@ def code_space_dim(
     """Numerical rank of the Gram matrix of ground-projected seeds.
 
     Small lattices use every valid config as a seed (exact); larger ones
-    use a deterministic spread of seeds.
+    use a deterministic spread of seeds. The projected seeds are scattered
+    into one dense (seeds x union of supports) array, so the Gram matrix
+    is a single product.
     """
     data = data or fibonacci_data()
     nq = len(lat.qubit_slots())
@@ -422,13 +435,11 @@ def code_space_dim(
             projected.append(st)
     if not projected:
         return 0
-    g = np.zeros((len(projected), len(projected)), dtype=np.complex128)
-    for i, si in enumerate(projected):
-        for j, sj in enumerate(projected):
-            if j < i:
-                g[i, j] = np.conj(g[j, i])
-            else:
-                g[i, j] = inner(si, sj)
+    union = np.unique(np.concatenate([st.configs for st in projected]))
+    a = np.zeros((len(projected), len(union)), dtype=np.complex128)
+    for i, st in enumerate(projected):
+        a[i, np.searchsorted(union, st.configs)] = st.amps
+    g = a.conj() @ a.T
     evals = np.linalg.eigvalsh(g)
     top = evals[-1]
     if top <= tol:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from tvq.fusion import fibonacci_data
+from tvq.fusion import fibonacci_data, trivial_data
 from tvq.lattice import (
     F_MOVE,
     MoveError,
@@ -209,6 +209,17 @@ def test_compile_fmove_rejects_pinned_target():
     pinned = next(e for e, r in sorted(lat.edges.items()) if r.pinned)
     with pytest.raises(MoveError, match="pinned"):
         compile_fmove(lat, pinned)
+
+
+def test_compile_rejects_non_fibonacci_data():
+    # the gate angles are the Fibonacci ones; another category must not
+    # silently get the Fibonacci circuit
+    lat = build_tetra_sphere()
+    with pytest.raises(MoveError, match="Fibonacci"):
+        compile_fmove(lat, 0, trivial_data())
+    with pytest.raises(MoveError, match="Fibonacci"):
+        compile_pachner13(lat, sorted(lat.triangles)[0], trivial_data())
+    assert compile_fmove(lat, 0, fibonacci_data()) == compile_fmove(lat, 0)
 
 
 # ---- compiled 1-3 and 3-1 ------------------------------------------------------

@@ -202,3 +202,10 @@ def test_errors_csv_matches_golden(capsys):
     status, out = run_cli(argv, capsys)
     assert status == 0
     assert out == (GOLDEN / "errors_d4_t20_s17.csv").read_text()
+
+
+def test_verify_all_stdout_matches_golden(capsys):
+    # covers the plaquette blocks, ground projection and code_space_dim
+    status, out = run_cli(["verify", "all"], capsys)
+    assert status == 0
+    assert out == (GOLDEN / "verify_all.json").read_text()

@@ -15,6 +15,7 @@ import pytest
 
 from tvq.fusion import fibonacci_data
 from tvq.lattice import (
+    F_MOVE,
     MoveError,
     build_honeycomb_torus,
     build_planar_patch,
@@ -24,6 +25,7 @@ from tvq.lattice import (
     polar_vertex_id,
 )
 from tvq.statevec import (
+    bit_positions,
     enumerate_valid_configs,
     ground_project,
     inner,
@@ -473,3 +475,47 @@ def test_braid_runs_states_end_to_end():
     again, _ = run_schedule(st, lat, sched, data=DATA)
     again = rebind_state(again, lat)
     assert state_diff(lat, out, again) < 1e-12
+
+
+def star_state(lat, rng, count):
+    """Random normalized state over XORs of vertex stars.
+
+    A star (every edge at one vertex set to 1) is a closed loop, and a
+    triangle of XOR-ed stars reads 000 or two 1s, so every config is
+    branching-valid. Vertices touching a pinned edge are skipped.
+    """
+    pos = bit_positions(lat)
+    stars = []
+    for v, edges in sorted(lat.vertex_edges().items()):
+        if all(e in pos for e in edges):
+            stars.append(sum(1 << pos[e] for e in edges))
+    stars = np.array(stars, dtype=np.uint64)
+    pick = rng.random((count, len(stars))) < 0.5
+    configs = np.unique(np.bitwise_xor.reduce(np.where(pick, stars, np.uint64(0)), axis=1))
+    amps = rng.normal(size=len(configs)) + 1j * rng.normal(size=len(configs))
+    return make_state(lat, configs, amps / np.linalg.norm(amps))
+
+
+def test_braid_then_baseline_back_with_unpinned_fmoves():
+    """On the 5x4 two-puncture patch the braid's flips have no pinned
+    leg, so the golden F-block acts; the baseline must undo the braid on
+    a generic valid state, not only on classical relabelings."""
+    lat = build_planar_patch(5, 4, punctures=[(0, 0), (2, 0)])
+    anyon = polar_vertex_id(4, 2, 0)
+    sched = braid_schedule(lat, anyon, 0, steps=4, data=DATA)
+    flips = [r for g in sched.groups for r in g.records() if r.kind == F_MOVE]
+    assert any(-1 not in r.qubits for r in flips)
+
+    start = star_state(lat, np.random.default_rng(11), 4000)
+    assert len(start.configs) > 2000
+    mid, mid_lat = run_schedule(start, lat, sched, data=DATA)
+    back = baseline_schedule(mid_lat, anyon, ring_path(4, 4, direction=1), data=DATA)
+    fin, _ = run_schedule(mid, mid_lat, back, data=DATA)
+    fin = rebind_state(fin, lat)
+
+    assert len(mid.configs) > len(start.configs)  # the F-blocks spread amplitude
+    assert np.array_equal(fin.configs, start.configs)
+    assert abs(np.vdot(start.amps, fin.amps)) >= 1 - 1e-9
+    assert abs(inner(start, fin)) >= 1 - 1e-9
+    for st in (mid, fin):
+        assert abs(st.norm() - 1.0) <= 1e-10

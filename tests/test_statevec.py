@@ -24,6 +24,7 @@ from tvq.lattice import (
 from tvq.statevec import (
     StringNetState,
     VersionError,
+    _bp_matrix,
     apply_bp,
     apply_fmove,
     apply_pachner13,
@@ -234,6 +235,19 @@ def test_bp_projector_identities(torus):
         assert amp_diff(qb, bq) < 1e-12
 
 
+def test_bp_output_configs_strictly_increasing(theta, torus):
+    # boundary and other bits interleave, so block-by-block output order is
+    # not config order; inner and the Gram matrix rely on sorted configs
+    for lat in (theta, torus):
+        st = random_valid_state(lat, np.random.default_rng(8))
+        for v in lat.plaquette_vertices():
+            out = apply_bp(st, lat, v)
+            assert len(out.configs) > 1
+            assert np.all(out.configs[1:] > out.configs[:-1])
+        g = ground_project(st, lat)
+        assert np.all(g.configs[1:] > g.configs[:-1])
+
+
 def test_bp_vacuum_expectation(theta, torus):
     for lat in (theta, torus):
         st = make_delta_state(lat, 0)
@@ -254,6 +268,34 @@ def test_bp_rejects_punctures_and_stale_states(torus):
 
 
 # ---- ground space ------------------------------------------------------------------
+
+
+def bp_block_reference(n, lkey):
+    """Plaquette block by explicit loops over s and the n factors, in the
+    kernel's product order, vectorized only over the (out, in) entries."""
+    out = np.arange(1 << n)[:, None]
+    inp = np.arange(1 << n)[None, :]
+
+    def bit(x, i):
+        return (x >> (i % n)) & 1
+
+    mat = np.zeros((1 << n, 1 << n))
+    for s in range(DATA.num_labels):
+        prod = np.ones((1 << n, 1 << n))
+        for i in range(n):
+            leg = (lkey >> i) & 1
+            prod = prod * DATA.fsym[leg, bit(inp, i), s, bit(out, i + 1), bit(inp, i + 1), bit(out, i)]
+        mat += (DATA.qdim[s] / DATA.total_dim_sq) * prod
+    return mat
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bp_block_matches_per_entry_reference(n):
+    full = (1 << n) - 1
+    for lkey in sorted({0, 1, full, full ^ 1, 0b0101_0101 & full, 0b0110_1011 & full}):
+        got = _bp_matrix(DATA, n, lkey)
+        assert got.shape == (1 << n, 1 << n)
+        assert np.max(np.abs(got - bp_block_reference(n, lkey))) <= 1e-15
 
 
 def test_ground_project_rank_one_on_sphere(theta):
@@ -318,6 +360,31 @@ def test_code_space_dim_invariant_under_moves(tetra, torus):
     assert code_space_dim(lat) == 4
     sub, _rec = pachner_13(tetra, 0)
     assert code_space_dim(sub) == code_space_dim(tetra) == 1
+
+
+def walked(lat, seed, subdivisions, flips):
+    """Seeded Pachner walk: 1-3 moves at random triangles, then random
+    admissible 2-2 flips."""
+    rng = np.random.default_rng(seed)
+    for _ in range(subdivisions):
+        lat, _rec = pachner_13(lat, sorted(lat.triangles)[int(rng.integers(len(lat.triangles)))])
+    while flips:
+        edge = sorted(lat.edges)[int(rng.integers(len(lat.edges)))]
+        if _can_flip(lat, edge):
+            lat, _rec = pachner_22(lat, edge)
+            flips -= 1
+    return lat
+
+
+def test_code_space_dim_on_walked_lattices(tetra, torus):
+    # 18 qubits, 2250 valid configs: the seeded path, 7-edge plaquettes
+    sphere = walked(tetra, 2, subdivisions=4, flips=2)
+    assert len(enumerate_valid_configs(sphere)) > 1024
+    assert code_space_dim(sphere, DATA, max_seeds=12) == 1
+    # 12 qubits, 175 valid configs: every config seeds the Gram matrix
+    flipped = walked(torus, 1, subdivisions=0, flips=3)
+    assert max(len(flipped.plaquette(v).boundary) for v in flipped.plaquette_vertices()) == 7
+    assert code_space_dim(flipped, DATA, max_seeds=12) == 4
 
 
 def _can_flip(lat, edge_id):
@@ -468,6 +535,53 @@ def test_rebind_requires_matching_signature(torus, tetra):
     assert rebind_state(st, lat2).lattice_version == lat2.version
     with pytest.raises(VersionError):
         rebind_state(st, tetra)
+
+
+# ---- inner product ----------------------------------------------------------------
+
+
+def aligned_vdot(a, b):
+    """<a|b> by np.vdot on dense copies over the union of supports."""
+    union = np.union1d(a.configs, b.configs)
+    va = np.zeros(len(union), dtype=np.complex128)
+    vb = np.zeros(len(union), dtype=np.complex128)
+    va[np.searchsorted(union, a.configs)] = a.amps
+    vb[np.searchsorted(union, b.configs)] = b.amps
+    return np.vdot(va, vb)
+
+
+def test_inner_matches_vdot_on_union(torus):
+    rng = np.random.default_rng(12)
+    configs = enumerate_valid_configs(torus)
+
+    def state(cfgs):
+        amps = rng.normal(size=len(cfgs)) + 1j * rng.normal(size=len(cfgs))
+        return make_state(torus, cfgs, amps)
+
+    half = len(configs) // 2
+    pairs = {
+        "disjoint": (state(configs[:half]), state(configs[half:])),
+        "empty": (state(configs[:0]), state(configs[:half])),
+        # the first state reaches past the second one's largest config
+        "partial": (state(configs[half:]), state(configs[: half + 10])),
+        "equal": (state(configs), state(configs)),
+    }
+    for name, (a, b) in pairs.items():
+        for x, y in ((a, b), (b, a)):
+            want = aligned_vdot(x, y)
+            got = inner(x, y)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), name
+            # the matched pairs, in config order, of a sorted-set intersection
+            _, ia, ib = np.intersect1d(x.configs, y.configs, return_indices=True)
+            assert got == complex(np.sum(np.conj(x.amps[ia]) * y.amps[ib])), name
+    assert inner(*pairs["disjoint"]) == 0 and inner(*pairs["empty"]) == 0
+    assert abs(inner(*pairs["partial"])) > 0
+
+
+def test_inner_rejects_mismatched_versions(torus):
+    moved, _ = pachner_22(torus, 0)
+    with pytest.raises(VersionError):
+        inner(make_delta_state(torus, 0), make_delta_state(moved, 0))
 
 
 # ---- config width ----------------------------------------------------------------
