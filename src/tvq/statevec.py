@@ -6,8 +6,9 @@ version. Bit i of a config is the label of the edge whose qubit slot id
 is the i-th smallest; pinned boundary edges carry no bit and always read
 the vacuum label.
 
-All operations are pure and vectorized; big states are processed in
-chunks to respect the small-memory sandbox.
+All operations are pure and vectorized. Only apply_bp splits its work,
+into groups of blocks of bounded size (CHUNK); every other kernel makes
+whole-array passes.
 """
 
 from __future__ import annotations
@@ -87,7 +88,11 @@ def _labels(configs: np.ndarray, pos: dict[int, int], edge: int) -> np.ndarray:
 
 
 def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sort, merge duplicate configs, drop tiny amplitudes."""
+    """Sort, merge duplicate configs, drop tiny amplitudes.
+
+    The stable sort (timsort for uint64) merges inputs made of a few
+    presorted runs in about linear time.
+    """
     if len(configs) == 0:
         return configs.astype(U64), amps.astype(np.complex128)
     order = np.argsort(configs, kind="stable")
@@ -100,7 +105,29 @@ def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.nda
     summed = np.add.reduceat(a, starts)
     uniq = c[starts]
     keep = np.abs(summed) >= tol
+    if keep.all():
+        return uniq, summed
     return uniq[keep], summed[keep]
+
+
+def _move_bits(configs: np.ndarray, dest: list[int | None]) -> np.ndarray:
+    """Move bit i of every config to bit dest[i], dropping it where
+    dest[i] is None. Bits that move by the same shift share one
+    mask-and-shift pass."""
+    masks: dict[int, int] = {}
+    for i, j in enumerate(dest):
+        if j is not None:
+            masks[j - i] = masks.get(j - i, 0) | (1 << i)
+    out = np.zeros(len(configs), dtype=U64)
+    part = np.empty_like(out)
+    for shift, mask in masks.items():
+        np.bitwise_and(configs, U64(mask), out=part)
+        if shift > 0:
+            np.left_shift(part, U64(shift), out=part)
+        elif shift < 0:
+            np.right_shift(part, U64(-shift), out=part)
+        out |= part
+    return out
 
 
 def make_state(
@@ -450,33 +477,86 @@ def code_space_dim(
 # ---- Pachner moves on amplitudes ---------------------------------------------------
 
 
+_FMOVE_TABLES: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _fmove_tables(data: FusionData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient tables of the F-move over the 5-bit key a b c d e.
+
+    stay[key] = F[a, b, c, d, e, e] and flip[key] = F[a, b, c, d, e, 1 - e];
+    runs[r, key] says whether a config with that key contributes to run r:
+    0 keeps its label (nonzero stay), 1 has its e bit set and 2 cleared
+    (nonzero flip with e = 0 and e = 1). Built once per category.
+    """
+    fp = data.fsym.tobytes()
+    tables = _FMOVE_TABLES.get(fp)
+    if tables is None:
+        f = data.fsym.reshape(16, 2, 2)  # (legs a b c d, e, f)
+        stay = np.stack([f[:, 0, 0], f[:, 1, 1]], axis=1).reshape(32)
+        flip = np.stack([f[:, 0, 1], f[:, 1, 0]], axis=1).reshape(32)
+        e = np.arange(32) & 1
+        moves = np.abs(flip) > 1e-15
+        runs = np.stack([np.abs(stay) > 1e-15, moves & (e == 0), moves & (e == 1)])
+        for t in (stay, flip, runs):
+            t.setflags(write=False)
+        tables = _FMOVE_TABLES[fp] = (stay, flip, runs)
+    return tables
+
+
 def apply_fmove(
     state: StringNetState, lat: SurfaceLattice, edge_id: int, data: FusionData | None = None
 ):
     """2-2 move: rewrite the lattice and rotate the switched edge label by
-    the admissible F-block controlled on the four legs."""
+    the admissible F-block controlled on the four legs.
+
+    Each config is keyed by its legs (a, b, c, d) and edge label e, and
+    its two coefficients are read from the stay and flip tables. The
+    nonzero terms form three runs, each already sorted because it keeps
+    input order and treats one bit the same way throughout: configs that
+    keep their label, configs whose e bit the move sets, and configs
+    whose e bit it clears. `_coalesce` merges them with a stable sort of
+    sorted runs. An output config gets at most two terms, one staying and
+    one flipped, and the sum of two doubles does not depend on their
+    order, so the amplitudes equal those of any other summation order.
+    """
     _check_version(state, lat)
     _check_width(lat)
     data = data or fibonacci_data()
+    if data.num_labels != 2:
+        raise MoveError(f"F-moves on states need 2 labels (one bit per edge), got {data.num_labels}")
     out, rec = pachner_22(lat, edge_id)
     pos = bit_positions(lat)
-    la, lb, lc, ld = (_labels(state.configs, pos, e) for e in rec.legs)
+    stay, flip, run_tables = _fmove_tables(data)
+    cfg = state.configs
     ebit = pos[edge_id]
-    le = _labels(state.configs, pos, edge_id)
-    pieces_c = []
-    pieces_a = []
-    for f in range(data.num_labels):
-        coeff = data.fsym[la, lb, lc, ld, le, f]
-        nz = np.flatnonzero(np.abs(coeff) > 1e-15)
-        if len(nz) == 0:
-            continue
-        cleared = state.configs[nz] & ~(U64(1) << U64(ebit))
-        pieces_c.append(cleared | (U64(f) << U64(ebit)))
-        pieces_a.append(state.amps[nz] * coeff[nz])
-    if pieces_c:
-        c, a = _coalesce(np.concatenate(pieces_c), np.concatenate(pieces_a), state.tolerance)
-    else:
-        c, a = np.array([], dtype=U64), np.array([], dtype=np.complex128)
+    # the key is built on an int64 view: every bit read is masked out, and
+    # an intp key indexes the tables without a conversion pass
+    sig = cfg.view(np.int64)
+    key = (sig >> ebit) & 1
+    part = np.empty_like(key)
+    for k, e in zip((4, 3, 2, 1), rec.legs):
+        b = pos.get(e)
+        if b is None:
+            continue  # pinned leg: the vacuum label, key bit 0
+        if b >= k:
+            np.right_shift(sig, b - k, out=part)
+            np.bitwise_and(part, 1 << k, out=part)
+        else:
+            np.bitwise_and(sig, 1 << b, out=part)
+            np.left_shift(part, k - b, out=part)
+        key |= part
+    runs = [np.flatnonzero(t[key]) for t in run_tables]
+    src = np.concatenate(runs)
+    n_same, n_set = len(runs[0]), len(runs[1])
+    flag = U64(1) << U64(ebit)
+    c = cfg[src]
+    c[n_same : n_same + n_set] |= flag
+    c[n_same + n_set :] &= ~flag
+    src_key = key[src]
+    a = state.amps[src]
+    a[:n_same] *= stay[src_key[:n_same]]
+    a[n_same:] *= flip[src_key[n_same:]]
+    c, a = _coalesce(c, a, state.tolerance)
     new_state = StringNetState(
         lattice_version=out.version,
         sig_key=_sig_key(out),
@@ -545,15 +625,6 @@ def apply_pachner13(
     return new_state, out
 
 
-def _drop_bits(configs: np.ndarray, nbits: int, drop: list[int]) -> np.ndarray:
-    """Compact configs by removing the given bit positions."""
-    keep = [b for b in range(nbits) if b not in set(drop)]
-    out = np.zeros(len(configs), dtype=U64)
-    for j, b in enumerate(keep):
-        out |= ((configs >> U64(b)) & U64(1)) << U64(j)
-    return out
-
-
 def apply_pachner31(
     state: StringNetState,
     lat: SurfaceLattice,
@@ -583,7 +654,9 @@ def apply_pachner31(
                 coeff[sel] = np.conj(cf)
                 break
     nz = np.flatnonzero(np.abs(coeff) > 1e-15)
-    stripped = _drop_bits(state.configs[nz], nbits, [pd, pe, pf])
+    kept = [b for b in range(nbits) if b not in (pd, pe, pf)]
+    dest = {b: j for j, b in enumerate(kept)}
+    stripped = _move_bits(state.configs[nz], [dest.get(b) for b in range(nbits)])
     c, a = _coalesce(stripped, state.amps[nz] * coeff[nz], state.tolerance)
 
     out, _rec = pachner_31(lat, vertex_id)
@@ -610,25 +683,28 @@ def apply_state_permutation(
     sigma: dict[int, int],
     target: SurfaceLattice | None = None,
 ):
-    """Relabel configuration bits by an accepted qubit permutation."""
+    """Relabel configuration bits by an accepted qubit permutation.
+
+    The bits move by one mask-and-shift per distinct shift (_move_bits).
+    apply_cpi accepts only a bijection of qubit slots, so the relabeled
+    configs are distinct: one sort orders them and nothing is merged.
+    """
     _check_version(state, lat)
     _check_width(lat)
     out, rec = apply_cpi(lat, sigma, target=target)
     tgt = target if target is not None else lat
-    src_slots = lat.qubit_slots()
-    tgt_slots = tgt.qubit_slots()
-    tgt_rank = {s: i for i, s in enumerate(tgt_slots)}
+    tgt_rank = {s: i for i, s in enumerate(tgt.qubit_slots())}
     full = rec.sigma or {}
-    new_configs = np.zeros(len(state.configs), dtype=U64)
-    for i, s in enumerate(src_slots):
-        j = tgt_rank[full.get(s, s)]
-        new_configs |= ((state.configs >> U64(i)) & U64(1)) << U64(j)
-    c, a = _coalesce(new_configs, state.amps.copy(), state.tolerance)
+    moved = _move_bits(state.configs, [tgt_rank[full.get(s, s)] for s in lat.qubit_slots()])
+    order = np.argsort(moved)
+    keep = np.abs(state.amps[order]) >= state.tolerance
+    if not keep.all():
+        order = order[keep]
     new_state = StringNetState(
         lattice_version=out.version,
         sig_key=_sig_key(out),
-        configs=c,
-        amps=a,
+        configs=moved[order],
+        amps=state.amps[order],
         tolerance=state.tolerance,
     )
     return new_state, out

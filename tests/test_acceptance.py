@@ -31,6 +31,7 @@ from tvq.fusion import (
 )
 from tvq.gadgets import (
     baseline_schedule,
+    braid_arena,
     braid_schedule,
     encoded_basis,
     logical_action,
@@ -55,6 +56,7 @@ from tvq.statevec import (
     apply_qv,
     bit_positions,
     code_space_dim,
+    diff_norm,
     ground_project,
     inner,
     make_delta_state,
@@ -70,12 +72,6 @@ def verdict(n, ok, detail):
     line = f"AC{n} {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
-
-
-def state_diff(lat, a, b):
-    cfg = np.concatenate([a.configs, b.configs])
-    amp = np.concatenate([a.amps, -b.amps])
-    return make_state(lat, cfg, amp, tolerance=0.0).norm()
 
 
 def random_code_state(lat, rng):
@@ -142,23 +138,23 @@ def test_ac2_projector_algebra():
         bp = {p: apply_bp(st, lat, p, DATA) for p in plaqs}
         qv = {t: apply_qv(st, lat, t, DATA) for t in tris}
         for p in plaqs:
-            res = max(res, state_diff(lat, apply_bp(bp[p], lat, p, DATA), bp[p]))
+            res = max(res, diff_norm(lat, apply_bp(bp[p], lat, p, DATA), bp[p]))
         for t in tris:
-            res = max(res, state_diff(lat, apply_qv(qv[t], lat, t, DATA), qv[t]))
+            res = max(res, diff_norm(lat, apply_qv(qv[t], lat, t, DATA), qv[t]))
         for i, p in enumerate(plaqs):
             for q in plaqs[i + 1 :]:
                 res = max(
-                    res, state_diff(lat, apply_bp(bp[q], lat, p, DATA), apply_bp(bp[p], lat, q, DATA))
+                    res, diff_norm(lat, apply_bp(bp[q], lat, p, DATA), apply_bp(bp[p], lat, q, DATA))
                 )
         for i, s in enumerate(tris):
             for t in tris[i + 1 :]:
                 res = max(
-                    res, state_diff(lat, apply_qv(qv[t], lat, s, DATA), apply_qv(qv[s], lat, t, DATA))
+                    res, diff_norm(lat, apply_qv(qv[t], lat, s, DATA), apply_qv(qv[s], lat, t, DATA))
                 )
         for p in plaqs:
             for t in tris:
                 res = max(
-                    res, state_diff(lat, apply_bp(qv[t], lat, p, DATA), apply_qv(bp[p], lat, t, DATA))
+                    res, diff_norm(lat, apply_bp(qv[t], lat, p, DATA), apply_qv(bp[p], lat, t, DATA))
                 )
     dt = time.perf_counter() - t0
     ok = res <= 1e-10 and dt < 30.0
@@ -284,7 +280,7 @@ def test_ac4_pachner_invariance():
             _, rec = pachner_13(lat, tri)
             back, _ = apply_pachner31(mid, mid_lat, rec.vertex, DATA)
             back = make_state(lat, back.configs, back.amps)
-            res = max(res, state_diff(lat, back, st))
+            res = max(res, diff_norm(lat, back, st))
 
     ok = dims_ok and res <= 1e-10
     verdict(
@@ -342,11 +338,6 @@ def test_ac5_circuit_equivalence():
 # ---- 6: constant depth ---------------------------------------------------------
 
 
-def braid_arena(d):
-    lat = build_planar_patch(d // 2 + 4, 3 * d, punctures=[(0, 0), (2, 0)])
-    return lat, polar_vertex_id(3 * d, 2, 0)
-
-
 def test_ac6_constant_depth():
     t0 = time.perf_counter()
     split_depths = {
@@ -356,8 +347,7 @@ def test_ac6_constant_depth():
 
     stats = {}
     for d in (4, 8):
-        lat, anyon = braid_arena(d)
-        cols = 3 * d
+        lat, cols, anyon = braid_arena(d)
         sched = braid_schedule(lat, anyon, 0, steps=6, data=DATA)
         rep = sched.depth_report()
         from tvq.circuits import compile_schedule

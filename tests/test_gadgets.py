@@ -26,6 +26,7 @@ from tvq.lattice import (
 )
 from tvq.statevec import (
     bit_positions,
+    diff_norm,
     enumerate_valid_configs,
     ground_project,
     inner,
@@ -41,6 +42,7 @@ from tvq.gadgets import (
     MoveSchedule,
     baseline_schedule,
     braid,
+    braid_arena,
     braid_schedule,
     depth_report_to_json,
     encoded_basis,
@@ -55,21 +57,12 @@ from tvq.gadgets import (
 
 DATA = fibonacci_data()
 
-# scaled geometry tiers: one braid loop needs 6 shear steps of stride
-# cols/6, and the moving puncture sits on ring 2 with stride+2 clear
-# rings above it (one spare so no flip cell touches the pinned
-# boundary, keeping every compiled gadget full width), so cols = 3d
-# and rows = d/2 + 4
-TIERS = {4: (6, 12, 2), 8: (8, 24, 4)}
-
-
-def tier_lattice(d):
-    rows, cols, _ = TIERS[d]
-    return build_planar_patch(rows, cols, punctures=[(0, 0), (2, 0)])
-
-
-def tier_anyon(d):
-    return polar_vertex_id(TIERS[d][1], 2, 0)
+# the braid arenas of distance 4 and 8 (gadgets.braid_arena): one braid
+# loop needs 6 shear steps of stride cols/6, and the moving puncture sits
+# on ring 2 with stride+2 clear rings above it (one spare so no flip cell
+# touches the pinned boundary, keeping every compiled gadget full width),
+# so cols = 3d and rows = d/2 + 4; the relabeling range is the stride
+RANGES = {4: 2, 8: 4}
 
 
 def ring_path(cols, hops, start=0, direction=-1):
@@ -89,20 +82,14 @@ def ground_state(lat, seed_cfg=None):
     return normalized(lat, ground_project(make_delta_state(lat, cfg), lat, DATA))
 
 
-def state_diff(lat, a, b):
-    cfg = np.concatenate([a.configs, b.configs])
-    amp = np.concatenate([a.amps, -b.amps])
-    return make_state(lat, cfg, amp, tolerance=0.0).norm()
-
-
 # ---- constant-depth scaling ---------------------------------------------------
 
 
 def test_braid_depth_constant_across_tiers():
     reports = {}
     for d in (4, 8):
-        sched = braid_schedule(tier_lattice(d), tier_anyon(d), 0, steps=6)
-        reports[d] = sched.depth_report()
+        lat, _, anyon = braid_arena(d)
+        reports[d] = braid_schedule(lat, anyon, 0, steps=6).depth_report()
     assert reports[4].local_depth == reports[8].local_depth == 4
     assert reports[4].total_steps == reports[8].total_steps == 12
 
@@ -110,9 +97,9 @@ def test_braid_depth_constant_across_tiers():
 def test_braid_permutation_range_tracks_stride():
     ranges = {}
     for d in (4, 8):
-        sched = braid_schedule(tier_lattice(d), tier_anyon(d), 0, steps=6)
-        ranges[d] = sched.depth_report().permutation_range
-        assert ranges[d] == TIERS[d][2]
+        lat, _, anyon = braid_arena(d)
+        ranges[d] = braid_schedule(lat, anyon, 0, steps=6).depth_report().permutation_range
+        assert ranges[d] == RANGES[d]
     # doubling the code distance doubles only the relabeling distance
     assert abs(ranges[8] - 2.0 * ranges[4]) <= 1.0
 
@@ -120,9 +107,8 @@ def test_braid_permutation_range_tracks_stride():
 def test_baseline_steps_scale_linearly():
     steps = {}
     for d in (4, 8):
-        lat = tier_lattice(d)
-        cols = TIERS[d][1]
-        sched = baseline_schedule(lat, tier_anyon(d), ring_path(cols, cols))
+        lat, cols, anyon = braid_arena(d)
+        sched = baseline_schedule(lat, anyon, ring_path(cols, cols))
         rep = sched.depth_report()
         steps[d] = rep.total_steps
         assert rep.local_depth == 2
@@ -132,9 +118,7 @@ def test_baseline_steps_scale_linearly():
 
 
 def test_baseline_steps_proportional_to_path_length():
-    lat = tier_lattice(8)
-    a = tier_anyon(8)
-    cols = TIERS[8][1]
+    lat, cols, a = braid_arena(8)
     for hops in (1, 3, 6, 12):
         sched = baseline_schedule(lat, a, ring_path(cols, hops))
         assert sched.depth_report().total_steps == 2 * hops
@@ -142,8 +126,8 @@ def test_baseline_steps_proportional_to_path_length():
 
 def test_braid_schedule_closes_the_lattice():
     for d in (4, 8):
-        lat = tier_lattice(d)
-        sched = braid_schedule(lat, tier_anyon(d), 0, steps=6)
+        lat, _, anyon = braid_arena(d)
+        sched = braid_schedule(lat, anyon, 0, steps=6)
         _, out = run_schedule(None, lat, sched)
         assert out.signature() == lat.signature()
 
@@ -152,16 +136,15 @@ def test_braid_schedules_build_fast_enough():
     # structural work only; generous bound so slow machines still pass
     t0 = time.time()
     for d in (4, 8):
-        braid_schedule(tier_lattice(d), tier_anyon(d), 0, steps=6)
-        lat = tier_lattice(d)
-        cols = TIERS[d][1]
-        baseline_schedule(lat, tier_anyon(d), ring_path(cols, cols))
+        lat, cols, anyon = braid_arena(d)
+        braid_schedule(lat, anyon, 0, steps=6)
+        baseline_schedule(lat, anyon, ring_path(cols, cols))
     assert time.time() - t0 < 60.0
 
 
 def test_shear_move_counts():
-    lat = tier_lattice(4)
-    sched = shear_step(lat, tier_anyon(4), direction=-1, stride=2)
+    lat, _, anyon = braid_arena(4)
+    sched = shear_step(lat, anyon, direction=-1, stride=2)
     kinds = [g.kind for g in sched.groups]
     assert kinds == [LOCAL, "PERMUTATION"]
     flips = list(sched.groups[0].records())
@@ -274,16 +257,15 @@ def test_baseline_empty_path_is_identity():
 
 
 def test_braid_preconditions():
-    rows, cols, _ = TIERS[4]
-    lat = build_planar_patch(rows, cols, punctures=[(0, 0)])
+    arena, cols, anyon = braid_arena(4)  # 6 rings of 12 sectors
+    lat = build_planar_patch(6, cols, punctures=[(0, 0)])
     with pytest.raises(MoveError, match="two"):
-        braid_schedule(lat, tier_anyon(4), 0)
-    both_out = build_planar_patch(rows, cols, punctures=[(2, 0), (2, 6)])
+        braid_schedule(lat, anyon, 0)
+    both_out = build_planar_patch(6, cols, punctures=[(2, 0), (2, 6)])
     with pytest.raises(MoveError, match="center"):
         braid_schedule(both_out, polar_vertex_id(cols, 2, 0), polar_vertex_id(cols, 2, 6))
-    lat2 = tier_lattice(4)
     with pytest.raises(MoveError, match="divide"):
-        braid_schedule(lat2, tier_anyon(4), 0, steps=5)
+        braid_schedule(arena, anyon, 0, steps=5)
     shallow = build_planar_patch(3, 12, punctures=[(0, 0), (2, 0)])
     with pytest.raises(MoveError, match="boundary"):
         braid_schedule(shallow, polar_vertex_id(12, 2, 0), 0, steps=6)
@@ -354,7 +336,7 @@ def test_shear_preserves_code_states():
     assert out_lat.signature() == lat.signature()
     assert abs(out.norm() - 1.0) < 1e-10
     back = ground_project(out, out_lat, DATA)
-    assert state_diff(out_lat, back, out) < 1e-10
+    assert diff_norm(out_lat, back, out) < 1e-10
 
 
 def test_split_preserves_code_states_and_merge_inverts():
@@ -447,8 +429,8 @@ def test_schedule_json_is_deterministic():
 
 
 def test_depth_report_json_fields():
-    lat = tier_lattice(4)
-    rep = braid_schedule(lat, tier_anyon(4), 0, steps=6).depth_report()
+    lat, _, anyon = braid_arena(4)
+    rep = braid_schedule(lat, anyon, 0, steps=6).depth_report()
     doc = json.loads(depth_report_to_json(rep))
     assert doc == {"local_depth": 4, "permutation_range": 2.0, "total_steps": 12}
 
@@ -474,7 +456,7 @@ def test_braid_runs_states_end_to_end():
     sched = braid_schedule(lat, a, 0, steps=4)
     again, _ = run_schedule(st, lat, sched, data=DATA)
     again = rebind_state(again, lat)
-    assert state_diff(lat, out, again) < 1e-12
+    assert diff_norm(lat, out, again) < 1e-12
 
 
 def star_state(lat, rng, count):
@@ -496,18 +478,18 @@ def star_state(lat, rng, count):
     return make_state(lat, configs, amps / np.linalg.norm(amps))
 
 
-def test_braid_then_baseline_back_with_unpinned_fmoves():
-    """On the 5x4 two-puncture patch the braid's flips have no pinned
-    leg, so the golden F-block acts; the baseline must undo the braid on
-    a generic valid state, not only on classical relabelings."""
+def braid_then_baseline_back(draws, min_support):
+    """Braid forward and the baseline back on the 5x4 two-puncture patch
+    (the state_loop benchmark's loop) from a star state; the loop must
+    give back the same support and state."""
     lat = build_planar_patch(5, 4, punctures=[(0, 0), (2, 0)])
     anyon = polar_vertex_id(4, 2, 0)
     sched = braid_schedule(lat, anyon, 0, steps=4, data=DATA)
     flips = [r for g in sched.groups for r in g.records() if r.kind == F_MOVE]
     assert any(-1 not in r.qubits for r in flips)
 
-    start = star_state(lat, np.random.default_rng(11), 4000)
-    assert len(start.configs) > 2000
+    start = star_state(lat, np.random.default_rng(11), draws)
+    assert len(start.configs) > min_support
     mid, mid_lat = run_schedule(start, lat, sched, data=DATA)
     back = baseline_schedule(mid_lat, anyon, ring_path(4, 4, direction=1), data=DATA)
     fin, _ = run_schedule(mid, mid_lat, back, data=DATA)
@@ -519,3 +501,16 @@ def test_braid_then_baseline_back_with_unpinned_fmoves():
     assert abs(inner(start, fin)) >= 1 - 1e-9
     for st in (mid, fin):
         assert abs(st.norm() - 1.0) <= 1e-10
+
+
+def test_braid_then_baseline_back_with_unpinned_fmoves():
+    """On the 5x4 two-puncture patch the braid's flips have no pinned
+    leg, so the golden F-block acts; the baseline must undo the braid on
+    a generic valid state, not only on classical relabelings."""
+    braid_then_baseline_back(4000, 2000)
+
+
+def test_braid_then_baseline_back_from_a_large_star_state():
+    """The same loop from more than 3e4 configs (about 1.6e5 mid-loop),
+    so the sorted-run merges and grouped shifts run at scale."""
+    braid_then_baseline_back(40000, 30000)

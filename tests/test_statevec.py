@@ -5,12 +5,16 @@ rebuilt here with plain loops straight from the fan product formula, so the
 two implementations share no code beyond the F-symbol table itself.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from tvq.fusion import fibonacci_data
+from tvq.fusion import FusionData, fibonacci_data, trivial_data
+from tvq.gadgets import PERMUTATION, MoveSchedule, baseline_schedule, braid_schedule, run_schedule
 from tvq.lattice import (
     MoveError,
     build_honeycomb_torus,
@@ -19,6 +23,7 @@ from tvq.lattice import (
     build_theta_sphere,
     pachner_13,
     pachner_22,
+    polar_vertex_id,
     sigma_from_vertex_map,
 )
 from tvq.statevec import (
@@ -514,6 +519,254 @@ def test_permutation_rejects_non_automorphism(torus):
     st = make_delta_state(torus, 0)
     with pytest.raises(MoveError):
         apply_state_permutation(st, torus, sigma)
+
+
+# ---- kernels against per-config references ------------------------------------------
+#
+# The references walk one config at a time and keep the old summation
+# order: every term in input order, added left to right per output
+# config. The kernels must match them bit for bit.
+
+
+def fmove_reference(state, lat, edge, data=DATA):
+    _, rec = pachner_22(lat, edge)
+    pos = bit_positions(lat)
+    flag = 1 << pos[edge]
+
+    def label(cfg, e):
+        return (cfg >> pos[e]) & 1 if e in pos else 0
+
+    terms = {}
+    for cfg, amp in zip(state.configs.tolist(), state.amps):
+        legs = tuple(label(cfg, e) for e in rec.legs)
+        e_in = label(cfg, edge)
+        for f in (0, 1):
+            coeff = data.fsym[legs + (e_in, f)]
+            if abs(coeff) > 1e-15:
+                terms.setdefault((cfg & ~flag) | (f * flag), []).append(amp * coeff)
+    configs, amps = [], []
+    for cfg in sorted(terms):
+        total = terms[cfg][0]
+        for amp in terms[cfg][1:]:
+            total = total + amp
+        if abs(total) >= state.tolerance:
+            configs.append(cfg)
+            amps.append(total)
+    return np.array(configs, dtype=np.uint64), np.array(amps, dtype=np.complex128)
+
+
+def permutation_reference(state, lat, sigma, target=None):
+    tgt = lat if target is None else target
+    rank = {s: i for i, s in enumerate(tgt.qubit_slots())}
+    dest = [rank[sigma.get(s, s)] for s in lat.qubit_slots()]
+    pairs = []
+    for cfg, amp in zip(state.configs.tolist(), state.amps):
+        out = sum(((cfg >> i) & 1) << j for i, j in enumerate(dest))
+        if abs(amp) >= state.tolerance:
+            pairs.append((out, amp))
+    pairs.sort(key=lambda p: p[0])
+    return (
+        np.array([p[0] for p in pairs], dtype=np.uint64),
+        np.array([p[1] for p in pairs], dtype=np.complex128),
+    )
+
+
+def assert_bit_equal(state, ref):
+    configs, amps = ref
+    assert state.configs.dtype == np.uint64 and state.amps.dtype == np.complex128
+    assert np.array_equal(state.configs, configs)
+    # compare the bits, so that -0.0 and 0.0 differ too
+    assert np.array_equal(state.amps.view(np.float64).view(np.uint64), amps.view(np.float64).view(np.uint64))
+    assert np.all(state.configs[1:] > state.configs[:-1])
+
+
+# the state_loop patch: no braid flip has a pinned leg, so the golden block fires
+PATCH = build_planar_patch(5, 4, punctures=[(0, 0), (2, 0)])
+TORUS = build_honeycomb_torus(2, 2)
+
+
+def flippable(lat):
+    return [e for e in sorted(lat.edges) if _can_flip(lat, e)]
+
+
+def has_pinned_leg(lat, edge):
+    pos = bit_positions(lat)
+    return any(e not in pos for e in pachner_22(lat, edge)[1].legs)
+
+
+PATCH_FLIPS = flippable(PATCH)
+FLIPS = [(PATCH, e) for e in PATCH_FLIPS] + [(TORUS, e) for e in flippable(TORUS)]
+
+
+def relabelings():
+    """(lattice, sigma, target) of the torus translations and of every
+    relabeling in the state_loop braid and its baseline."""
+    out = []
+    for di, dj in ((1, 0), (0, 1), (1, 1)):
+        vmap = {i + 2 * j: (i + di) % 2 + 2 * ((j + dj) % 2) for i in range(2) for j in range(2)}
+        out.append((TORUS, sigma_from_vertex_map(TORUS, TORUS, vmap), None))
+    anyon = polar_vertex_id(4, 2, 0)
+    cur = PATCH
+    for build in (
+        lambda lat: braid_schedule(lat, anyon, 0, steps=4),
+        lambda lat: baseline_schedule(lat, anyon, [polar_vertex_id(4, 2, (i + 1) % 4) for i in range(4)]),
+    ):
+        for group in build(cur).groups:
+            if group.kind == PERMUTATION:
+                (rec,) = group.records()
+                out.append((cur, dict(rec.sigma or {}), group.target))
+            _, cur = run_schedule(None, cur, MoveSchedule((group,)))
+    return out
+
+
+RELABELINGS = relabelings()
+
+amplitudes = st_.tuples(
+    st_.floats(-2.0, 2.0, allow_nan=False), st_.floats(-2.0, 2.0, allow_nan=False)
+).map(lambda p: complex(*p))
+
+
+def draw_state(draw, lat, flag=0):
+    """A sparse state of raw bit patterns (valid or not); with flag set,
+    some configs come with their partner across that bit, so two terms
+    meet in one output config."""
+    nbits = len(lat.qubit_slots())
+    cfgs = draw(st_.lists(st_.integers(0, (1 << nbits) - 1), max_size=24))
+    partners = draw(st_.lists(st_.booleans(), min_size=len(cfgs), max_size=len(cfgs)))
+    cfgs = sorted(set(cfgs) | {c ^ flag for c, p in zip(cfgs, partners) if p and flag})
+    amps = draw(st_.lists(amplitudes, min_size=len(cfgs), max_size=len(cfgs)))
+    tol = draw(st_.sampled_from([1e-14, 0.0]))
+    return make_state(lat, np.array(cfgs, dtype=np.uint64), np.array(amps, dtype=np.complex128), tolerance=tol)
+
+
+def scrambled_data():
+    """Two labels with an F-tensor of random entries, a fifth of them 0.
+
+    It is no category, but the kernel only reads the table, and with no
+    symmetry left a leg read in the wrong order shows."""
+    rng = np.random.default_rng(3)
+    fsym = rng.normal(size=(2,) * 6) * (rng.random((2,) * 6) > 0.2)
+    return FusionData(2, DATA.qdim, DATA.branching, fsym, DATA.total_dim_sq)
+
+
+SCRAMBLED = scrambled_data()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st_.data())
+def test_fmove_matches_per_config_reference(data):
+    lat, edge = data.draw(st_.sampled_from(FLIPS))
+    fdata = data.draw(st_.sampled_from([DATA, SCRAMBLED]))
+    state = draw_state(data.draw, lat, flag=1 << bit_positions(lat)[edge])
+    out, _ = apply_fmove(state, lat, edge, fdata)
+    assert_bit_equal(out, fmove_reference(state, lat, edge, fdata))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st_.data())
+def test_state_permutation_matches_per_config_reference(data):
+    lat, sigma, target = data.draw(st_.sampled_from(RELABELINGS))
+    state = draw_state(data.draw, lat)
+    out, _ = apply_state_permutation(state, lat, sigma, target=target)
+    assert_bit_equal(out, permutation_reference(state, lat, sigma, target))
+
+
+def test_state_permutation_drops_amplitudes_below_the_tolerance():
+    lat, sigma, target = RELABELINGS[0]
+    state = make_state(lat, np.arange(4, dtype=np.uint64), np.array([1e-3, 1.0, 1e-9, 0.5]))
+    state = replace(state, tolerance=1e-6)
+    out, _ = apply_state_permutation(state, lat, sigma, target=target)
+    assert out.nnz() == 3
+    assert_bit_equal(out, permutation_reference(state, lat, sigma, target))
+
+
+def test_reference_pools_cover_the_patch_cases():
+    assert any(has_pinned_leg(PATCH, e) for e in PATCH_FLIPS)
+    assert any(not has_pinned_leg(PATCH, e) for e in PATCH_FLIPS)
+    assert len(RELABELINGS) == 3 + 8  # torus translations, then 4 braid and 4 baseline steps
+
+
+def test_kernels_on_the_empty_state():
+    empty = make_state(PATCH, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.complex128))
+    edge = PATCH_FLIPS[0]
+    out, _ = apply_fmove(empty, PATCH, edge)
+    assert_bit_equal(out, fmove_reference(empty, PATCH, edge))
+    assert out.nnz() == 0
+    lat, sigma, target = RELABELINGS[-1]
+    empty = make_state(lat, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.complex128))
+    out, _ = apply_state_permutation(empty, lat, sigma, target=target)
+    assert out.nnz() == 0 and out.configs.dtype == np.uint64
+
+
+def golden_config(lat, edge):
+    """A config with every leg of the flip set to tau and its edge to 0."""
+    _, rec = pachner_22(lat, edge)
+    pos = bit_positions(lat)
+    return sum(1 << pos[e] for e in rec.legs), 1 << pos[edge]
+
+
+def test_fmove_exact_cancellation_at_zero_tolerance():
+    edge = next(e for e in PATCH_FLIPS if not has_pinned_leg(PATCH, e))
+    cfg, flag = golden_config(PATCH, edge)
+    f = DATA.fsym[1, 1, 1, 1]
+    # F[0,0] * F[1,0] - F[1,0] * F[0,0] is exactly 0 at the unflipped output
+    amps = np.array([f[1, 0], -f[0, 0]], dtype=np.complex128)
+    for tol, kept in ((0.0, [cfg, cfg | flag]), (1e-14, [cfg | flag])):
+        state = make_state(PATCH, np.array([cfg, cfg | flag], dtype=np.uint64), amps, tolerance=tol)
+        out, _ = apply_fmove(state, PATCH, edge)
+        assert_bit_equal(out, fmove_reference(state, PATCH, edge))
+        assert out.configs.tolist() == kept
+        if tol == 0.0:
+            assert out.amps[0] == 0  # kept as an exact zero, not dropped
+
+
+def test_fmove_sums_of_signed_zeros_match_the_reference():
+    """Two terms meet in each output. Where the move sets the e bit, the
+    kernel adds them in the other order than the reference (the staying
+    term first); that must not change a bit, not even of a -0.0."""
+    edge = next(e for e in PATCH_FLIPS if not has_pinned_leg(PATCH, e))
+    cfg, flag = golden_config(PATCH, edge)
+    parts = [0.0, -0.0, 1.0, -1.0]
+    amps = [complex(re, im) for re in parts for im in parts]
+    for a0, a1 in itertools.product(amps, amps):
+        state = make_state(PATCH, np.array([cfg, cfg | flag], dtype=np.uint64), np.array([a0, a1]), tolerance=0.0)
+        out, _ = apply_fmove(state, PATCH, edge)
+        assert_bit_equal(out, fmove_reference(state, PATCH, edge))
+
+
+def test_fmove_with_pinned_legs_reads_the_vacuum():
+    rng = np.random.default_rng(5)
+    nbits = len(PATCH.qubit_slots())
+    for edge in (e for e in PATCH_FLIPS if has_pinned_leg(PATCH, e)):
+        configs = rng.integers(0, 1 << nbits, size=64, dtype=np.uint64)
+        amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+        state = make_state(PATCH, configs, amps)
+        out, _ = apply_fmove(state, PATCH, edge)
+        assert_bit_equal(out, fmove_reference(state, PATCH, edge))
+
+
+def test_fmove_one_by_one_block_flips_the_bit():
+    """Legs (tau, tau, vacuum, vacuum) admit only e = vacuum -> f = tau,
+    with F = 1."""
+    edge = next(e for e in PATCH_FLIPS if not has_pinned_leg(PATCH, e))
+    _, rec = pachner_22(PATCH, edge)
+    pos = bit_positions(PATCH)
+    cfg = (1 << pos[rec.legs[0]]) | (1 << pos[rec.legs[1]])
+    flag = 1 << pos[edge]
+    assert DATA.fsym[1, 1, 0, 0, 0, 1] == 1.0 and DATA.fsym[1, 1, 0, 0, 0, 0] == 0.0
+    state = make_state(PATCH, np.array([cfg], dtype=np.uint64), np.array([0.6 - 0.8j]))
+    out, _ = apply_fmove(state, PATCH, edge)
+    assert out.configs.tolist() == [cfg | flag]
+    assert np.array_equal(out.amps, [0.6 - 0.8j])
+    assert_bit_equal(out, fmove_reference(state, PATCH, edge))
+
+
+def test_fmove_rejects_categories_without_two_labels():
+    state = make_delta_state(TORUS, 0)
+    three = FusionData(3, np.ones(3), np.ones((3,) * 3, dtype=bool), np.ones((3,) * 6), 3.0)
+    for data in (trivial_data(), three):
+        with pytest.raises(MoveError, match="2 labels"):
+            apply_fmove(state, TORUS, 8, data)
 
 
 # ---- snapshots and rebinding -------------------------------------------------------
