@@ -6,9 +6,11 @@ version. Bit i of a config is the label of the edge whose qubit slot id
 is the i-th smallest; pinned boundary edges carry no bit and always read
 the vacuum label.
 
-All operations are pure and vectorized. Only apply_bp splits its work,
-into groups of blocks of bounded size (CHUNK); every other kernel makes
-whole-array passes.
+All operations are pure and vectorized, and every kernel makes
+whole-array passes. The F-move and the plaquette projector read their
+coefficients from small read-only tables built once per category. Configs
+hold one bit per edge, so every kernel that indexes F-symbols with
+config bits rejects data without exactly two labels.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .lattice import (
     pachner_31_roles,
 )
 
-CHUNK = 200_000
 U64 = np.uint64
 CONFIG_BITS = 64  # one bit per qubit slot in a uint64 config
 
@@ -85,6 +86,12 @@ def _labels(configs: np.ndarray, pos: dict[int, int], edge: int) -> np.ndarray:
     if b is None:
         return np.zeros(len(configs), dtype=np.int64)
     return ((configs >> U64(b)) & U64(1)).astype(np.int64)
+
+
+def _check_labels(data: FusionData, kernel: str) -> None:
+    """Kernels that index fsym with config bits need exactly two labels."""
+    if data.num_labels != 2:
+        raise MoveError(f"{kernel} on states need 2 labels (one bit per edge), got {data.num_labels}")
 
 
 def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +275,7 @@ def apply_qv(
     return replace(state, configs=state.configs[keep], amps=state.amps[keep])
 
 
-def _bp_plaquette_ctx(lat: SurfaceLattice, vertex: int, data: FusionData):
+def _bp_plaquette_ctx(lat: SurfaceLattice, vertex: int):
     plq = lat.plaquette(vertex)
     if plq is None:
         raise MoveError(f"vertex {vertex} has no closed plaquette")
@@ -283,47 +290,64 @@ def _bp_plaquette_ctx(lat: SurfaceLattice, vertex: int, data: FusionData):
     pats = np.arange(1 << n, dtype=U64)
     for i, b in enumerate(bpos):
         spread |= ((pats >> U64(i)) & U64(1)) << U64(b)
-    return plq, n, bpos, lpos, mask, spread
+    return n, bpos, lpos, mask, spread
 
 
-_BP_MATS: dict[tuple, np.ndarray] = {}
+_BP_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _bp_matrix(data: FusionData, n: int, lkey: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix over boundary patterns for one leg pattern.
+def _bp_table(data: FusionData, n: int, lkey: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of the plaquette operator for one leg pattern.
 
-    Entry [out, in] is sum_s (d_s/D^2) prod_i F[leg_i, in_i, s, out_{i+1},
-    in_{i+1}, out_i], indices cyclic in i. The block is built as a
-    (2,)*2n array with one axis per boundary bit, outputs then inputs,
-    each most significant bit first, so a C-order reshape gives the
-    pattern integers. Per s, the n factors F[leg_i, :, s] are broadcast
-    onto the four bit axes each touches and multiplied in, i = 0 .. n-1.
+    Entry (out, in) over boundary patterns is sum_s (d_s/D^2) prod_i
+    F[leg_i, in_i, s, out_{i+1}, in_{i+1}, out_i], indices cyclic in i.
+    Returns a CSR by input pattern: the entries of input `in` are
+    outs[ptr[in]:ptr[in + 1]] (output patterns, increasing) and the
+    matching complex vals; an input that breaks branching at a fan
+    triangle has none.
+
+    A pattern can have nonzero entries only if every fan factor can be
+    nonzero, which the per-triangle masks of fsym decide for all 2^n
+    patterns at once. Entries are computed over candidate outputs x
+    candidate inputs only, as ones * F_0 * ... * F_{n-1} * (d_s/D^2)
+    summed over s from zeros. Built once per (category, n, leg pattern).
     """
-    fp = hash(data.fsym.tobytes())
-    key = (fp, n, lkey)
-    mat = _BP_MATS.get(key)
-    if mat is None:
-        if len(_BP_MATS) > 512:
-            _BP_MATS.clear()
-        dim = 1 << n
-        out_ax = [n - 1 - i for i in range(n)]
-        in_ax = [2 * n - 1 - i for i in range(n)]
-        mat = np.zeros((dim, dim))
+    key = (data.fsym.tobytes(), n, lkey)
+    table = _BP_TABLES.get(key)
+    if table is None:
+        f = data.fsym
+        nz = f != 0
+        pin = nz.any(axis=(2, 3, 5))  # [leg, in_i, in_{i+1}]
+        pout = nz.any(axis=(1, 2, 4))  # [leg, out_{i+1}, out_i]
+        pats = np.arange(1 << n)
+        bits = [(pats >> i) & 1 for i in range(n)]
+        legs = [(lkey >> i) & 1 for i in range(n)]
+        ok_in = np.ones(1 << n, dtype=bool)
+        ok_out = np.ones(1 << n, dtype=bool)
+        for i in range(n):
+            j = (i + 1) % n
+            ok_in &= pin[legs[i], bits[i], bits[j]]
+            ok_out &= pout[legs[i], bits[j], bits[i]]
+        ins = np.flatnonzero(ok_in)
+        outs = np.flatnonzero(ok_out)
+        o = outs[:, None]
+        p = ins[None, :]
+        mat = np.zeros((len(outs), len(ins)))
         for s in range(data.num_labels):
-            prod = np.ones((2,) * (2 * n))
+            prod = np.ones_like(mat)
             for i in range(n):
                 j = (i + 1) % n
-                axes = (in_ax[i], out_ax[j], in_ax[j], out_ax[i])  # axes of fac
-                fac = data.fsym[(lkey >> i) & 1, :, s]
-                shape = [1] * (2 * n)
-                for a in axes:
-                    shape[a] = 2
-                prod *= fac.transpose(np.argsort(axes)).reshape(shape)
+                prod *= f[legs[i], (p >> i) & 1, s, (o >> j) & 1, (p >> j) & 1, (o >> i) & 1]
             prod *= data.qdim[s] / data.total_dim_sq
-            mat += prod.reshape(dim, dim)
-        mat.setflags(write=False)
-        _BP_MATS[key] = mat
-    return mat
+            mat += prod
+        cols, rows = np.nonzero(mat.T)  # by input, then output
+        ptr = np.zeros((1 << n) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ins[cols], minlength=1 << n), out=ptr[1:])
+        table = (ptr, outs[rows], mat[rows, cols].astype(np.complex128))
+        for t in table:
+            t.setflags(write=False)
+        _BP_TABLES[key] = table
+    return table
 
 
 def apply_bp(
@@ -333,72 +357,51 @@ def apply_bp(
     primal vertex; coefficients are cyclic products of F-symbols with the
     legs as controls.
 
-    Configs sharing all non-boundary bits form closed blocks; each block
-    is hit with a dense 2^n matrix picked by its (frozen) leg labels, so
-    no duplicate outputs arise and no coalescing pass is needed. Each
-    matrix is built once per (category, n, leg pattern) as a broadcast
-    product of the n F-factors over the 2n boundary bits (_bp_matrix).
+    Each config is keyed by its leg pattern, which picks a sparse table
+    (_bp_table), and its boundary pattern, which picks that table's
+    entries for this input. Every config expands into one term per entry
+    (its non-boundary bits kept, the output pattern spread onto the
+    boundary bits); a config with no entries, branching-invalid at this
+    plaquette, contributes nothing. One `_coalesce` merges the terms,
+    summing each output's terms in input config order, and keeps
+    amplitudes above the tolerance.
     """
     _check_version(state, lat)
     data = data or fibonacci_data()
+    _check_labels(data, "plaquette projectors")
     if plaquette_id in lat.punctures:
         raise MoveError(f"plaquette {plaquette_id} is a puncture")
-    plq, n, bpos, lpos, mask, spread = _bp_plaquette_ctx(lat, plaquette_id, data)
+    n, bpos, lpos, mask, spread = _bp_plaquette_ctx(lat, plaquette_id)
     if n > 14:
-        raise MoveError(f"plaquette {plaquette_id} has {n} boundary edges; dense block too large")
+        raise MoveError(f"plaquette {plaquette_id} has {n} boundary edges; table too large")
     if len(state.configs) == 0:
         return state
 
     cfg = state.configs
-    amp = state.amps
-    rest = cfg & ~mask
+    sig = cfg.view(np.int64)
     ekey = np.zeros(len(cfg), dtype=np.int64)
     for i, b in enumerate(bpos):
-        ekey |= ((cfg >> U64(b)) & U64(1)).astype(np.int64) << i
-
-    order = np.argsort(rest, kind="stable")
-    rest_s = rest[order]
-    new_block = np.concatenate(([True], rest_s[1:] != rest_s[:-1]))
-    starts = np.flatnonzero(new_block)
-    ends = np.concatenate((starts[1:], [len(cfg)]))
-    nblocks = len(starts)
-    block_rest = rest_s[starts]
-    block_id = np.cumsum(new_block) - 1
-    first = cfg[order[starts]]
-    lkeys = np.zeros(nblocks, dtype=np.int64)
+        ekey |= ((sig >> b) & 1) << i
+    lkey = np.zeros(len(cfg), dtype=np.int64)
     for i, b in enumerate(lpos):
-        if b is None:
-            continue  # pinned leg: control fixed to the vacuum label
-        lkeys |= ((first >> U64(b)) & U64(1)).astype(np.int64) << i
-
-    dim = 1 << n
-    col_order = np.argsort(spread, kind="stable")  # emit outputs in config order
-    out_c = []
-    out_a = []
-    bgroup = max(1, (CHUNK * 16) // dim)
-    for lo in range(0, nblocks, bgroup):
-        hi = min(nblocks, lo + bgroup)
-        i0, i1 = starts[lo], ends[hi - 1]
-        rows_local = block_id[i0:i1] - lo
-        sel = order[i0:i1]
-        gathered = np.zeros((hi - lo, dim), dtype=np.complex128)
-        gathered[rows_local, ekey[sel]] = amp[sel]
-        hit = np.empty_like(gathered)
-        lk = lkeys[lo:hi]
-        for l in np.unique(lk):
-            mat = _bp_matrix(data, n, int(l))
-            rs = np.flatnonzero(lk == l)
-            hit[rs] = gathered[rs] @ mat.T
-        hit = hit[:, col_order]
-        nzb, nzj = np.nonzero(np.abs(hit) > state.tolerance)
-        out_c.append(block_rest[lo:hi][nzb] | spread[col_order[nzj]])
-        out_a.append(hit[nzb, nzj])
-    c = np.concatenate(out_c) if out_c else np.array([], dtype=U64)
-    a = np.concatenate(out_a) if out_a else np.array([], dtype=np.complex128)
-    # outputs run in (rest, boundary pattern) order; rest and boundary bits
-    # interleave, so one sort restores increasing configs
-    srt = np.argsort(c)
-    return replace(state, configs=c[srt], amps=a[srt])
+        if b is not None:  # a pinned leg reads the vacuum label
+            lkey |= ((sig >> b) & 1) << i
+    uniq, inv = np.unique(lkey, return_inverse=True)
+    tables = [_bp_table(data, n, int(u)) for u in uniq]
+    # stack the tables into one CSR over (leg pattern, input pattern)
+    base = np.cumsum([0] + [len(t[1]) for t in tables])
+    ptr = np.concatenate([t[0][:-1] + b for t, b in zip(tables, base)] + [base[-1:]])
+    outs = np.concatenate([t[1] for t in tables])
+    vals = np.concatenate([t[2] for t in tables])
+    row = (inv << n) | ekey
+    lo = ptr[row]
+    count = ptr[row + 1] - lo
+    term = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+    c = np.repeat(cfg & ~mask, count) | spread[outs[term]]
+    a = np.repeat(state.amps, count) * vals[term]
+    # keep |amplitude| > tolerance, as the projector always has
+    c, a = _coalesce(c, a, np.nextafter(state.tolerance, np.inf))
+    return replace(state, configs=c, amps=a)
 
 
 def ground_project(
@@ -522,8 +525,7 @@ def apply_fmove(
     _check_version(state, lat)
     _check_width(lat)
     data = data or fibonacci_data()
-    if data.num_labels != 2:
-        raise MoveError(f"F-moves on states need 2 labels (one bit per edge), got {data.num_labels}")
+    _check_labels(data, "F-moves")
     out, rec = pachner_22(lat, edge_id)
     pos = bit_positions(lat)
     stay, flip, run_tables = _fmove_tables(data)
@@ -595,6 +597,7 @@ def apply_pachner13(
     """1-3 move: three new qubit edges entangled by the exact isometry."""
     _check_version(state, lat)
     data = data or fibonacci_data()
+    _check_labels(data, "1-3 moves")
     out, rec = pachner_13(lat, triangle_id)
     _check_width(out)
     pos_old = bit_positions(lat)
@@ -636,6 +639,7 @@ def apply_pachner31(
     qubits are entangled with the rest (weight lost above residual_tol)."""
     _check_version(state, lat)
     data = data or fibonacci_data()
+    _check_labels(data, "3-1 moves")
     tris, legs, spokes = pachner_31_roles(lat, vertex_id)
     pos = bit_positions(lat)
     nbits = len(lat.qubit_slots())

@@ -5,6 +5,7 @@ rebuilt here with plain loops straight from the fan product formula, so the
 two implementations share no code beyond the F-symbol table itself.
 """
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from tvq.lattice import (
 from tvq.statevec import (
     StringNetState,
     VersionError,
-    _bp_matrix,
+    _bp_table,
     apply_bp,
     apply_fmove,
     apply_pachner13,
@@ -275,7 +276,7 @@ def test_bp_rejects_punctures_and_stale_states(torus):
 # ---- ground space ------------------------------------------------------------------
 
 
-def bp_block_reference(n, lkey):
+def bp_block_reference(n, lkey, data=DATA):
     """Plaquette block by explicit loops over s and the n factors, in the
     kernel's product order, vectorized only over the (out, in) entries."""
     out = np.arange(1 << n)[:, None]
@@ -285,22 +286,59 @@ def bp_block_reference(n, lkey):
         return (x >> (i % n)) & 1
 
     mat = np.zeros((1 << n, 1 << n))
-    for s in range(DATA.num_labels):
+    for s in range(data.num_labels):
         prod = np.ones((1 << n, 1 << n))
         for i in range(n):
             leg = (lkey >> i) & 1
-            prod = prod * DATA.fsym[leg, bit(inp, i), s, bit(out, i + 1), bit(inp, i + 1), bit(out, i)]
-        mat += (DATA.qdim[s] / DATA.total_dim_sq) * prod
+            prod = prod * data.fsym[leg, bit(inp, i), s, bit(out, i + 1), bit(inp, i + 1), bit(out, i)]
+        mat += (data.qdim[s] / data.total_dim_sq) * prod
     return mat
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+def masked_data():
+    """Two labels with random F entries whose zeros follow no symmetry:
+    an entry F[a, b, c, d, e, f] is 0 where (a, b, e) or (a, d, f) is
+    barred, so a fan mask read from the wrong axes drops real entries.
+    The Fibonacci zeros are symmetric and cannot show that."""
+    rng = np.random.default_rng(5)
+    bar_in = np.zeros((2, 2, 2), dtype=bool)
+    bar_in[0, 1, 0] = bar_in[1, 1, 1] = True
+    bar_out = np.zeros((2, 2, 2), dtype=bool)
+    bar_out[0, 0, 1] = bar_out[1, 0, 0] = True
+    a, b, _, d, e, f = np.indices((2,) * 6)
+    fsym = rng.normal(size=(2,) * 6) * ~(bar_in[a, b, e] | bar_out[a, d, f])
+    return FusionData(2, DATA.qdim, DATA.branching, fsym, DATA.total_dim_sq)
+
+
+MASKED = masked_data()
+
+
+def assert_table_matches_reference(n, lkey, data):
+    """The sparse table holds exactly the nonzero entries of the block,
+    bit for bit, with outputs increasing within each input's entries."""
+    ptr, outs, vals = _bp_table(data, n, lkey)
+    ref = bp_block_reference(n, lkey, data)
+    assert len(ptr) == (1 << n) + 1 and ptr[0] == 0 and ptr[-1] == len(outs) == len(vals)
+    ins = np.repeat(np.arange(1 << n), np.diff(ptr))
+    assert np.all((ins[1:] > ins[:-1]) | (outs[1:] > outs[:-1]))
+    present = np.zeros(ref.shape, dtype=bool)
+    present[outs, ins] = True
+    assert np.all(ref[~present] == 0.0)
+    assert np.all(vals.imag == 0.0) and np.all(vals.real != 0.0)
+    assert np.array_equal(vals.real.view(np.int64), ref[outs, ins].view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
 def test_bp_block_matches_per_entry_reference(n):
     full = (1 << n) - 1
     for lkey in sorted({0, 1, full, full ^ 1, 0b0101_0101 & full, 0b0110_1011 & full}):
-        got = _bp_matrix(DATA, n, lkey)
-        assert got.shape == (1 << n, 1 << n)
-        assert np.max(np.abs(got - bp_block_reference(n, lkey))) <= 1e-15
+        assert_table_matches_reference(n, lkey, DATA)
+
+
+def test_bp_table_keeps_entries_of_asymmetric_data():
+    for n in range(3, 7):
+        for lkey in range(1 << n):
+            assert_table_matches_reference(n, lkey, MASKED)
 
 
 def test_ground_project_rank_one_on_sphere(theta):
@@ -652,6 +690,77 @@ def scrambled_data():
 SCRAMBLED = scrambled_data()
 
 
+@functools.lru_cache(maxsize=None)
+def reference_block(n, lkey):
+    return bp_block_reference(n, lkey)
+
+
+def bp_dense_reference(state, lat, vertex):
+    """B_p by dense products: the configs that share their non-boundary
+    bits form one vector over boundary patterns, hit by the reference
+    block of their leg pattern."""
+    plq = lat.plaquette(vertex)
+    pos = bit_positions(lat)
+    n = len(plq.boundary)
+    bpos = [pos[e] for e in plq.boundary]
+    lpos = [pos.get(e) for e in plq.legs]
+    bmask = sum(1 << b for b in bpos)
+    vecs = {}
+    for cfg, amp in zip(state.configs.tolist(), state.amps):
+        ein = sum(((cfg >> b) & 1) << i for i, b in enumerate(bpos))
+        vecs.setdefault(cfg & ~bmask, np.zeros(1 << n, dtype=np.complex128))[ein] += amp
+    out = {}
+    for rest, vec in vecs.items():
+        lkey = sum(((rest >> b) & 1) << i for i, b in enumerate(lpos) if b is not None)
+        hit = reference_block(n, lkey) @ vec
+        for pat in np.flatnonzero(np.abs(hit) > state.tolerance).tolist():
+            out[rest | sum(((pat >> i) & 1) << b for i, b in enumerate(bpos))] = hit[pat]
+    keys = sorted(out)
+    return keys, np.array([out[k] for k in keys], dtype=np.complex128)
+
+
+def test_bp_keeps_only_amplitudes_above_the_tolerance():
+    state = random_valid_state(TORUS, np.random.default_rng(11), support=40)
+    vertex = TORUS.plaquette_vertices()[0]
+    out = apply_bp(state, TORUS, vertex)
+    mags = np.abs(out.amps)
+    edge = float(np.sort(mags)[len(mags) // 2])  # one output sits exactly on it
+    cut = apply_bp(replace(state, tolerance=edge), TORUS, vertex)
+    assert cut.configs.tolist() == out.configs[mags > edge].tolist()
+    assert np.array_equal(cut.amps, out.amps[mags > edge])
+
+
+WALKED = walked(build_tetra_sphere(), 2, subdivisions=4, flips=2)  # 7-edge plaquettes
+BP_LATTICES = (TORUS, WALKED)
+VALID = {id(lat): enumerate_valid_configs(lat) for lat in BP_LATTICES}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st_.data())
+def test_bp_matches_dense_reference_products(data):
+    lat = data.draw(st_.sampled_from(BP_LATTICES))
+    vertex = data.draw(st_.sampled_from(lat.plaquette_vertices()))
+    valid = VALID[id(lat)]
+    picks = data.draw(st_.lists(st_.integers(0, len(valid) - 1), max_size=24))
+    raw = data.draw(st_.lists(st_.integers(0, (1 << len(lat.qubit_slots())) - 1), max_size=8))
+    cfgs = sorted({int(valid[i]) for i in picks} | set(raw))
+    amps = np.array(data.draw(st_.lists(amplitudes, min_size=len(cfgs), max_size=len(cfgs))))
+    if np.any(amps):
+        amps = amps / np.linalg.norm(amps)
+    state = make_state(lat, np.array(cfgs, dtype=np.uint64), amps)
+    got = apply_bp(state, lat, vertex)
+    keys, want = bp_dense_reference(state, lat, vertex)
+    assert got.configs.tolist() == keys
+    assert len(keys) == 0 or np.max(np.abs(got.amps - want)) <= 1e-15
+    # configs that break branching at a fan triangle have no entries
+    fan_valid = state
+    for t in lat.plaquette(vertex).fan_triangles:
+        fan_valid = apply_qv(fan_valid, lat, t)
+    broken = np.setdiff1d(state.configs, fan_valid.configs)
+    off = make_state(lat, broken, state.amps[np.isin(state.configs, broken)])
+    assert apply_bp(off, lat, vertex).nnz() == 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st_.data())
 def test_fmove_matches_per_config_reference(data):
@@ -761,12 +870,30 @@ def test_fmove_one_by_one_block_flips_the_bit():
     assert_bit_equal(out, fmove_reference(state, PATCH, edge))
 
 
+def three_label_data():
+    return FusionData(3, np.ones(3), np.ones((3,) * 3, dtype=bool), np.ones((3,) * 6), 3.0)
+
+
 def test_fmove_rejects_categories_without_two_labels():
     state = make_delta_state(TORUS, 0)
-    three = FusionData(3, np.ones(3), np.ones((3,) * 3, dtype=bool), np.ones((3,) * 6), 3.0)
-    for data in (trivial_data(), three):
+    for data in (trivial_data(), three_label_data()):
         with pytest.raises(MoveError, match="2 labels"):
             apply_fmove(state, TORUS, 8, data)
+
+
+@pytest.mark.parametrize("kernel", ["bp", "pachner13", "pachner31"])
+def test_kernels_reject_categories_without_two_labels(kernel):
+    theta = build_theta_sphere()
+    state = make_delta_state(theta, 7)  # every edge tau
+    sub_state, sub = apply_pachner13(state, theta, 0)
+    run = {
+        "bp": lambda data: apply_bp(state, theta, theta.plaquette_vertices()[0], data),
+        "pachner13": lambda data: apply_pachner13(state, theta, 0, data),
+        "pachner31": lambda data: apply_pachner31(sub_state, sub, max(sub.vertices), data),
+    }[kernel]
+    for data in (trivial_data(), three_label_data()):
+        with pytest.raises(MoveError, match="2 labels"):
+            run(data)
 
 
 # ---- snapshots and rebinding -------------------------------------------------------
