@@ -322,6 +322,8 @@ def compile_schedule(
     have their gate layers zipped position by position, which keeps
     supports disjoint because the moves' slot supports already are.
     PERMUTATION groups become free relabelings pinned between layers.
+    A LOCAL group object that recurs, as the shears of a braid do, is
+    lowered once per call when it allocates and releases no slot.
     Each move is lowered from the qubit slots its record holds; lat
     gives only the starting register and the version. The gate angles
     are the Fibonacci ones, so any other category raises MoveError.
@@ -333,9 +335,18 @@ def compile_schedule(
     allocated: list[int] = []
     released: list[int] = []
     qubits = set(lat.qubit_slots())
+    # gate layers of each LOCAL group object already lowered, kept only
+    # for groups that allocate and release nothing, so that the slot
+    # checks still run on every occurrence of the others
+    lowered: dict[int, list[list[Gate]]] = {}
 
     for group in schedule.groups:
         if group.kind == LOCAL:
+            if id(group) in lowered:
+                layers.extend(lowered[id(group)])
+                continue
+            first = len(layers)
+            slots_moved = len(allocated) + len(released)
             for move_layer in group.layers:
                 gadgets = []
                 for rec in move_layer:
@@ -355,6 +366,8 @@ def compile_schedule(
                             merged.extend(g[i])
                     if merged:
                         layers.append(merged)
+            if len(allocated) + len(released) == slots_moved:
+                lowered[id(group)] = layers[first:]
         elif group.kind == PERMUTATION:
             recs = tuple(group.records())
             if len(recs) != 1:

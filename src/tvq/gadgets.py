@@ -55,6 +55,7 @@ from .lattice import (
     pachner_22,
     pachner_31,
     polar_vertex_id,
+    replace_lattice,
     replay_move,
     replay_moves,
     sigma_from_vertex_map,
@@ -408,18 +409,103 @@ def shear_step(
     center may spectate but a puncture anywhere else blocks the step
     (it would be dragged along or torn by the flips). Raises MoveError
     when the lattice is not canonical, the sector count is odd (no
-    two-way parity layering), a spectator puncture sits off center, or
+    two-way parity layering) or 2 (parallel ring edges, which the
+    relabeling cannot tell apart), a spectator puncture sits off center, or
     there are not enough rings between the puncture and the pinned
     boundary.
     """
     return _shear(lat, anyon_id, direction, stride)[0]
 
 
+@dataclass(frozen=True)
+class _ShearStep:
+    """One shear step, built without regard to punctures.
+
+    groups holds the LOCAL flip group and the PERMUTATION rotation group,
+    whose target is the bare canonical patch; vmap is the rotation's
+    vertex map and start the lattice the step was built on. The step
+    depends only on start's complex, the direction, the stride and the
+    base ring, so it can be placed on any lattice with the same complex.
+    """
+
+    start: SurfaceLattice
+    groups: tuple[MoveGroup, MoveGroup]
+    vmap: dict[int, int]
+
+
 def _shear(
     lat: SurfaceLattice, anyon_id: int, direction: int, stride: int | None
 ) -> tuple[MoveSchedule, SurfaceLattice]:
-    """shear_step's schedule plus the lattice its own dry run ends on,
-    which the braid builders chain on instead of replaying the step."""
+    """shear_step's schedule plus the lattice it ends on."""
+    step = _build_shear(lat, anyon_id, direction, stride)
+    return MoveSchedule(step.groups), _place_shear(lat, step, anyon_id)
+
+
+def _shear_reusing(
+    built: dict[tuple[int, int, int], _ShearStep],
+    lat: SurfaceLattice,
+    anyon_id: int,
+    direction: int,
+    stride: int,
+    cols: int,
+) -> tuple[tuple[MoveGroup, MoveGroup], SurfaceLattice]:
+    """_shear's groups and end lattice, for the schedule builders.
+
+    built holds the steps of one schedule build, keyed by (direction,
+    stride, base ring). A kept step is reused, group objects included,
+    when lat has the complex it was built on; otherwise the step is
+    built anew with every check. Either way lat's punctures are checked.
+    """
+    key = (direction, stride, _disk_coords(anyon_id, cols)[0] + 1)
+    step = built.get(key)
+    if step is None or not _same_complex(step.start, lat):
+        step = built[key] = _build_shear(lat, anyon_id, direction, stride)
+    return step.groups, _place_shear(lat, step, anyon_id)
+
+
+def _same_complex(a: SurfaceLattice, b: SurfaceLattice) -> bool:
+    return (
+        a.topology == b.topology
+        and a.vertices == b.vertices
+        and a.edges == b.edges
+        and a.triangles == b.triangles
+    )
+
+
+def _check_corridor(lat: SurfaceLattice, anyon_id: int) -> None:
+    if anyon_id not in lat.punctures:
+        raise MoveError(f"vertex {anyon_id} is not a puncture")
+    for p in lat.punctures:
+        # the rigid block would drag any off-center puncture along, and a
+        # puncture in the sheared corridor would break the flip pattern;
+        # only the rotation's fixed point, the center vertex 0, is safe
+        # for spectators
+        if p not in (anyon_id, 0):
+            raise MoveError("shear is blocked by another off-center puncture")
+
+
+def _place_shear(lat: SurfaceLattice, step: _ShearStep, anyon_id: int) -> SurfaceLattice:
+    """Check lat's punctures against the step; return the lattice it ends on.
+
+    That is the step's target with lat's punctures moved by the vertex
+    map, at the version apply_cpi gives after the step's flips. No
+    puncture the checks allow touches a flip, so the step's records are
+    the same whatever lat's punctures are.
+    """
+    _check_corridor(lat, anyon_id)
+    flips, rotation = step.groups
+    end = replace_lattice(
+        rotation.target, punctures=frozenset(step.vmap[p] for p in lat.punctures)
+    )
+    n_flips = sum(len(layer) for layer in flips.layers)
+    end.version = max(lat.version + n_flips, rotation.target.version) + 1
+    return end
+
+
+def _build_shear(
+    lat: SurfaceLattice, anyon_id: int, direction: int, stride: int | None
+) -> _ShearStep:
+    """Check a shear step on lat, then build it on a puncture-free copy."""
     rows, cols = _canonical_disk(lat)
     if anyon_id not in lat.punctures:
         raise MoveError(f"vertex {anyon_id} is not a puncture")
@@ -427,16 +513,16 @@ def _shear(
         raise MoveError("direction must be -1 or +1")
     if cols % 2:
         raise MoveError("sector count must be even for parallel layering")
+    if cols == 2:
+        # ring edges come in parallel pairs, which sigma_from_vertex_map
+        # matches by id, so the relabeling would not map triangles to
+        # triangles
+        raise MoveError("shear needs at least 4 sectors")
     k = max(1, cols // 6) if stride is None else int(stride)
     if k < 1:
         raise MoveError("stride must be positive")
     base = _disk_coords(anyon_id, cols)[0] + 1
-    for p in lat.punctures:
-        # the rigid block would drag any off-center puncture along, and a
-        # puncture in the sheared corridor would break the flip pattern;
-        # only the rotation's fixed point is safe for spectators
-        if p != anyon_id and _disk_coords(p, cols)[0] != 0:
-            raise MoveError("shear is blocked by another off-center puncture")
+    _check_corridor(lat, anyon_id)
     if base + k > rows:
         raise MoveError("not enough rings between the puncture and the boundary")
 
@@ -444,6 +530,7 @@ def _shear(
     # come from arithmetic
     layers: dict[tuple[int, int], list[MoveRecord]] = {}
     cur = lat._fork()
+    cur.punctures = frozenset()
     for j in range(k):
         r = base + j
         for s in range(cols):
@@ -475,17 +562,13 @@ def _shear(
         vmap[vid] = polar_vertex_id(cols, r, s + rho)
     target = build_planar_patch(rows, cols)
     sigma = sigma_from_vertex_map(cur, target, vmap)
-    end, perm = apply_cpi(cur, sigma, target=target)
+    perm = apply_cpi(cur, sigma, target=target)[1]
     grange = _cpi_grid_range(cur, vmap, cols)
-    schedule = MoveSchedule(
-        (
-            MoveGroup(LOCAL, local_layers, tag="shear flips"),
-            MoveGroup(
-                PERMUTATION, ((perm,),), target=target, range=grange, tag="shear rotation"
-            ),
-        )
+    groups = (
+        MoveGroup(LOCAL, local_layers, tag="shear flips"),
+        MoveGroup(PERMUTATION, ((perm,),), target=target, range=grange, tag="shear rotation"),
     )
-    return schedule, end
+    return _ShearStep(lat, groups, vmap)
 
 
 def braid_arena(d: int) -> tuple[SurfaceLattice, int, int]:
@@ -512,8 +595,9 @@ def braid_schedule(
     shear), anyon_a anywhere strictly outside it. The loop is `steps`
     equal shear steps of stride cols/steps, so the group count and the
     layer count per group are independent of the patch size; only the
-    permutation range grows with the stride. The composite returns the
-    lattice to its exact starting signature.
+    permutation range grows with the stride. The steps are equal, so
+    one step is built and its two group objects are repeated. The
+    composite returns the lattice to its exact starting signature.
     """
     rows, cols = _canonical_disk(lat)
     if set(lat.punctures) != {anyon_a, anyon_b}:
@@ -530,12 +614,13 @@ def braid_schedule(
         raise MoveError("not enough rings between the puncture and the boundary")
 
     groups: list[MoveGroup] = []
+    built: dict[tuple[int, int, int], _ShearStep] = {}
     cur = lat
     cur_a = anyon_a
     sec_a = _disk_coords(anyon_a, cols)[1]
     for _ in range(steps):
-        step, cur = _shear(cur, cur_a, -1, k)
-        groups.extend(step.groups)
+        step, cur = _shear_reusing(built, cur, cur_a, -1, k, cols)
+        groups.extend(step)
         sec_a = (sec_a - k) % cols
         cur_a = polar_vertex_id(cols, ring_a, sec_a)
         if cur_a not in cur.punctures:
@@ -568,12 +653,14 @@ def baseline_schedule(
 
     path lists the target vertices in order; each must be the next
     sector over (either way around) on the anyon's own ring. An empty
-    path is the empty schedule.
+    path is the empty schedule. Hops in one direction repeat the group
+    objects of the first such hop.
     """
     rows, cols = _canonical_disk(lat)
     if anyon_id not in lat.punctures:
         raise MoveError(f"vertex {anyon_id} is not a puncture")
     groups: list[MoveGroup] = []
+    built: dict[tuple[int, int, int], _ShearStep] = {}
     cur = lat
     cur_id = anyon_id
     for nxt in path:
@@ -592,8 +679,8 @@ def baseline_schedule(
             raise MoveError("path hops must move to an adjacent sector")
         if nxt in cur.punctures:
             raise MoveError("path runs into another puncture")
-        step, cur = _shear(cur, cur_id, direction, 1)
-        groups.extend(step.groups)
+        step, cur = _shear_reusing(built, cur, cur_id, direction, 1, cols)
+        groups.extend(step)
         cur_id = nxt
         if cur_id not in cur.punctures:
             raise MoveError("puncture tracking lost along the path")

@@ -89,7 +89,8 @@ def _labels(configs: np.ndarray, pos: dict[int, int], edge: int) -> np.ndarray:
 
 
 def _check_labels(data: FusionData, kernel: str) -> None:
-    """Kernels that index fsym with config bits need exactly two labels."""
+    """Kernels that index fsym or the branching table with config bits
+    need exactly two labels."""
     if data.num_labels != 2:
         raise MoveError(f"{kernel} on states need 2 labels (one bit per edge), got {data.num_labels}")
 
@@ -184,6 +185,7 @@ def _triangle_bits(lat: SurfaceLattice):
 def valid_mask(lat: SurfaceLattice, configs: np.ndarray, data: FusionData | None = None) -> np.ndarray:
     """Branching validity of each config at every dual vertex."""
     data = data or fibonacci_data()
+    _check_labels(data, "branching rules")
     flat = data.branching.reshape(-1)
     ok = np.ones(len(configs), dtype=bool)
     for bits in _triangle_bits(lat):
@@ -201,6 +203,7 @@ def enumerate_valid_configs(
     """All branching-valid configs, by constraint propagation over the
     triangle list (builder ordering keeps the frontier small)."""
     data = data or fibonacci_data()
+    _check_labels(data, "branching rules")
     nbits = len(lat.qubit_slots())
     if nbits > max_qubits:
         raise MoveError(f"{nbits} qubit edges exceed the enumeration guard ({max_qubits})")
@@ -263,6 +266,7 @@ def apply_qv(
     """Diagonal branching projector at one dual vertex (= triangle)."""
     _check_version(state, lat)
     data = data or fibonacci_data()
+    _check_labels(data, "branching rules")
     if dual_vertex_id not in lat.triangles:
         raise MoveError(f"no dual vertex {dual_vertex_id}")
     pos = bit_positions(lat)

@@ -7,6 +7,7 @@ gates to dense vectors. Agreement on the valid subspace is the main
 correctness evidence for both.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -43,6 +44,7 @@ from tvq.gadgets import (
     MoveGroup,
     MoveSchedule,
     baseline_schedule,
+    braid_arena,
     braid_schedule,
     merge_rows,
     run_schedule,
@@ -314,6 +316,21 @@ def test_compiled_split_then_merge_matches_semantic():
     got = simulate_circuit(circ, embed_dense(to_dense(st, lat), lat.qubit_slots(), circ.qubits))
     want = embed_dense(to_dense(out, out_lat), out_lat.qubit_slots(), circ.qubits)
     assert np.linalg.norm(got - want) < 1e-10
+
+
+def test_compile_repeated_groups():
+    # the braid repeats one flip group object; lowering it once per call
+    # gives the gates of lowering equal copies one by one
+    lat, _, anyon = braid_arena(4)
+    sched = braid_schedule(lat, anyon, 0, steps=6)
+    copies = MoveSchedule(tuple(dataclasses.replace(g) for g in sched.groups))
+    assert sched.groups[0] is sched.groups[2] and copies.groups[0] is not copies.groups[2]
+    assert compile_schedule(lat, sched, DATA) == compile_schedule(lat, copies, DATA)
+    # a repeated group that allocates slots is checked on every occurrence
+    small = build_planar_patch(2, 4)
+    split = split_row(small, 1, data=DATA)
+    with pytest.raises(MoveError, match="allocated twice"):
+        compile_schedule(small, MoveSchedule(split.groups * 2), DATA)
 
 
 def test_compile_schedule_rejects_record_without_slots():

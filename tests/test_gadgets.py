@@ -35,6 +35,7 @@ from tvq.statevec import (
     random_valid_state,
     rebind_state,
 )
+from tvq.circuits import compile_schedule
 from tvq.gadgets import (
     LOCAL,
     DepthReport,
@@ -53,6 +54,7 @@ from tvq.gadgets import (
     sequential_baseline,
     shear_step,
     split_row,
+    _shear,
 )
 
 DATA = fibonacci_data()
@@ -233,6 +235,17 @@ def test_shear_rejects_bad_direction_and_stride():
         shear_step(lat, 0, stride=0)
 
 
+def test_shear_rejects_two_sector_patches():
+    # with 2 sectors the ring edges come in parallel pairs, and a
+    # relabeling matched by edge id sent triangles to non-triangles
+    lat = build_planar_patch(6, 2, punctures=[(0, 0), (2, 0)])
+    anyon = polar_vertex_id(2, 2, 0)
+    with pytest.raises(MoveError, match="4 sectors"):
+        braid_schedule(lat, anyon, 0, steps=2)
+    with pytest.raises(MoveError, match="4 sectors"):
+        shear_step(lat, anyon, stride=1)
+
+
 def test_baseline_path_validation():
     lat = build_planar_patch(4, 6, punctures=[(2, 0)])
     a = polar_vertex_id(6, 2, 0)
@@ -323,6 +336,59 @@ def test_run_schedule_rejects_malformed_groups():
         run_schedule(None, lat, MoveSchedule((MoveGroup("PERMUTATION", ((rec, rec),)),)))
     with pytest.raises(MoveError, match="unknown group kind"):
         run_schedule(None, lat, MoveSchedule((MoveGroup("GLOBAL", ((rec,),)),)))
+
+
+# ---- structure at large distance ----------------------------------------------
+#
+# The builders build each distinct shear step once and repeat its group
+# objects; these checks compare them with a fresh _shear on every step.
+
+
+def stepwise_reference(lat, anyon, cols, hops):
+    """Schedule and end lattice of one _shear per (direction, stride) hop,
+    the anyon moving along its ring."""
+    groups, cur = [], lat
+    ring, sector = (anyon - 1) // cols + 1, (anyon - 1) % cols
+    for direction, stride in hops:
+        step, cur = _shear(cur, anyon, direction, stride)
+        groups.extend(step.groups)
+        sector += direction * stride
+        anyon = polar_vertex_id(cols, ring, sector)
+    return MoveSchedule(tuple(groups)), cur
+
+
+@pytest.mark.parametrize("d", [32, 64])
+def test_braid_structure_at_large_distance(d):
+    lat, cols, anyon = braid_arena(d)
+    sched = braid_schedule(lat, anyon, 0, steps=6)
+    rep = sched.depth_report()
+    assert sched.move_count() == 9 * d * d + 6
+    assert (rep.local_depth, rep.total_steps, rep.permutation_range) == (4, 12, d / 2)
+    circ = compile_schedule(lat, sched)
+    assert circ.gate_count() == 7 * 9 * d * d
+    assert circ.depth() == 6 * 4 * 7
+    # one flip group and one rotation group, repeated by all six steps
+    assert all(g is sched.groups[i % 2] for i, g in enumerate(sched.groups))
+    _, end = run_schedule(None, lat, sched)
+    assert end.signature() == lat.signature()
+    ref, ref_end = stepwise_reference(lat, anyon, cols, [(-1, cols // 6)] * 6)
+    assert sched == ref
+    assert (ref_end.version, ref_end.signature()) == (end.version, end.signature())
+
+
+@pytest.mark.parametrize("d", [32, 64])
+def test_baseline_with_turns_at_large_distance(d):
+    lat, cols, anyon = braid_arena(d)
+    # two hops clockwise, then three back: two distinct steps
+    path = [polar_vertex_id(cols, 2, s) for s in (-1, -2, -1, 0, 1)]
+    sched = baseline_schedule(lat, anyon, path)
+    ref, _ = stepwise_reference(lat, anyon, cols, [(-1, 1)] * 2 + [(1, 1)] * 3)
+    assert sched == ref
+    groups = sched.groups
+    assert groups[0] is groups[2] and groups[4] is groups[6] is groups[8]
+    assert groups[1] is groups[3] and groups[5] is groups[7] is groups[9]
+    assert groups[0] is not groups[4]
+    assert compile_schedule(lat, sched) == compile_schedule(lat, ref)
 
 
 # ---- states through schedules -------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvq.circuits import compile_schedule
 from tvq.gadgets import (
     LOCAL,
     baseline_schedule,
@@ -182,18 +181,3 @@ def test_failed_layer_replay_leaves_the_input_untouched():
     assert lat.signature() == sig and lat.version == 0
     assert_maps_current(lat)
 
-
-def test_braid_at_distance_32_builds_and_compiles():
-    d = 32
-    cols = 3 * d
-    lat = build_planar_patch(d // 2 + 4, cols, punctures=[(0, 0), (2, 0)])
-    assert len(lat.vertices) == 1921
-    sched = braid_schedule(lat, polar_vertex_id(cols, 2, 0), 0, steps=6)
-    circ = compile_schedule(lat, sched)
-    rep = sched.depth_report()
-    assert circ.depth() == 168
-    assert (rep.local_depth, rep.total_steps) == (4, 12)
-    assert sched.move_count() == 9 * d * d + 6 == 9222
-    assert circ.gate_count() == 63 * d * d == 64512
-    assert rep.permutation_range == d / 2
-    assert run_schedule(None, lat, sched)[1].signature() == lat.signature()

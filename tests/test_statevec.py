@@ -49,6 +49,7 @@ from tvq.statevec import (
     state_from_jsonlines,
     state_to_jsonlines,
     uniform_state,
+    valid_mask,
 )
 
 PHI = 1.618033988749895
@@ -574,14 +575,23 @@ def fmove_reference(state, lat, edge, data=DATA):
     def label(cfg, e):
         return (cfg >> pos[e]) & 1 if e in pos else 0
 
-    terms = {}
+    outs, factors, coeffs = [], [], []
     for cfg, amp in zip(state.configs.tolist(), state.amps):
         legs = tuple(label(cfg, e) for e in rec.legs)
         e_in = label(cfg, edge)
         for f in (0, 1):
             coeff = data.fsym[legs + (e_in, f)]
             if abs(coeff) > 1e-15:
-                terms.setdefault((cfg & ~flag) | (f * flag), []).append(amp * coeff)
+                outs.append((cfg & ~flag) | (f * flag))
+                factors.append(amp)
+                coeffs.append(coeff)
+    # one array product, as in the kernel: numpy's array loop rounds a
+    # complex product once and its scalar product twice, which can give
+    # an underflowing part the other sign of zero
+    products = np.array(factors, dtype=np.complex128) * np.array(coeffs, dtype=np.float64)
+    terms = {}
+    for cfg, term in zip(outs, products):
+        terms.setdefault(cfg, []).append(term)
     configs, amps = [], []
     for cfg in sorted(terms):
         total = terms[cfg][0]
@@ -771,6 +781,15 @@ def test_fmove_matches_per_config_reference(data):
     assert_bit_equal(out, fmove_reference(state, lat, edge, fdata))
 
 
+def test_fmove_reference_rounds_underflow_like_the_kernel():
+    # a recorded draw: the real part of 5e-324 times a coefficient
+    # underflows, and only an array product gives it the kernel's sign
+    amps = np.array([0, complex(5e-324, -0.0)])
+    state = make_state(TORUS, np.array([0, 396], dtype=np.uint64), amps, tolerance=0.0)
+    out, _ = apply_fmove(state, TORUS, 0, SCRAMBLED)
+    assert_bit_equal(out, fmove_reference(state, TORUS, 0, SCRAMBLED))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st_.data())
 def test_state_permutation_matches_per_config_reference(data):
@@ -881,7 +900,10 @@ def test_fmove_rejects_categories_without_two_labels():
             apply_fmove(state, TORUS, 8, data)
 
 
-@pytest.mark.parametrize("kernel", ["bp", "pachner13", "pachner31"])
+@pytest.mark.parametrize(
+    "kernel",
+    ["bp", "pachner13", "pachner31", "qv", "valid_mask", "enumerate", "ground_project", "code_space_dim"],
+)
 def test_kernels_reject_categories_without_two_labels(kernel):
     theta = build_theta_sphere()
     state = make_delta_state(theta, 7)  # every edge tau
@@ -890,6 +912,12 @@ def test_kernels_reject_categories_without_two_labels(kernel):
         "bp": lambda data: apply_bp(state, theta, theta.plaquette_vertices()[0], data),
         "pachner13": lambda data: apply_pachner13(state, theta, 0, data),
         "pachner31": lambda data: apply_pachner31(sub_state, sub, max(sub.vertices), data),
+        # these read the branching table with config bits
+        "qv": lambda data: apply_qv(state, theta, 0, data),
+        "valid_mask": lambda data: valid_mask(theta, state.configs, data),
+        "enumerate": lambda data: enumerate_valid_configs(theta, data),
+        "ground_project": lambda data: ground_project(state, theta, data),
+        "code_space_dim": lambda data: code_space_dim(theta, data),
     }[kernel]
     for data in (trivial_data(), three_label_data()):
         with pytest.raises(MoveError, match="2 labels"):
