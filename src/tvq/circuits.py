@@ -40,7 +40,6 @@ from .lattice import (
     F_MOVE,
     PACHNER_13,
     PACHNER_31,
-    PERMUTATION,
     MoveError,
     MoveRecord,
     SurfaceLattice,
@@ -58,7 +57,7 @@ SPREP_ANGLE = float(format(2.0 * math.atan(PHI), ".15g"))
 # leg patterns (in quad side order) whose flip relabels the edge
 FLIP_PATTERNS = ((0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0))
 
-GATE_KINDS = ("RY", "X", "CX", "MCX", "SWAP", "SPREP")
+GATE_KINDS = ("RY", "X", "CX", "MCX", "SPREP")
 
 MAX_DENSE_QUBITS = 22
 
@@ -275,7 +274,7 @@ def _invert_gate(gate: Gate) -> Gate:
         return replace(gate, params=tuple(-p for p in gate.params))
     if gate.kind == "SPREP":
         return Gate("RY", gate.targets, params=(-SPREP_ANGLE,))
-    # X, CX, MCX, SWAP are involutions
+    # X, CX, MCX are involutions
     return gate
 
 
@@ -368,14 +367,9 @@ def compile_schedule(
                         layers.append(merged)
             if len(allocated) + len(released) == slots_moved:
                 lowered[id(group)] = layers[first:]
-        elif group.kind == PERMUTATION:
-            recs = tuple(group.records())
-            if len(recs) != 1:
-                raise MoveError("permutation group must hold exactly one record")
-            sigma = dict(recs[0].sigma or {})
-            perms.append((len(layers), tuple(sorted(sigma.items()))))
         else:
-            raise MoveError(f"unknown group kind {group.kind!r}")
+            (rec,) = group.records()
+            perms.append((len(layers), tuple(sorted((rec.sigma or {}).items()))))
 
     circ = GateCircuit(
         qubits=tuple(sorted(qubits)),
@@ -436,13 +430,6 @@ def _apply_gate(psi: np.ndarray, posmap: dict[int, int], gate: Gate) -> np.ndarr
         out = psi.copy()
         out[mask] = psi[flipped[mask]]
         return out
-    if gate.kind == "SWAP":
-        u, v = (posmap[t] for t in gate.targets)
-        idx = np.arange(psi.size)
-        bu = (idx >> u) & 1
-        bv = (idx >> v) & 1
-        swapped = idx ^ ((bu ^ bv) << u) ^ ((bu ^ bv) << v)
-        return psi[swapped]
     raise MoveError(f"unknown gate kind {gate.kind!r}")
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .circuits import compile_schedule, export_circuit
 from .errors import report_to_csv, report_to_json, stretch_report
-from .fusion import PHI, admissible_ef, fibonacci_data, verify_pentagon_coherence
+from .coherence import pentagon_residual
+from .fusion import PHI, f_unitarity_residual, fibonacci_data
 from .gadgets import baseline_schedule, braid_arena, braid_schedule, run_schedule
 from .lattice import (
     MoveError,
@@ -32,7 +33,6 @@ from .lattice import (
     lattice_to_json,
     pachner_13,
     pachner_22,
-    pachner_31,
     polar_vertex_id,
 )
 from .statevec import (
@@ -68,56 +68,27 @@ class RunConfig:
         return doc
 
 
-def _check(name: str, residual: float | None, tol: float) -> dict:
-    passed = residual is None or residual <= tol
+def _check(name: str, residual: float, tol: float) -> dict:
     return {
         "name": name,
         "residual": residual,
         "tol": tol,
-        "passed": bool(passed),
+        "passed": bool(residual <= tol),
     }
 
 
 # ---- verify suites -------------------------------------------------------------
 
 
-def _fusion_checks(tol: float) -> list[dict]:
+def _fusion_checks(tol: float, seed: int) -> list[dict]:
     data = fibonacci_data()
     golden = np.array([[1 / PHI, PHI ** -0.5], [PHI ** -0.5, -1 / PHI]])
     res_block = float(np.max(np.abs(data.fsym[1, 1, 1, 1] - golden)))
-    res_orth = 0.0
-    n = data.num_labels
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    es, fs = admissible_ef(data, a, b, c, d)
-                    if not es:
-                        continue
-                    blk = data.fsym[a, b, c, d][np.ix_(es, fs)]
-                    eye = np.eye(len(es))
-                    res_orth = max(res_orth, float(np.max(np.abs(blk @ blk.T - eye))))
-                    res_orth = max(res_orth, float(np.max(np.abs(blk.T @ blk - eye))))
-    # the coherence walk reports pass/fail; bracket the residual by
-    # probing tighter tolerances until the walk stops passing
-    res_pent = None
-    for probe in (1e-15, 1e-14, 1e-13, 1e-12):
-        if probe <= tol and verify_pentagon_coherence(data, tol=probe):
-            res_pent = probe
-            break
-    checks = [
+    return [
         _check("fusion.f_block_entries", res_block, tol),
-        _check("fusion.f_orthogonality", res_orth, tol),
+        _check("fusion.f_orthogonality", f_unitarity_residual(data), tol),
+        _check("fusion.pentagon_coherence", pentagon_residual(data), tol),
     ]
-    checks.append(
-        {
-            "name": "fusion.pentagon_coherence",
-            "residual": res_pent,
-            "tol": tol,
-            "passed": res_pent is not None and res_pent <= tol,
-        }
-    )
-    return checks
 
 
 def _projector_checks(tol: float, seed: int) -> list[dict]:
@@ -197,16 +168,20 @@ def _pachner_checks(tol: float, seed: int) -> list[dict]:
     ]
 
 
+# suite -> (checks, default tolerance)
+_SUITES = {
+    "fusion": (_fusion_checks, 1e-12),
+    "projectors": (_projector_checks, 1e-10),
+    "pachner": (_pachner_checks, 1e-10),
+}
+
+
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     scope = cfg.params["scope"]
-    tol = cfg.tol if cfg.tol is not None else (1e-12 if scope == "fusion" else 1e-10)
     checks: list[dict] = []
-    if scope in ("fusion", "all"):
-        checks += _fusion_checks(cfg.tol if cfg.tol is not None else 1e-12)
-    if scope in ("projectors", "all"):
-        checks += _projector_checks(cfg.tol if cfg.tol is not None else 1e-10, cfg.seed)
-    if scope in ("pachner", "all"):
-        checks += _pachner_checks(cfg.tol if cfg.tol is not None else 1e-10, cfg.seed)
+    for name, (suite, default_tol) in _SUITES.items():
+        if scope in (name, "all"):
+            checks += suite(default_tol if cfg.tol is None else cfg.tol, cfg.seed)
     passed = all(c["passed"] for c in checks)
     report = {"config": cfg.to_jsonable(), "checks": checks, "passed": passed}
     return report, 0 if passed else 1
@@ -407,10 +382,9 @@ def _render_text(report: dict) -> str:
             continue
         if key == "checks":
             for c in val:
-                res = "-" if c["residual"] is None else f"{c['residual']:.3e}"
                 lines.append(
                     f"{c['name']}: {'PASS' if c['passed'] else 'FAIL'} "
-                    f"(residual {res}, tol {c['tol']:.1e})"
+                    f"(residual {c['residual']:.3e}, tol {c['tol']:.1e})"
                 )
         elif isinstance(val, dict):
             for k2, v2 in val.items():
@@ -446,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run invariant suites", parents=[common])
-    v.add_argument("scope", choices=("fusion", "projectors", "pachner", "all"))
+    v.add_argument("scope", choices=(*_SUITES, "all"))
 
     lat = sub.add_parser("lattice", help="lattice tools")
     lsub = lat.add_subparsers(dest="lattice_command", required=True)

@@ -10,12 +10,13 @@ triangulation can differ by a braid of the vertices, which acts
 nontrivially outside the string-net subspace.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
 
 from .lattice import Edge, MoveError, SurfaceLattice, pachner_22
-from .statevec import bit_positions, enumerate_valid_configs
+from .statevec import _move_bits, bit_positions, enumerate_valid_configs
 
 
 def _fan_polygon(n: int) -> SurfaceLattice:
@@ -102,7 +103,7 @@ def _slot_matchings(lat_a: SurfaceLattice, lat_b: SurfaceLattice):
 
     def walk(i, acc):
         if i == len(groups):
-            pi = np.zeros(nbits, dtype=np.int64)
+            pi: list[int | None] = [None] * nbits
             for src, tgt in acc.items():
                 pi[pos_a[src]] = pos_b[tgt]
             yield pi
@@ -116,31 +117,25 @@ def _slot_matchings(lat_a: SurfaceLattice, lat_b: SurfaceLattice):
     yield from walk(0, {})
 
 
-def _permute_cfgs(cfgs: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(cfgs)
-    for i, j in enumerate(pi):
-        out |= ((cfgs >> np.uint64(i)) & np.uint64(1)) << np.uint64(j)
-    return out
-
-
-def _maps_agree(cfgs_a, map_a, lat_a, cfgs_b, map_b, lat_b, tol):
-    """True when some endpoint-preserving relabeling aligns the two maps."""
+def _match_residual(cfgs_a, map_a, lat_a, cfgs_b, map_b, lat_b) -> float:
+    """Smallest deviation between the two maps over the endpoint-preserving
+    relabelings that align their configs; inf when none aligns them."""
+    best = math.inf
     for pi in _slot_matchings(lat_a, lat_b):
-        mapped = _permute_cfgs(cfgs_a, pi)
+        mapped = _move_bits(cfgs_a, pi)
         order = np.argsort(mapped)
-        if not np.array_equal(mapped[order], cfgs_b):
-            continue
-        if np.max(np.abs(map_a[order] - map_b)) <= tol:
-            return True
-    return False
+        if np.array_equal(mapped[order], cfgs_b):
+            best = min(best, float(np.max(np.abs(map_a[order] - map_b))))
+    return best
 
 
-def _walk_polygon(n: int, data, tol: float, depth: int) -> bool:
+def _walk_polygon(n: int, data, depth: int) -> float:
     start = _fan_polygon(n)
     cfgs0 = enumerate_valid_configs(start, data)
     nodes = {start.signature(): (start, cfgs0, np.eye(len(cfgs0)))}
     groups = {_structure_key(start): [start.signature()]}
     frontier = [start.signature()]
+    residual = 0.0
     for _step in range(depth):
         fresh = []
         for sig in frontier:
@@ -154,26 +149,25 @@ def _walk_polygon(n: int, data, tol: float, depth: int) -> bool:
                 osig = out.signature()
                 if osig in nodes:
                     _l, _c, ref = nodes[osig]
-                    if np.max(np.abs(comp - ref)) > tol:
-                        return False
+                    residual = max(residual, float(np.max(np.abs(comp - ref))))
                     continue
                 key = _structure_key(out)
                 for other in groups.get(key, []):
                     olat, ocfgs, ref = nodes[other]
-                    if not _maps_agree(out_cfgs, comp, out, ocfgs, ref, olat, tol):
-                        return False
+                    residual = max(residual, _match_residual(out_cfgs, comp, out, ocfgs, ref, olat))
                 nodes[osig] = (out, out_cfgs, comp)
                 groups.setdefault(key, []).append(osig)
                 fresh.append(osig)
         frontier = fresh
-    return True
+    return residual
 
 
-def pentagon_walk(data, tol: float = 1e-12, depth: int = 5) -> bool:
-    """True iff every pair of rewrite paths (length <= depth) meeting at
-    the same polygon triangulation induces the same amplitude map within
-    tol. Polygons with 4, 5 and 6 sides exercise the square and pentagon
-    relations in every label sector."""
+def pentagon_residual(data, depth: int = 5) -> float:
+    """Largest deviation between the amplitude maps of two rewrite paths
+    (length <= depth) that meet at the same polygon triangulation, or at
+    a relabeled copy of it. Polygons with 4, 5 and 6 sides exercise the
+    square and pentagon relations in every label sector. One-label data
+    has no rewrite to walk: its residual is |F - 1|."""
     if data.num_labels == 1:
-        return abs(float(data.fsym[(0,) * 6]) - 1.0) <= tol
-    return all(_walk_polygon(n, data, tol, depth) for n in (4, 5, 6))
+        return abs(float(data.fsym[(0,) * 6]) - 1.0)
+    return max(_walk_polygon(n, data, depth) for n in (4, 5, 6))

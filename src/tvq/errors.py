@@ -26,7 +26,7 @@ import numpy as np
 from .circuits import GateCircuit, compile_schedule
 from .fusion import FusionData, fibonacci_data
 from .gadgets import LOCAL, MoveSchedule, _disk_coords, braid_arena, braid_schedule
-from .lattice import PERMUTATION, MoveError, SurfaceLattice, apply_cpi
+from .lattice import MoveError, SurfaceLattice, apply_cpi
 
 __all__ = [
     "ErrorString",
@@ -273,13 +273,11 @@ def braid_error_trial(
     for group in schedule.groups:
         if group.kind == LOCAL:
             end_lat = None
-        elif group.kind == PERMUTATION:
+        else:
             (rec,) = group.records()
             sigma = rec.sigma or {}
             slots = [sigma.get(s, s) for s in slots]
             end_lat = group.target
-        else:
-            raise MoveError(f"unknown group kind {group.kind!r}")
     if end_lat is None:
         raise MoveError("error trial needs a schedule that ends on a relabeling with a target")
     edge_of = end_lat.slot_edge_map()

@@ -15,7 +15,9 @@ nonzero only when all four vertex triples (a,b,e), (e,c,d), (b,c,f),
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,44 +120,45 @@ def admissible_ef(
     return es, fs
 
 
-def verify_f_unitarity(data: FusionData, tol: float = 1e-12) -> bool:
-    """True iff every admissible F-block is real orthogonal within tol.
+def f_unitarity_residual(data: FusionData) -> float:
+    """Largest entry of |B B^T - I| and |B^T B - I| over the admissible
+    F-blocks B.
 
     Recoupling must be invertible, so for each (a,b,c,d) the admissible
-    e and f sets must have equal size and the block must satisfy
-    B B^T = B^T B = I.
+    e and f sets must have equal size; the residual is inf when they do
+    not, and 0.0 when there is no block.
     """
     n = data.num_labels
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    es, fs = admissible_ef(data, a, b, c, d)
-                    if not es and not fs:
-                        continue
-                    if len(es) != len(fs):
-                        return False
-                    block = data.fsym[a, b, c, d][np.ix_(es, fs)]
-                    eye = np.eye(len(es))
-                    if np.max(np.abs(block @ block.T - eye)) > tol:
-                        return False
-                    if np.max(np.abs(block.T @ block - eye)) > tol:
-                        return False
-    return True
+    residual = 0.0
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        es, fs = admissible_ef(data, a, b, c, d)
+        if not es and not fs:
+            continue
+        if len(es) != len(fs):
+            return math.inf
+        block = data.fsym[a, b, c, d][np.ix_(es, fs)]
+        eye = np.eye(len(es))
+        residual = max(residual, float(np.max(np.abs(block @ block.T - eye))))
+        residual = max(residual, float(np.max(np.abs(block.T @ block - eye))))
+    return residual
+
+
+def verify_f_unitarity(data: FusionData, tol: float = 1e-12) -> bool:
+    """True iff every admissible F-block is real orthogonal within tol."""
+    return f_unitarity_residual(data) <= tol
 
 
 def verify_pentagon_coherence(data: FusionData, tol: float = 1e-12, depth: int = 5) -> bool:
-    """True iff all F-move sequences (length <= depth) between the same
-    small complexes induce the same linear map within tol.
+    """True iff all F-move sequences (length <= depth) that meet at the
+    same triangulation induce the same linear map within tol.
 
-    Walks the flip graph of the shipped <= 6-edge sphere fixtures; any two
-    rewrite paths that meet at the same complex must carry equal composed
-    amplitude maps. Delegates to the coherence module (which needs the
-    lattice and state machinery).
+    Walks the flip graphs of triangulated 4-, 5- and 6-gons and compares
+    the composed amplitude maps of paths that meet (coherence module,
+    which needs the lattice and state machinery).
     """
-    from .coherence import pentagon_walk
+    from .coherence import pentagon_residual
 
-    return pentagon_walk(data, tol=tol, depth=depth)
+    return pentagon_residual(data, depth=depth) <= tol
 
 
 def vacuum_s_vector(data: FusionData) -> np.ndarray:

@@ -14,11 +14,11 @@ Builders:
   independent of the row length.
 * ``shear_step`` translates a puncture by ``stride`` sectors: a constant
   number of flip layers followed by one ramped-rotation permutation.
-* ``braid_schedule`` / ``braid`` wind one puncture once around another
-  as a fixed number of shear steps; depth does not grow with distance.
-* ``baseline_schedule`` / ``sequential_baseline`` move a puncture one
-  sector per hop, so the group count grows linearly with the path. This
-  is the correctness oracle the braid is compared against.
+* ``braid_schedule`` winds one puncture once around another as a fixed
+  number of shear steps; depth does not grow with distance.
+* ``baseline_schedule`` moves a puncture one sector per hop, so the
+  group count grows linearly with the path. This is the correctness
+  oracle the braid is compared against.
 * ``logical_action`` returns the matrix a closed protocol induces on an
   orthonormal basis of the encoded subspace.
 
@@ -86,9 +86,7 @@ __all__ = [
     "shear_step",
     "braid_arena",
     "braid_schedule",
-    "braid",
     "baseline_schedule",
-    "sequential_baseline",
     "split_row",
     "merge_rows",
     "encoded_basis",
@@ -105,8 +103,9 @@ class MoveGroup:
     kind is LOCAL or PERMUTATION. For LOCAL groups ``layers`` holds one
     tuple of records per parallel layer; supports inside a layer must be
     disjoint and ``run_schedule`` re-checks that on replay. PERMUTATION
-    groups hold exactly one record plus the prebuilt target lattice and
-    the grid-metric displacement of the relabeling.
+    groups hold exactly one PERMUTATION record plus the prebuilt target
+    lattice and the grid-metric displacement of the relabeling. The kind
+    and the record count are checked on construction (MoveError).
     """
 
     kind: str
@@ -114,6 +113,12 @@ class MoveGroup:
     target: SurfaceLattice | None = None
     range: float = 0.0
     tag: str = ""
+
+    def __post_init__(self):
+        if self.kind not in (LOCAL, PERMUTATION):
+            raise MoveError(f"unknown group kind {self.kind!r}")
+        if self.kind == PERMUTATION and [r.kind for r in self.records()] != [PERMUTATION]:
+            raise MoveError("permutation group must hold exactly one PERMUTATION record")
 
     def records(self) -> Iterable[MoveRecord]:
         for layer in self.layers:
@@ -349,16 +354,12 @@ def run_schedule(
                     continue
                 for rec in layer:
                     cur, cur_lat = _apply_record(cur, cur_lat, rec, None, data)
-        elif group.kind == PERMUTATION:
-            recs = tuple(group.records())
-            if len(recs) != 1:
-                raise MoveError("permutation group must hold exactly one record")
-            if cur is None:
-                cur_lat = replay_move(cur_lat, recs[0], group.target)
-            else:
-                cur, cur_lat = _apply_record(cur, cur_lat, recs[0], group.target, data)
         else:
-            raise MoveError(f"unknown group kind {group.kind!r}")
+            (rec,) = group.records()
+            if cur is None:
+                cur_lat = replay_move(cur_lat, rec, group.target)
+            else:
+                cur, cur_lat = _apply_record(cur, cur_lat, rec, group.target, data)
         if assert_code_space and cur is not None and group.kind == LOCAL:
             proj = ground_project(cur, cur_lat, data)
             if diff_norm(cur_lat, proj, cur) > code_tol * max(cur.norm(), 1.0):
@@ -630,19 +631,6 @@ def braid_schedule(
     return MoveSchedule(tuple(groups))
 
 
-def braid(
-    state: StringNetState,
-    lat: SurfaceLattice,
-    anyon_a: int,
-    anyon_b: int,
-    steps: int = 6,
-    data: FusionData | None = None,
-) -> tuple[StringNetState, SurfaceLattice, DepthReport]:
-    schedule = braid_schedule(lat, anyon_a, anyon_b, steps=steps, data=data)
-    out, out_lat = run_schedule(state, lat, schedule, data=data)
-    return out, out_lat, schedule.depth_report()
-
-
 def baseline_schedule(
     lat: SurfaceLattice,
     anyon_id: int,
@@ -685,17 +673,6 @@ def baseline_schedule(
         if cur_id not in cur.punctures:
             raise MoveError("puncture tracking lost along the path")
     return MoveSchedule(tuple(groups))
-
-
-def sequential_baseline(
-    state: StringNetState,
-    lat: SurfaceLattice,
-    anyon_id: int,
-    path: Sequence[int],
-    data: FusionData | None = None,
-) -> tuple[StringNetState, SurfaceLattice]:
-    schedule = baseline_schedule(lat, anyon_id, path, data=data)
-    return run_schedule(state, lat, schedule, data=data)
 
 
 # -- row splitting and merging ----------------------------------------------

@@ -19,6 +19,7 @@ friends copy once per move, ``replay_moves`` once per run of moves.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -831,8 +832,9 @@ def apply_cpi(
     sigma maps each qubit slot of `lat` to a slot of the target layout
     (default: `lat` itself). Accepted only when the induced edge map is a
     connectivity-preserving isomorphism: every edge of the source maps to
-    an edge of the target. Punctures ride the induced vertex map. The
-    reported range is the maximum Euclidean qubit displacement.
+    an edge of the target, and the three edges of every triangle to the
+    three edges of a target triangle. Punctures ride the induced vertex
+    map. The reported range is the maximum Euclidean qubit displacement.
     """
     tgt = target if target is not None else lat
     slots = lat.qubit_slots()
@@ -844,20 +846,28 @@ def apply_cpi(
     edge_image = {src_of[s]: tgt_of[full[s]] for s in slots}
     vmap = _induced_vertex_map(lat, tgt, edge_image)
 
-    # every edge, pinned ones included, must land on a target edge
+    # every edge, pinned ones included, must land on a target edge, and
+    # every triangle on a target triangle; a pinned edge may land on any
+    # pinned edge between its image endpoints
     tgt_pairs: dict[frozenset[int], list[int]] = {}
     for e, rec in tgt.edges.items():
         tgt_pairs.setdefault(rec.endpoints(), []).append(e)
+    images: dict[int, list[int]] = {}
     for e, rec in lat.edges.items():
         want = frozenset((vmap[rec.v1], vmap[rec.v2]))
         if e in edge_image:
             img = tgt.edges[edge_image[e]]
             if img.endpoints() != want:
                 raise MoveError(f"edge {e} image endpoints disagree with the vertex map")
+            images[e] = [edge_image[e]]
         else:
-            hits = [x for x in tgt_pairs.get(want, []) if tgt.edges[x].pinned]
-            if not hits:
+            images[e] = [x for x in tgt_pairs.get(want, []) if tgt.edges[x].pinned]
+            if not images[e]:
                 raise MoveError(f"pinned edge {e} has no pinned image in the target")
+    tgt_tris = {frozenset(es) for es in tgt.triangles.values()}
+    for t, es in lat.triangles.items():
+        if not any(frozenset(c) in tgt_tris for c in itertools.product(*(images[e] for e in es))):
+            raise MoveError(f"triangle {t} does not land on a target triangle")
 
     rng = 0.0
     for s in slots:

@@ -371,8 +371,10 @@ def test_compile_schedule_rejects_parallel_slot_reuse():
 
 
 def test_gate_rejects_unknown_kind():
-    with pytest.raises(MoveError, match="gate kind"):
-        Gate("HADAMARD", (0,))
+    # SWAP is no kind either: no move lowers to it
+    for kind, targets in (("HADAMARD", (0,)), ("SWAP", (0, 1))):
+        with pytest.raises(MoveError, match="gate kind"):
+            Gate(kind, targets)
 
 
 def test_gate_requires_polarity_per_control():
@@ -411,14 +413,6 @@ def test_simulate_rejects_wrong_state_length():
     circ = GateCircuit(qubits=(0, 1))
     with pytest.raises(MoveError, match="length"):
         simulate_circuit(circ, np.zeros(3, dtype=np.complex128))
-
-
-def test_swap_gate_semantics():
-    circ = GateCircuit(qubits=(0, 1), layers=((Gate("SWAP", (0, 1)),),))
-    psi = np.zeros(4, dtype=np.complex128)
-    psi[0b01] = 1.0  # qubit 0 set
-    out = simulate_circuit(circ, psi)
-    assert abs(out[0b10] - 1.0) < 1e-15
 
 
 # ---- persistence ---------------------------------------------------------------

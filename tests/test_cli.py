@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import tvq.cli
 from tvq.cli import main
+from tvq.coherence import pentagon_residual
+from tvq.fusion import fibonacci_data
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,6 +53,24 @@ def test_verify_strict_tolerance_fails(capsys):
     status, rep = run_json(["verify", "fusion", "--tol", "1e-30"], capsys)
     assert status == 1
     assert rep["passed"] is False
+
+
+def test_verify_fusion_reports_the_measured_pentagon_residual(capsys, monkeypatch):
+    calls = []
+
+    def counted(data, *args, **kwargs):
+        calls.append(data)
+        return pentagon_residual(data, *args, **kwargs)
+
+    monkeypatch.setattr(tvq.cli, "pentagon_residual", counted)
+    status, rep = run_json(["verify", "fusion", "--tol", "1e-16"], capsys)
+    assert status == 1 and rep["passed"] is False
+    (pent,) = [c for c in rep["checks"] if c["name"] == "fusion.pentagon_coherence"]
+    # the walk runs once and its residual is printed even when it fails
+    assert len(calls) == 1
+    assert pent["residual"] == pentagon_residual(fibonacci_data())
+    assert 1e-16 < pent["residual"] < 1e-15
+    assert pent["tol"] == 1e-16 and pent["passed"] is False
 
 
 def test_lattice_build_and_ground_dim(tmp_path, capsys):

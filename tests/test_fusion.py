@@ -1,16 +1,19 @@
 """Fibonacci category tables: frozen values and self-consistency."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvq.coherence import _fan_polygon, _match_residual, pentagon_residual
 from tvq.fusion import (
     PHI,
     FusionData,
     admissible_ef,
+    f_unitarity_residual,
     fibonacci_data,
     fusion_from_json,
     fusion_to_json,
@@ -19,6 +22,8 @@ from tvq.fusion import (
     verify_f_unitarity,
     verify_pentagon_coherence,
 )
+from tvq.lattice import Edge, SurfaceLattice
+from tvq.statevec import bit_positions, enumerate_valid_configs
 
 INV_PHI = 0.6180339887498949
 INV_SQRT_PHI = 0.7861513777574233
@@ -193,3 +198,117 @@ def test_pentagon_sees_past_orthogonality(fib):
 
 def test_pentagon_trivial_category():
     assert verify_pentagon_coherence(trivial_data())
+
+
+# ---- measured residuals ------------------------------------------------------------
+#
+# The verifiers compare a measured residual with tol. The pass/fail walk
+# they replace gave these verdicts at tol = 1e-16, 1e-15, ..., 1e-8
+# (T pass, F fail); the measured ones must give the same.
+
+TOLS = [10.0**-k for k in range(16, 7, -1)]
+
+# golden blocks that pass no pentagon walk: diagonal signs swapped, and
+# two orthogonal blocks of rational entries
+WRONG_BLOCKS = {
+    "swapped_diagonal": [[-1 / PHI, PHI**-0.5], [PHI**-0.5, 1 / PHI]],
+    "reflection_3_4_5": [[0.6, 0.8], [0.8, -0.6]],
+    "rotation_3_4_5": [[0.6, -0.8], [0.8, 0.6]],
+}
+
+VERDICTS = {
+    # name: (verify_f_unitarity, verify_pentagon_coherence)
+    "fibonacci": ("FTTTTTTTT", "FTTTTTTTT"),
+    "trivial": ("TTTTTTTTT", "TTTTTTTTT"),
+    "non_orthogonal": ("FFFFFFFFF", "FFFFFFFFF"),
+    "swapped_diagonal": ("FTTTTTTTT", "FFFFFFFFF"),
+    "reflection_3_4_5": ("TTTTTTTTT", "FFFFFFFFF"),
+    "rotation_3_4_5": ("TTTTTTTTT", "FFFFFFFFF"),
+}
+
+
+def verdict_input(name):
+    fib = fibonacci_data()
+    if name == "fibonacci":
+        return fib
+    if name == "trivial":
+        return trivial_data()
+    fsym = fib.fsym.copy()
+    if name == "non_orthogonal":
+        fsym[1, 1, 1, 1, 0, 1] += 0.01
+    else:
+        fsym[1, 1, 1, 1] = np.array(WRONG_BLOCKS[name])
+    return _with_fsym(fib, fsym)
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_measured_verifiers_keep_the_pass_fail_verdicts(name):
+    data = verdict_input(name)
+    unitary, coherent = VERDICTS[name]
+    assert "".join("T" if verify_f_unitarity(data, tol) else "F" for tol in TOLS) == unitary
+    assert "".join("T" if verify_pentagon_coherence(data, tol) else "F" for tol in TOLS) == coherent
+
+
+def test_residuals_of_the_shipped_data(fib):
+    assert f_unitarity_residual(fib) == 1.1102230246251565e-16
+    assert 0.0 < pentagon_residual(fib) < 1e-15
+    assert f_unitarity_residual(trivial_data()) == 0.0
+    assert pentagon_residual(trivial_data()) == 0.0
+
+
+def test_f_unitarity_residual_takes_both_products(fib):
+    # |B B^T - I| peaks at 0.5 and |B^T B - I| at 0.75 for this block
+    fsym = fib.fsym.copy()
+    fsym[1, 1, 1, 1] = np.array([[1.0, 0.0], [0.5, 0.5]])
+    assert f_unitarity_residual(_with_fsym(fib, fsym)) == 0.75
+    fsym[1, 1, 1, 1] = fsym[1, 1, 1, 1].T.copy()
+    assert f_unitarity_residual(_with_fsym(fib, fsym)) == 0.75
+
+
+def test_f_unitarity_residual_without_blocks_or_with_unequal_label_sets(fib):
+    empty = FusionData(
+        num_labels=fib.num_labels,
+        qdim=fib.qdim,
+        branching=np.zeros_like(fib.branching),
+        fsym=np.zeros_like(fib.fsym),
+        total_dim_sq=fib.total_dim_sq,
+    )
+    assert f_unitarity_residual(empty) == 0.0
+    # without the vertex (0, 1, 1) the outer strands (0, 1, 1, 0) admit
+    # no old internal label but the new one f = 0
+    branching = fib.branching.copy()
+    branching[0, 1, 1] = False
+    lopsided = FusionData(
+        num_labels=fib.num_labels,
+        qdim=fib.qdim,
+        branching=branching,
+        fsym=fib.fsym,
+        total_dim_sq=fib.total_dim_sq,
+    )
+    assert admissible_ef(lopsided, 0, 1, 1, 0) == ([], [0])
+    assert f_unitarity_residual(lopsided) == math.inf
+    assert not verify_f_unitarity(lopsided, tol=1e300)
+
+
+def test_match_residual_aligns_relabeled_copies(fib):
+    # the pentagon with its qubit slots rotated: the same triangulation
+    # with another bit order, as two rewrite paths can meet
+    lat = _fan_polygon(5)
+    slots = lat.qubit_slots()
+    moved = dict(zip(slots, slots[1:] + slots[:1]))
+    edges = {e: Edge(rec.v1, rec.v2, moved[rec.qubit]) for e, rec in lat.edges.items()}
+    copy = SurfaceLattice(lat.topology, dict(lat.vertices), edges, dict(lat.triangles))
+    cfgs = enumerate_valid_configs(lat, fib)
+    pos, pos_copy = bit_positions(lat), bit_positions(copy)
+    relabeled = np.array(
+        [sum(((int(c) >> pos[e]) & 1) << pos_copy[e] for e in pos) for c in cfgs], dtype=np.uint64
+    )
+    order = np.argsort(relabeled)
+    cfgs_copy = relabeled[order]
+    assert np.array_equal(cfgs_copy, enumerate_valid_configs(copy, fib))
+    amps = np.random.default_rng(3).normal(size=(len(cfgs), 4))
+    assert _match_residual(cfgs, amps, lat, cfgs_copy, amps[order], copy) == 0.0
+    shifted = amps[order] + 1e-3
+    assert _match_residual(cfgs, amps, lat, cfgs_copy, shifted, copy) == pytest.approx(1e-3)
+    # no matching aligns a config set that lost a config
+    assert _match_residual(cfgs, amps, lat, cfgs_copy[1:], shifted[1:], copy) == math.inf

@@ -42,7 +42,6 @@ from tvq.gadgets import (
     MoveGroup,
     MoveSchedule,
     baseline_schedule,
-    braid,
     braid_arena,
     braid_schedule,
     depth_report_to_json,
@@ -51,7 +50,6 @@ from tvq.gadgets import (
     merge_rows,
     run_schedule,
     schedule_to_json,
-    sequential_baseline,
     shear_step,
     split_row,
     _shear,
@@ -250,15 +248,15 @@ def test_baseline_path_validation():
     lat = build_planar_patch(4, 6, punctures=[(2, 0)])
     a = polar_vertex_id(6, 2, 0)
     with pytest.raises(MoveError, match="ring"):
-        sequential_baseline(None, lat, a, [polar_vertex_id(6, 3, 0)])
+        baseline_schedule(lat, a, [polar_vertex_id(6, 3, 0)])
     with pytest.raises(MoveError, match="adjacent"):
-        sequential_baseline(None, lat, a, [polar_vertex_id(6, 2, 2)])
+        baseline_schedule(lat, a, [polar_vertex_id(6, 2, 2)])
     with pytest.raises(MoveError, match="not on the lattice"):
-        sequential_baseline(None, lat, a, [999])
+        baseline_schedule(lat, a, [999])
     lat2 = build_planar_patch(4, 6, punctures=[(2, 0), (2, 2)])
     path = [polar_vertex_id(6, 2, 1), polar_vertex_id(6, 2, 2)]
     with pytest.raises(MoveError, match="puncture"):
-        sequential_baseline(None, lat2, a, path)
+        baseline_schedule(lat2, a, path)
 
 
 def test_baseline_empty_path_is_identity():
@@ -513,7 +511,9 @@ def test_braid_runs_states_end_to_end():
     a = polar_vertex_id(4, 2, 0)
     rng = np.random.default_rng(7)
     st = random_valid_state(lat, rng, support=5000, data=DATA)
-    out, out_lat, rep = braid(st, lat, a, 0, steps=4, data=DATA)
+    sched = braid_schedule(lat, a, 0, steps=4, data=DATA)
+    out, out_lat = run_schedule(st, lat, sched, data=DATA)
+    rep = sched.depth_report()
     assert out_lat.signature() == lat.signature()
     assert abs(out.norm() - 1.0) < 1e-9
     assert rep.local_depth <= 2 and rep.total_steps == 8

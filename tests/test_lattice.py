@@ -202,6 +202,20 @@ def test_cpi_rejects_distant_transposition():
         apply_cpi(lat, {s0: s1, s1: s0})
 
 
+def test_cpi_rejects_relabelings_that_scramble_triangles():
+    # the 2x2 torus has parallel edges; matched by id, the unit shifts
+    # send every edge to an edge but no triangle to a triangle
+    lat = build_honeycomb_torus(2, 2)
+    for (di, dj), ok in (((1, 0), False), ((0, 1), False), ((1, 1), True)):
+        vmap = {i + 2 * j: (i + di) % 2 + 2 * ((j + dj) % 2) for i in range(2) for j in range(2)}
+        sigma = sigma_from_vertex_map(lat, lat, vmap)
+        if ok:
+            apply_cpi(lat, sigma)
+        else:
+            with pytest.raises(MoveError, match="triangle"):
+                apply_cpi(lat, sigma)
+
+
 def test_cpi_requires_bijection():
     lat = build_theta_sphere()
     with pytest.raises(MoveError):

@@ -536,12 +536,19 @@ def test_merge_rejects_entangled_interior(tetra):
 # ---- permutations ------------------------------------------------------------------
 
 
+def torus_translation(lat, size, di, dj):
+    """Slot map of the (di, dj) translation of build_honeycomb_torus(size, size)."""
+    vmap = {
+        i + size * j: (i + di) % size + size * ((j + dj) % size)
+        for i in range(size)
+        for j in range(size)
+    }
+    return sigma_from_vertex_map(lat, lat, vmap)
+
+
 def test_translation_permutation_round_trip(torus):
-    vmap = {}
-    for j in range(2):
-        for i in range(2):
-            vmap[(i % 2) + 2 * (j % 2)] = ((i + 1) % 2) + 2 * (j % 2)
-    sigma = sigma_from_vertex_map(torus, torus, vmap)
+    # on the 2x2 torus only the diagonal shift keeps triangles whole
+    sigma = torus_translation(torus, 2, 1, 1)
     st = random_valid_state(torus, np.random.default_rng(29))
     st1, lat1 = apply_state_permutation(st, torus, sigma)
     assert abs(st1.norm() - 1.0) < 1e-12
@@ -631,6 +638,7 @@ def assert_bit_equal(state, ref):
 # the state_loop patch: no braid flip has a pinned leg, so the golden block fires
 PATCH = build_planar_patch(5, 4, punctures=[(0, 0), (2, 0)])
 TORUS = build_honeycomb_torus(2, 2)
+TORUS3 = build_honeycomb_torus(3, 3)
 
 
 def flippable(lat):
@@ -647,12 +655,13 @@ FLIPS = [(PATCH, e) for e in PATCH_FLIPS] + [(TORUS, e) for e in flippable(TORUS
 
 
 def relabelings():
-    """(lattice, sigma, target) of the torus translations and of every
-    relabeling in the state_loop braid and its baseline."""
+    """(lattice, sigma, target) of the torus translations that keep
+    triangles whole (the diagonal shift of the 2x2 torus, the unit shifts
+    of the 3x3 torus) and of every relabeling in the state_loop braid and
+    its baseline."""
     out = []
-    for di, dj in ((1, 0), (0, 1), (1, 1)):
-        vmap = {i + 2 * j: (i + di) % 2 + 2 * ((j + dj) % 2) for i in range(2) for j in range(2)}
-        out.append((TORUS, sigma_from_vertex_map(TORUS, TORUS, vmap), None))
+    for lat, size, di, dj in ((TORUS, 2, 1, 1), (TORUS3, 3, 1, 0), (TORUS3, 3, 0, 1)):
+        out.append((lat, torus_translation(lat, size, di, dj), None))
     anyon = polar_vertex_id(4, 2, 0)
     cur = PATCH
     for build in (
