@@ -47,6 +47,7 @@ from .lattice import (
     pachner_22,
 )
 from .gadgets import LOCAL, MoveGroup, MoveSchedule
+from .statevec import _key, _move_bits
 
 # angles are rounded to 15 significant digits once, here, so that the
 # JSON export (which prints 15 significant digits) round-trips circuits
@@ -423,9 +424,8 @@ def _apply_gate(psi: np.ndarray, posmap: dict[int, int], gate: Gate) -> np.ndarr
         return _apply_single(psi, posmap[gate.targets[0]], sprep_matrix())
     if gate.kind in ("X", "CX", "MCX"):
         idx = np.arange(psi.size)
-        mask = np.ones(psi.size, dtype=bool)
-        for q, pol in zip(gate.controls, gate.polarities):
-            mask &= ((idx >> posmap[q]) & 1) == pol
+        want = sum(pol << k for k, pol in enumerate(gate.polarities))
+        mask = _key(idx.view(np.uint64), [posmap[q] for q in gate.controls]) == want
         flipped = idx ^ (1 << posmap[gate.targets[0]])
         out = psi.copy()
         out[mask] = psi[flipped[mask]]
@@ -436,12 +436,11 @@ def _apply_gate(psi: np.ndarray, posmap: dict[int, int], gate: Gate) -> np.ndarr
 def _apply_relabel(
     psi: np.ndarray, posmap: dict[int, int], pairs: Iterable[tuple[int, int]]
 ) -> np.ndarray:
-    idx = np.arange(psi.size)
     moved = dict(pairs)
-    new_idx = np.zeros_like(idx)
-    for slot, p_src in posmap.items():
-        p_dst = posmap[moved.get(slot, slot)]
-        new_idx |= ((idx >> p_src) & 1) << p_dst
+    new_idx = _move_bits(
+        np.arange(psi.size, dtype=np.uint64),
+        ((p_src, posmap[moved.get(slot, slot)]) for slot, p_src in posmap.items()),
+    )
     out = np.empty_like(psi)
     out[new_idx] = psi
     return out

@@ -16,7 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .lattice import Edge, MoveError, SurfaceLattice, pachner_22
-from .statevec import _move_bits, bit_positions, enumerate_valid_configs
+from .statevec import _key, _move_bits, bit_positions, enumerate_valid_configs
 
 
 def _fan_polygon(n: int) -> SurfaceLattice:
@@ -60,12 +60,12 @@ def _flip_map(lat: SurfaceLattice, edge_id: int, data, in_cfgs: np.ndarray):
     out_cfgs = enumerate_valid_configs(out, data)
     pos = bit_positions(lat)
     eb = pos[edge_id]
-    la, lb, lc, ld = (((in_cfgs >> pos[x]) & 1).astype(np.int64) for x in rec.legs)
-    le = ((in_cfgs >> eb) & 1).astype(np.int64)
+    key = _key(in_cfgs, [eb, *(pos[x] for x in reversed(rec.legs))])  # e d c b a from bit 0
+    fsym = data.fsym.reshape(-1, data.num_labels)
     mat = np.zeros((len(out_cfgs), len(in_cfgs)))
     cols = np.arange(len(in_cfgs))
     for f in range(data.num_labels):
-        coeff = data.fsym[la, lb, lc, ld, le, f]
+        coeff = fsym[key, f]
         nz = np.flatnonzero(np.abs(coeff) > 0)
         outc = (in_cfgs[nz] & ~np.uint64(1 << eb)) | np.uint64(f << eb)
         rows = np.searchsorted(out_cfgs, outc)
@@ -84,10 +84,10 @@ def _structure_key(lat: SurfaceLattice):
 
 
 def _slot_matchings(lat_a: SurfaceLattice, lat_b: SurfaceLattice):
-    """Bit permutations sending qubit edges of a onto same-endpoint qubit
-    edges of b; parallel edges branch the matching."""
+    """Bit permutations, as (source bit, destination bit) pairs, sending
+    qubit edges of a onto same-endpoint qubit edges of b; parallel edges
+    branch the matching."""
     pos_a, pos_b = bit_positions(lat_a), bit_positions(lat_b)
-    nbits = len(pos_a)
     by_pair: dict[frozenset, list[int]] = {}
     for e, rec in lat_b.edges.items():
         if rec.qubit is not None:
@@ -103,10 +103,7 @@ def _slot_matchings(lat_a: SurfaceLattice, lat_b: SurfaceLattice):
 
     def walk(i, acc):
         if i == len(groups):
-            pi: list[int | None] = [None] * nbits
-            for src, tgt in acc.items():
-                pi[pos_a[src]] = pos_b[tgt]
-            yield pi
+            yield [(pos_a[src], pos_b[tgt]) for src, tgt in acc.items()]
             return
         srcs, tgts = groups[i]
         for choice in permutations(tgts):

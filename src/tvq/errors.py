@@ -42,6 +42,8 @@ __all__ = [
     "report_to_json",
 ]
 
+STRING_LENGTHS = (2, 3, 4)  # edge counts a stretch trial samples from
+
 
 @dataclass(frozen=True)
 class ErrorString:
@@ -317,14 +319,14 @@ def stretch_report(
     lattice_sizes: list[int],
     trials: int,
     seed: int,
-    string_lengths: tuple[int, ...] = (2, 3, 4),
     data: FusionData | None = None,
 ) -> dict:
     """Seeded stretch statistics per code distance.
 
     Per trial, a fresh RNG stream keyed by (seed, size, trial) samples
-    a short string and one braid pushes it through. Identical inputs
-    give identical reports, including the CSV rendering.
+    a string of 2 to 4 edges (STRING_LENGTHS) and one braid pushes it
+    through. Identical inputs give identical reports, including the CSV
+    rendering.
     """
     if trials < 1:
         raise MoveError("need at least one trial")
@@ -339,7 +341,7 @@ def stretch_report(
         spreads = []
         for t in range(trials):
             rng = np.random.default_rng((int(seed), int(d), t))
-            length = string_lengths[int(rng.integers(len(string_lengths)))]
+            length = STRING_LENGTHS[int(rng.integers(len(STRING_LENGTHS)))]
             err = _sample_string(lat, rng, length, cols, rings=window)
             res = braid_error_trial(lat, sched, circ, err, cols)
             ratios.append(res["ratio"])

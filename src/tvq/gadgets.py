@@ -25,10 +25,9 @@ Builders:
 Depth accounting: ``local_depth`` is the most layers in any LOCAL group,
 ``permutation_range`` the largest qubit displacement of any PERMUTATION
 group measured combinatorially (ring steps plus circular sector steps on
-the patch grid), and ``total_steps`` the number of groups. Euclidean
-displacement of the drawing is kept on the raw move records but plays no
-role in the depth report; the grid metric is the one that stays
-proportional to the stride when the patch is rescaled.
+the patch grid), and ``total_steps`` the number of groups; the grid
+metric is the one that stays proportional to the stride when the patch
+is rescaled.
 """
 
 from __future__ import annotations
@@ -76,6 +75,7 @@ from .statevec import (
 )
 
 LOCAL = "LOCAL"
+CODE_TOL = 1e-10  # relative drift allowed by run_schedule(assert_code_space=True)
 
 __all__ = [
     "LOCAL",
@@ -332,7 +332,6 @@ def run_schedule(
     schedule: MoveSchedule,
     data: FusionData | None = None,
     assert_code_space: bool = False,
-    code_tol: float = 1e-10,
 ) -> tuple[StringNetState | None, SurfaceLattice]:
     """Replay a schedule on a state, or on the lattice alone if state is None.
 
@@ -341,7 +340,7 @@ def run_schedule(
     layer could not execute in one parallel time step. Without a state
     each layer is rewritten on one private lattice copy. With
     assert_code_space the state is re-projected after every LOCAL group
-    and must be left unchanged within code_tol (relative).
+    and must be left unchanged within CODE_TOL (relative).
     """
     data = fibonacci_data() if data is None else data
     cur, cur_lat = state, lat
@@ -362,7 +361,7 @@ def run_schedule(
                 cur, cur_lat = _apply_record(cur, cur_lat, rec, group.target, data)
         if assert_code_space and cur is not None and group.kind == LOCAL:
             proj = ground_project(cur, cur_lat, data)
-            if diff_norm(cur_lat, proj, cur) > code_tol * max(cur.norm(), 1.0):
+            if diff_norm(cur_lat, proj, cur) > CODE_TOL * max(cur.norm(), 1.0):
                 raise MoveError("schedule left the code space after a local group")
     return cur, cur_lat
 

@@ -79,7 +79,6 @@ class MoveRecord:
     new_slots: tuple[int, ...] = ()
     released_slots: tuple[int, ...] = ()
     sigma: Optional[dict[int, int]] = None
-    range: float = 0.0
     qubits: tuple[int, ...] = ()
 
     def to_jsonable(self) -> dict:
@@ -102,8 +101,6 @@ class MoveRecord:
             doc["released_slots"] = list(self.released_slots)
         if self.sigma is not None:
             doc["sigma"] = {str(k): v for k, v in sorted(self.sigma.items())}
-        if self.kind == PERMUTATION or self.range:
-            doc["range"] = self.range
         if self.qubits:
             doc["qubits"] = list(self.qubits)
         return doc
@@ -206,11 +203,6 @@ class SurfaceLattice:
     def boundary_edge_ids(self) -> set[int]:
         et = self._maps()[0]
         return {e for e, ts in et.items() if len(ts) == 1}
-
-    def edge_midpoint(self, e: int) -> tuple[float, float]:
-        rec = self.edges[e]
-        (x1, y1), (x2, y2) = self.vertices[rec.v1], self.vertices[rec.v2]
-        return ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
 
     def signature(self) -> tuple:
         """Structural identity: states bound to equal signatures are
@@ -834,7 +826,7 @@ def apply_cpi(
     connectivity-preserving isomorphism: every edge of the source maps to
     an edge of the target, and the three edges of every triangle to the
     three edges of a target triangle. Punctures ride the induced vertex
-    map. The reported range is the maximum Euclidean qubit displacement.
+    map.
     """
     tgt = target if target is not None else lat
     slots = lat.qubit_slots()
@@ -869,15 +861,9 @@ def apply_cpi(
         if not any(frozenset(c) in tgt_tris for c in itertools.product(*(images[e] for e in es))):
             raise MoveError(f"triangle {t} does not land on a target triangle")
 
-    rng = 0.0
-    for s in slots:
-        (x1, y1) = lat.edge_midpoint(src_of[s])
-        (x2, y2) = tgt.edge_midpoint(tgt_of[full[s]])
-        rng = max(rng, math.hypot(x2 - x1, y2 - y1))
-
     out = replace_lattice(tgt, punctures=frozenset(vmap[p] for p in lat.punctures))
     out.version = max(lat.version, tgt.version) + 1
-    record = MoveRecord(kind=PERMUTATION, sigma=dict(full), range=rng)
+    record = MoveRecord(kind=PERMUTATION, sigma=dict(full))
     return out, record
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .lattice import (
 
 U64 = np.uint64
 CONFIG_BITS = 64  # one bit per qubit slot in a uint64 config
+PACHNER31_RESIDUAL_TOL = 1e-10  # relative weight a 3-1 move may drop
 
 
 class VersionError(ValueError):
@@ -80,14 +82,6 @@ def bit_positions(lat: SurfaceLattice) -> dict[int, int]:
     return {e: rank[rec.qubit] for e, rec in lat.edges.items() if rec.qubit is not None}
 
 
-def _labels(configs: np.ndarray, pos: dict[int, int], edge: int) -> np.ndarray:
-    """Per-config label of one edge, given bit_positions; pinned edges read 0."""
-    b = pos.get(edge)
-    if b is None:
-        return np.zeros(len(configs), dtype=np.int64)
-    return ((configs >> U64(b)) & U64(1)).astype(np.int64)
-
-
 def _check_labels(data: FusionData, kernel: str) -> None:
     """Kernels that index fsym or the branching table with config bits
     need exactly two labels."""
@@ -118,14 +112,14 @@ def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.nda
     return uniq[keep], summed[keep]
 
 
-def _move_bits(configs: np.ndarray, dest: list[int | None]) -> np.ndarray:
-    """Move bit i of every config to bit dest[i], dropping it where
-    dest[i] is None. Bits that move by the same shift share one
+def _move_bits(configs: np.ndarray, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Copy bit i of every config to bit j for each (i, j) in pairs; every
+    other output bit is 0, and one source bit may feed several
+    destinations. Bits that move by the same shift share one
     mask-and-shift pass."""
     masks: dict[int, int] = {}
-    for i, j in enumerate(dest):
-        if j is not None:
-            masks[j - i] = masks.get(j - i, 0) | (1 << i)
+    for i, j in pairs:
+        masks[j - i] = masks.get(j - i, 0) | (1 << i)
     out = np.zeros(len(configs), dtype=U64)
     part = np.empty_like(out)
     for shift, mask in masks.items():
@@ -136,6 +130,12 @@ def _move_bits(configs: np.ndarray, dest: list[int | None]) -> np.ndarray:
             np.right_shift(part, U64(-shift), out=part)
         out |= part
     return out
+
+
+def _key(configs: np.ndarray, bits: Sequence[int | None]) -> np.ndarray:
+    """int64 table index whose bit k is config bit bits[k]; None reads 0.
+    A table flattened from axes (x0, ..., xm) takes its bits xm first."""
+    return _move_bits(configs, [(b, k) for k, b in enumerate(bits) if b is not None]).view(np.int64)
 
 
 def make_state(
@@ -174,12 +174,10 @@ def rebind_state(state: StringNetState, lat: SurfaceLattice) -> StringNetState:
 
 
 def _triangle_bits(lat: SurfaceLattice):
-    """Per-triangle (bit position or None) triples, sorted by triangle id."""
+    """Per-triangle branching-table key bits (bit position or None, last
+    edge first), sorted by triangle id."""
     pos = bit_positions(lat)
-    out = []
-    for t, es in sorted(lat.triangles.items()):
-        out.append(tuple(pos.get(e) for e in es))
-    return out
+    return [[pos.get(e) for e in reversed(es)] for _t, es in sorted(lat.triangles.items())]
 
 
 def valid_mask(lat: SurfaceLattice, configs: np.ndarray, data: FusionData | None = None) -> np.ndarray:
@@ -189,12 +187,16 @@ def valid_mask(lat: SurfaceLattice, configs: np.ndarray, data: FusionData | None
     flat = data.branching.reshape(-1)
     ok = np.ones(len(configs), dtype=bool)
     for bits in _triangle_bits(lat):
-        idx = np.zeros(len(configs), dtype=np.int64)
-        for b in bits:
-            lab = ((configs >> U64(b)) & U64(1)).astype(np.int64) if b is not None else 0
-            idx = (idx << 1) | lab
-        ok &= flat[idx]
+        ok &= flat[_key(configs, bits)]
     return ok
+
+
+def _grow(configs: np.ndarray, fresh: list[int]) -> np.ndarray:
+    """Every config extended by every pattern of the fresh bits."""
+    if not fresh:
+        return configs
+    grow = _move_bits(np.arange(1 << len(fresh), dtype=U64), enumerate(fresh))
+    return (configs[:, None] | grow[None, :]).ravel()
 
 
 def enumerate_valid_configs(
@@ -213,21 +215,11 @@ def enumerate_valid_configs(
     seen: set[int] = set()
     for bits in _triangle_bits(lat):
         fresh = sorted({b for b in bits if b is not None and b not in seen})
-        if fresh:
-            pats = np.arange(1 << len(fresh), dtype=U64)
-            grow = np.zeros(len(pats), dtype=U64)
-            for j, b in enumerate(fresh):
-                grow |= ((pats >> U64(j)) & U64(1)) << U64(b)
-            configs = (configs[:, None] | grow[None, :]).ravel()
-            seen.update(fresh)
-        idx = np.zeros(len(configs), dtype=np.int64)
-        for b in bits:
-            lab = ((configs >> U64(b)) & U64(1)).astype(np.int64) if b is not None else 0
-            idx = (idx << 1) | lab
-        configs = configs[flat[idx]]
-    rest = sorted(set(range(nbits)) - seen)
-    for b in rest:  # edges not on any triangle (does not occur in shipped builders)
-        configs = np.concatenate([configs, configs | (U64(1) << U64(b))])
+        configs = _grow(configs, fresh)
+        seen.update(fresh)
+        configs = configs[flat[_key(configs, bits)]]
+    # edges not on any triangle (does not occur in shipped builders)
+    configs = _grow(configs, sorted(set(range(nbits)) - seen))
     configs.sort()
     return configs
 
@@ -270,31 +262,9 @@ def apply_qv(
     if dual_vertex_id not in lat.triangles:
         raise MoveError(f"no dual vertex {dual_vertex_id}")
     pos = bit_positions(lat)
-    idx = np.zeros(len(state.configs), dtype=np.int64)
-    for e in lat.triangles[dual_vertex_id]:
-        b = pos.get(e)
-        lab = ((state.configs >> U64(b)) & U64(1)).astype(np.int64) if b is not None else 0
-        idx = (idx << 1) | lab
-    keep = data.branching.reshape(-1)[idx]
+    bits = [pos.get(e) for e in reversed(lat.triangles[dual_vertex_id])]
+    keep = data.branching.reshape(-1)[_key(state.configs, bits)]
     return replace(state, configs=state.configs[keep], amps=state.amps[keep])
-
-
-def _bp_plaquette_ctx(lat: SurfaceLattice, vertex: int):
-    plq = lat.plaquette(vertex)
-    if plq is None:
-        raise MoveError(f"vertex {vertex} has no closed plaquette")
-    pos = bit_positions(lat)
-    n = len(plq.boundary)
-    bpos = [pos[e] for e in plq.boundary]  # boundary edges always carry qubits here
-    lpos = [pos.get(e) for e in plq.legs]
-    mask = U64(0)
-    for b in bpos:
-        mask |= U64(1) << U64(b)
-    spread = np.zeros(1 << n, dtype=U64)
-    pats = np.arange(1 << n, dtype=U64)
-    for i, b in enumerate(bpos):
-        spread |= ((pats >> U64(i)) & U64(1)) << U64(b)
-    return n, bpos, lpos, mask, spread
 
 
 _BP_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -375,22 +345,24 @@ def apply_bp(
     _check_labels(data, "plaquette projectors")
     if plaquette_id in lat.punctures:
         raise MoveError(f"plaquette {plaquette_id} is a puncture")
-    n, bpos, lpos, mask, spread = _bp_plaquette_ctx(lat, plaquette_id)
+    plq = lat.plaquette(plaquette_id)
+    if plq is None:
+        raise MoveError(f"vertex {plaquette_id} has no closed plaquette")
+    pos = bit_positions(lat)
+    bpos = [pos[e] for e in plq.boundary]  # boundary edges always carry qubits here
+    lpos = [pos.get(e) for e in plq.legs]
+    n = len(bpos)
     if n > 14:
         raise MoveError(f"plaquette {plaquette_id} has {n} boundary edges; table too large")
     if len(state.configs) == 0:
         return state
 
     cfg = state.configs
-    sig = cfg.view(np.int64)
-    ekey = np.zeros(len(cfg), dtype=np.int64)
-    for i, b in enumerate(bpos):
-        ekey |= ((sig >> b) & 1) << i
-    lkey = np.zeros(len(cfg), dtype=np.int64)
-    for i, b in enumerate(lpos):
-        if b is not None:  # a pinned leg reads the vacuum label
-            lkey |= ((sig >> b) & 1) << i
-    uniq, inv = np.unique(lkey, return_inverse=True)
+    # boundary pattern spread onto the boundary bits; the all-ones one is their mask
+    spread = _move_bits(np.arange(1 << n, dtype=U64), enumerate(bpos))
+    mask = spread[-1]
+    ekey = _key(cfg, bpos)
+    uniq, inv = np.unique(_key(cfg, lpos), return_inverse=True)
     tables = [_bp_table(data, n, int(u)) for u in uniq]
     # stack the tables into one CSR over (leg pattern, input pattern)
     base = np.cumsum([0] + [len(t[1]) for t in tables])
@@ -535,22 +507,9 @@ def apply_fmove(
     stay, flip, run_tables = _fmove_tables(data)
     cfg = state.configs
     ebit = pos[edge_id]
-    # the key is built on an int64 view: every bit read is masked out, and
-    # an intp key indexes the tables without a conversion pass
-    sig = cfg.view(np.int64)
-    key = (sig >> ebit) & 1
-    part = np.empty_like(key)
-    for k, e in zip((4, 3, 2, 1), rec.legs):
-        b = pos.get(e)
-        if b is None:
-            continue  # pinned leg: the vacuum label, key bit 0
-        if b >= k:
-            np.right_shift(sig, b - k, out=part)
-            np.bitwise_and(part, 1 << k, out=part)
-        else:
-            np.bitwise_and(sig, 1 << b, out=part)
-            np.left_shift(part, k - b, out=part)
-        key |= part
+    # key bits e d c b a from bit 0 up; the intp key indexes the tables
+    # without a conversion pass
+    key = _key(cfg, [ebit, *(pos.get(e) for e in reversed(rec.legs))])
     runs = [np.flatnonzero(t[key]) for t in run_tables]
     src = np.concatenate(runs)
     n_same, n_set = len(runs[0]), len(runs[1])
@@ -607,16 +566,15 @@ def apply_pachner13(
     pos_old = bit_positions(lat)
     pos_new = bit_positions(out)
     pd, pe, pf = (pos_new[e] for e in rec.new_edges)
-    la, lb, lc = (_labels(state.configs, pos_old, e) for e in rec.legs)
-    key = (la << 2) | (lb << 1) | lc
+    key = _key(state.configs, [pos_old.get(e) for e in reversed(rec.legs)])
+    spread = _move_bits(np.arange(8, dtype=U64), [(2, pd), (1, pe), (0, pf)])
     pieces_c = []
     pieces_a = []
     for pat in np.unique(key):
         sel = np.flatnonzero(key == pat)
         terms = _pachner13_coeffs(data, (pat >> 2) & 1, (pat >> 1) & 1, pat & 1)
         for d, e, f, coeff in terms:
-            add = (U64(d) << U64(pd)) | (U64(e) << U64(pe)) | (U64(f) << U64(pf))
-            pieces_c.append(state.configs[sel] | add)
+            pieces_c.append(state.configs[sel] | spread[(d << 2) | (e << 1) | f])
             pieces_a.append(state.amps[sel] * coeff)
     if pieces_c:
         c, a = _coalesce(np.concatenate(pieces_c), np.concatenate(pieces_a), state.tolerance)
@@ -637,20 +595,19 @@ def apply_pachner31(
     lat: SurfaceLattice,
     vertex_id: int,
     data: FusionData | None = None,
-    residual_tol: float = 1e-10,
 ):
     """3-1 move: adjoint of the 1-3 isometry. Fails when the released
-    qubits are entangled with the rest (weight lost above residual_tol)."""
+    qubits are entangled with the rest (relative weight lost above
+    PACHNER31_RESIDUAL_TOL)."""
     _check_version(state, lat)
     data = data or fibonacci_data()
     _check_labels(data, "3-1 moves")
     tris, legs, spokes = pachner_31_roles(lat, vertex_id)
     pos = bit_positions(lat)
     nbits = len(lat.qubit_slots())
-    pd, pe, pf = (pos[e] for e in spokes)
-    la, lb, lc = (_labels(state.configs, pos, e) for e in legs)
-    ldl, lel, lfl = (_labels(state.configs, pos, e) for e in spokes)
-    key = (la << 5) | (lb << 4) | (lc << 3) | (ldl << 2) | (lel << 1) | lfl
+    spoke_bits = [pos[e] for e in spokes]
+    # key bits f e d (spokes) then c b a (legs) from bit 0 up
+    key = _key(state.configs, [pos.get(e) for e in reversed((*legs, *spokes))])
 
     coeff = np.zeros(len(state.configs))
     for pat in np.unique(key):
@@ -662,15 +619,14 @@ def apply_pachner31(
                 coeff[sel] = np.conj(cf)
                 break
     nz = np.flatnonzero(np.abs(coeff) > 1e-15)
-    kept = [b for b in range(nbits) if b not in (pd, pe, pf)]
-    dest = {b: j for j, b in enumerate(kept)}
-    stripped = _move_bits(state.configs[nz], [dest.get(b) for b in range(nbits)])
+    kept = [b for b in range(nbits) if b not in spoke_bits]
+    stripped = _move_bits(state.configs[nz], ((b, j) for j, b in enumerate(kept)))
     c, a = _coalesce(stripped, state.amps[nz] * coeff[nz], state.tolerance)
 
     out, _rec = pachner_31(lat, vertex_id)
     in_norm2 = float(np.sum(np.abs(state.amps) ** 2))
     out_norm2 = float(np.sum(np.abs(a) ** 2))
-    if in_norm2 - out_norm2 > residual_tol * max(in_norm2, 1.0):
+    if in_norm2 - out_norm2 > PACHNER31_RESIDUAL_TOL * max(in_norm2, 1.0):
         raise MoveError(
             f"3-1 at vertex {vertex_id}: released qubits are entangled "
             f"(residual weight {in_norm2 - out_norm2:.3e})"
@@ -703,7 +659,9 @@ def apply_state_permutation(
     tgt = target if target is not None else lat
     tgt_rank = {s: i for i, s in enumerate(tgt.qubit_slots())}
     full = rec.sigma or {}
-    moved = _move_bits(state.configs, [tgt_rank[full.get(s, s)] for s in lat.qubit_slots()])
+    moved = _move_bits(
+        state.configs, ((i, tgt_rank[full.get(s, s)]) for i, s in enumerate(lat.qubit_slots()))
+    )
     order = np.argsort(moved)
     keep = np.abs(state.amps[order]) >= state.tolerance
     if not keep.all():

@@ -210,6 +210,13 @@ def test_braid_stdout_matches_golden(capsys):
     assert out == (GOLDEN / "braid_d4.txt").read_text()
 
 
+def test_braid_compare_baseline_stdout_matches_golden(capsys):
+    # the only CLI output that runs apply_fmove and apply_state_permutation on states
+    status, out = run_cli(["braid", "--distance", "4", "--compare-baseline"], capsys)
+    assert status == 0
+    assert out == (GOLDEN / "braid_d4_compare.json").read_text()
+
+
 def test_compile_circuit_file_matches_golden(tmp_path, capsys):
     # stdout embeds the --out path, so the circuit file is compared instead
     path = tmp_path / "circ.json"

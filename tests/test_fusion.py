@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvq import coherence
 from tvq.coherence import _fan_polygon, _match_residual, pentagon_residual
 from tvq.fusion import (
     PHI,
@@ -312,3 +313,19 @@ def test_match_residual_aligns_relabeled_copies(fib):
     assert _match_residual(cfgs, amps, lat, cfgs_copy, shifted, copy) == pytest.approx(1e-3)
     # no matching aligns a config set that lost a config
     assert _match_residual(cfgs, amps, lat, cfgs_copy[1:], shifted[1:], copy) == math.inf
+
+
+def test_pentagon_walk_compares_relabeled_copies(fib, monkeypatch):
+    # the walk meets relabeled copies 5 times on the Fibonacci data; each
+    # comparison must reach the residual, even one that alone sets it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _match_residual(*args)
+
+    monkeypatch.setattr(coherence, "_match_residual", counted)
+    pentagon_residual(fib)
+    assert len(calls) == 5
+    monkeypatch.setattr(coherence, "_match_residual", lambda *args: 1.0)
+    assert pentagon_residual(fib) == 1.0

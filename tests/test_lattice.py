@@ -178,7 +178,6 @@ def test_pachner13_rejects_puncture_corner():
 def test_cpi_identity():
     lat = build_planar_patch(3, 4, [])
     out, rec = apply_cpi(lat, {})
-    assert rec.range == 0.0
     assert out.signature() == lat.signature()
 
 
@@ -191,7 +190,6 @@ def test_cpi_rotation_accepted():
             vmap[polar_vertex_id(n, r, s)] = polar_vertex_id(n, r, s + 1)
     sigma = sigma_from_vertex_map(lat, lat, vmap)
     out, rec = apply_cpi(lat, sigma)
-    assert rec.range > 0.0
     assert out.punctures == frozenset({polar_vertex_id(n, 1, 1)})
 
 

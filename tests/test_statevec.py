@@ -31,6 +31,8 @@ from tvq.statevec import (
     StringNetState,
     VersionError,
     _bp_table,
+    _key,
+    _move_bits,
     apply_bp,
     apply_fmove,
     apply_pachner13,
@@ -821,6 +823,70 @@ def test_reference_pools_cover_the_patch_cases():
     assert any(has_pinned_leg(PATCH, e) for e in PATCH_FLIPS)
     assert any(not has_pinned_leg(PATCH, e) for e in PATCH_FLIPS)
     assert len(RELABELINGS) == 3 + 8  # torus translations, then 4 braid and 4 baseline steps
+
+
+def _ref_move_bits(configs, pairs):
+    return np.array(
+        [sum(((int(c) >> i) & 1) << j for i, j in pairs) for c in configs], dtype=np.uint64
+    )
+
+
+def _ref_key(configs, bits):
+    return np.array(
+        [sum(((int(c) >> b) & 1) << k for k, b in enumerate(bits) if b is not None) for c in configs],
+        dtype=np.int64,
+    )
+
+
+BIT_CONFIGS = np.concatenate(
+    [
+        np.array([0, 1, 1 << 63, (1 << 64) - 1], dtype=np.uint64),
+        np.random.default_rng(41).integers(0, 1 << 64, size=200, dtype=np.uint64, endpoint=False),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(3, 0), (3, 1), (5, 2)],  # one source bit feeds two destinations
+        [(63, 0), (0, 63), (62, 5)],  # into and out of bit 63
+        [(i, 63 - i) for i in range(64)],  # bit reversal: every shift distinct
+        [(i, i + 1) for i in range(63)],  # one shared shift, top bit dropped
+        [],
+    ],
+)
+def test_move_bits_matches_per_config_reference(pairs):
+    out = _move_bits(BIT_CONFIGS, pairs)
+    assert out.dtype == np.uint64
+    assert np.array_equal(out, _ref_move_bits(BIT_CONFIGS, pairs))
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        [7, 7, 2],  # quad sides that repeat an edge read it twice
+        [63, 0, 62],
+        [None, 4, None, 63],  # pinned edges read the vacuum 0
+        [None, None],
+        [],
+    ],
+)
+def test_key_matches_per_config_reference(bits):
+    key = _key(BIT_CONFIGS, bits)
+    assert key.dtype == np.int64
+    assert np.array_equal(key, _ref_key(BIT_CONFIGS, bits))
+    assert key.max(initial=0) < 1 << len(bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st_.lists(
+        st_.tuples(st_.integers(0, 63), st_.integers(0, 63)), max_size=12, unique_by=lambda p: p[1]
+    )
+)
+def test_move_bits_matches_reference_on_random_pairs(pairs):
+    assert np.array_equal(_move_bits(BIT_CONFIGS, pairs), _ref_move_bits(BIT_CONFIGS, pairs))
 
 
 def test_kernels_on_the_empty_state():
