@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -115,9 +115,10 @@ class GateCircuit:
     """Layered gates plus interleaved free relabelings.
 
     layers hold gates with pairwise disjoint supports; depth is the
-    layer count. permutation_layers hold (after_layer, pairs) entries:
-    the relabeling runs once that many gate layers have been applied.
-    allocated slots must enter in |0>, released slots leave in |0>.
+    layer count. permutation_layers hold (after_layer, pairs) entries
+    in acting order, so after_layer never decreases: the relabeling
+    runs once that many gate layers have been applied. allocated slots
+    must enter in |0>, released slots leave in |0>.
     """
 
     qubits: tuple[int, ...]
@@ -133,6 +134,18 @@ class GateCircuit:
     def gate_count(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
+    def steps(self) -> Iterator[tuple[dict[int, int] | None, tuple[Gate, ...] | None]]:
+        """The circuit in acting order: (sigma, None) per relabeling,
+        (None, layer) per gate layer."""
+        perms = self.permutation_layers
+        cursor = 0
+        for i in range(len(self.layers) + 1):
+            while cursor < len(perms) and perms[cursor][0] == i:
+                yield dict(perms[cursor][1]), None
+                cursor += 1
+            if i < len(self.layers):
+                yield None, self.layers[i]
+
     def check(self) -> None:
         known = set(self.qubits)
         for layer in self.layers:
@@ -144,6 +157,9 @@ class GateCircuit:
                 if seen & sup:
                     raise MoveError("layer has overlapping gate supports")
                 seen |= sup
+        afters = [after for after, _ in self.permutation_layers]
+        if afters != sorted(afters):
+            raise MoveError("permutation layers are out of order")
         for after, pairs in self.permutation_layers:
             if not 0 <= after <= len(self.layers):
                 raise MoveError("permutation layer placed outside the circuit")
@@ -433,13 +449,10 @@ def _apply_gate(psi: np.ndarray, posmap: dict[int, int], gate: Gate) -> np.ndarr
     raise MoveError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_relabel(
-    psi: np.ndarray, posmap: dict[int, int], pairs: Iterable[tuple[int, int]]
-) -> np.ndarray:
-    moved = dict(pairs)
+def _apply_relabel(psi: np.ndarray, posmap: dict[int, int], sigma: dict[int, int]) -> np.ndarray:
     new_idx = _move_bits(
         np.arange(psi.size, dtype=np.uint64),
-        ((p_src, posmap[moved.get(slot, slot)]) for slot, p_src in posmap.items()),
+        ((p_src, posmap[sigma.get(slot, slot)]) for slot, p_src in posmap.items()),
     )
     out = np.empty_like(psi)
     out[new_idx] = psi
@@ -462,15 +475,12 @@ def simulate_circuit(circuit: GateCircuit, psi: np.ndarray) -> np.ndarray:
     circuit.check()
     posmap = {q: i for i, q in enumerate(circuit.qubits)}
     out = np.asarray(psi, dtype=np.complex128).copy()
-    perms = list(circuit.permutation_layers)
-    cursor = 0
-    for i in range(len(circuit.layers) + 1):
-        while cursor < len(perms) and perms[cursor][0] == i:
-            out = _apply_relabel(out, posmap, perms[cursor][1])
-            cursor += 1
-        if i < len(circuit.layers):
-            for gate in circuit.layers[i]:
-                out = _apply_gate(out, posmap, gate)
+    for sigma, layer in circuit.steps():
+        if sigma is not None:
+            out = _apply_relabel(out, posmap, sigma)
+            continue
+        for gate in layer:
+            out = _apply_gate(out, posmap, gate)
     return out
 
 

@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .circuits import compile_schedule, export_circuit
-from .errors import report_to_csv, report_to_json, stretch_report
+from .errors import _braid_setup, report_to_csv, report_to_json, stretch_report
 from .coherence import pentagon_residual
 from .fusion import PHI, f_unitarity_residual, fibonacci_data
-from .gadgets import baseline_schedule, braid_arena, braid_schedule, run_schedule
+from .gadgets import baseline_schedule, braid_schedule, run_schedule
 from .lattice import (
     MoveError,
     build_honeycomb_torus,
@@ -66,6 +66,15 @@ class RunConfig:
         doc = asdict(self)
         doc["params"] = {k: doc["params"][k] for k in sorted(doc["params"])}
         return doc
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write one output artifact; a failed write is a MoveError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MoveError(f"cannot write {path}: {exc}") from exc
 
 
 def _check(name: str, residual: float, tol: float) -> dict:
@@ -195,8 +204,11 @@ def _parse_punctures(text: str) -> list[tuple[int, int]]:
     if not text:
         return out
     for part in text.split(";"):
-        r, s = part.split(",")
-        out.append((int(r), int(s)))
+        try:
+            r, s = part.split(",")
+            out.append((int(r), int(s)))
+        except ValueError:
+            raise MoveError(f"puncture {part!r} is not a ring,sector pair") from None
     return out
 
 
@@ -218,8 +230,7 @@ def cmd_lattice_build(cfg: RunConfig) -> tuple[dict, int]:
         raise MoveError(f"unknown lattice kind {kind!r}")
     text = lattice_to_json(lat)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_out(cfg.out, text)
     report = {
         "config": cfg.to_jsonable(),
         "lattice": {
@@ -256,16 +267,21 @@ def cmd_ground_dim(cfg: RunConfig) -> tuple[dict, int]:
 # ---- protocol commands ---------------------------------------------------------
 
 
-def cmd_braid(cfg: RunConfig) -> tuple[dict, int]:
-    d = cfg.params["distance"]
+def _distance_braid(d: int, data):
+    """The distance-d braid's (lattice, cols, schedule, circuit)."""
     if d not in (4, 6, 8):
         raise MoveError("distance must be one of 4, 6, 8 (desk-scale guard)")
-    data = fibonacci_data()
-    lat, cols, anyon = braid_arena(d)
-    sched = braid_schedule(lat, anyon, 0, steps=6, data=data)
-    rep = sched.depth_report()
-    circ = compile_schedule(lat, sched, data)
+    return _braid_setup(d, data)
 
+
+def cmd_braid(cfg: RunConfig) -> tuple[dict, int]:
+    d = cfg.params["distance"]
+    data = fibonacci_data()
+    lat, cols, sched, circ = _distance_braid(d, data)
+    rep = sched.depth_report()
+
+    # the moving puncture sits at ring 2, sector 0; walk it once around
+    anyon = polar_vertex_id(cols, 2, 0)
     path = [polar_vertex_id(cols, 2, -(i + 1) % cols) for i in range(cols)]
     base = baseline_schedule(lat, anyon, path, data=data)
     brep = base.depth_report()
@@ -333,10 +349,8 @@ def cmd_errors(cfg: RunConfig) -> tuple[dict, int]:
     json_text = report_to_json(rep)
     if cfg.out:
         base, _ = os.path.splitext(cfg.out)
-        with open(base + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            fh.write(json_text)
+        _write_out(base + ".csv", csv_text)
+        _write_out(base + ".json", json_text)
     report = {
         "config": cfg.to_jsonable(),
         "summary": rep["summary"],
@@ -347,14 +361,10 @@ def cmd_errors(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_compile(cfg: RunConfig) -> tuple[dict, int]:
-    d = cfg.params["distance"]
-    if d not in (4, 6, 8):
-        raise MoveError("distance must be one of 4, 6, 8 (desk-scale guard)")
-    data = fibonacci_data()
-    lat, cols, anyon = braid_arena(d)
-    sched = braid_schedule(lat, anyon, 0, steps=6, data=data)
-    circ = compile_schedule(lat, sched, data)
-    text = export_circuit(circ, cfg.out) if cfg.out else export_circuit(circ, _NullSink())
+    *_, circ = _distance_braid(cfg.params["distance"], fibonacci_data())
+    text = export_circuit(circ, _NullSink())
+    if cfg.out:
+        _write_out(cfg.out, text)
     report = {
         "config": cfg.to_jsonable(),
         "qubits": len(circ.qubits),
@@ -469,7 +479,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         params["compare_baseline"] = bool(args.compare_baseline)
         params["export_circuit"] = args.export_circuit
     elif command == "errors":
-        params["distances"] = [int(x) for x in args.distances.split(",") if x]
+        try:
+            params["distances"] = [int(x) for x in args.distances.split(",") if x]
+        except ValueError:
+            raise MoveError(f"--distances must be a comma list of integers, got {args.distances!r}") from None
         params["trials"] = args.trials
     elif command == "compile":
         params["distance"] = args.distance
@@ -499,9 +512,9 @@ def main(argv=None) -> int:
         level=getattr(logging, level, logging.WARNING), stream=sys.stderr
     )
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
-    log.info("run config: %s", cfg)
     try:
+        cfg = _config_from_args(args)
+        log.info("run config: %s", cfg)
         report, status = _DISPATCH[cfg.command](cfg)
     except MoveError as exc:
         sys.stderr.write(f"error: {exc}\n")

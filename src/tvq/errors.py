@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuits import GateCircuit, compile_schedule
 from .fusion import FusionData, fibonacci_data
-from .gadgets import LOCAL, MoveSchedule, _disk_coords, braid_arena, braid_schedule
+from .gadgets import MoveSchedule, _disk_coords, _grid_distance, braid_arena, braid_schedule
 from .lattice import MoveError, SurfaceLattice, apply_cpi
 
 __all__ = [
@@ -96,11 +96,7 @@ def grid_span(lat: SurfaceLattice, err: ErrorString, cols: int) -> int:
     The combinatorial edge count never changes under a relabeling; the
     span is what the shear squeezes or stretches.
     """
-    u, v = string_endpoints(lat, err)
-    ru, su = _disk_coords(u, cols)
-    rv, sv = _disk_coords(v, cols)
-    ds = abs(su - sv)
-    return abs(ru - rv) + min(ds, cols - ds)
+    return _grid_distance(*string_endpoints(lat, err), cols)
 
 
 def propagate_cpi(
@@ -150,23 +146,20 @@ def lightcone_grow(support, circuit: GateCircuit) -> frozenset[int]:
     Edges are addressed by their qubit slots, the circuit's own
     alphabet. Each gate layer adds the full support of every gate that
     touches the current set; relabelings move the set without growing
-    it. An empty circuit returns the input unchanged.
+    it, in the order GateCircuit.steps gives. An empty circuit returns
+    the input unchanged.
     """
     cur = frozenset(int(q) for q in support)
-    perms = list(circuit.permutation_layers)
-    cursor = 0
-    for i in range(len(circuit.layers) + 1):
-        while cursor < len(perms) and perms[cursor][0] == i:
-            moved = dict(perms[cursor][1])
-            cur = frozenset(moved.get(q, q) for q in cur)
-            cursor += 1
-        if i < len(circuit.layers):
-            grown = set(cur)
-            for gate in circuit.layers[i]:
-                sup = gate.support()
-                if sup & cur:
-                    grown |= sup
-            cur = frozenset(grown)
+    for sigma, layer in circuit.steps():
+        if sigma is not None:
+            cur = frozenset(sigma.get(q, q) for q in cur)
+            continue
+        grown = set(cur)
+        for gate in layer:
+            sup = gate.support()
+            if sup & cur:
+                grown |= sup
+        cur = frozenset(grown)
     return cur
 
 
@@ -257,11 +250,12 @@ def braid_error_trial(
 ) -> dict:
     """Push one string through one braid, both mechanisms at once.
 
-    The string is tracked by its qubit slots. LOCAL moves leave the slot
-    of every surviving edge unchanged (a flip conjugates the error inside
-    its quad, which the light cone already over-covers), and each
-    relabeling maps the slots through its sigma. The end layout is the
-    target of the last group, which must be a relabeling with a target;
+    The string is tracked by its qubit slots along the compiled
+    circuit's steps. Gate layers leave the slot of every surviving edge
+    unchanged (a flip conjugates the error inside its quad, which the
+    light cone already over-covers), and each relabeling maps the slots
+    through its sigma. The schedule only names the end layout: the
+    target of its last group, which must be a relabeling with a target;
     otherwise MoveError.
     Mid-protocol the edge set need not be a path (its own edges may sit
     on flipped diagonals); the edge count is still invariant, and the
@@ -269,19 +263,14 @@ def braid_error_trial(
     is made. The returned lengths count edges: initial the string,
     final the light-cone-grown support.
     """
-    slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
-    slots = [slot_of[e] for e in err.edges]
-    end_lat = None
-    for group in schedule.groups:
-        if group.kind == LOCAL:
-            end_lat = None
-        else:
-            (rec,) = group.records()
-            sigma = rec.sigma or {}
-            slots = [sigma.get(s, s) for s in slots]
-            end_lat = group.target
+    end_lat = schedule.groups[-1].target if schedule.groups else None
     if end_lat is None:
         raise MoveError("error trial needs a schedule that ends on a relabeling with a target")
+    slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
+    slots = [slot_of[e] for e in err.edges]
+    for sigma, _ in circuit.steps():
+        if sigma is not None:
+            slots = [sigma.get(s, s) for s in slots]
     edge_of = end_lat.slot_edge_map()
     cur_edges = tuple(edge_of.get(s) for s in slots)
     if None in cur_edges or len(set(cur_edges)) != err.length:

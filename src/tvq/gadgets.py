@@ -96,16 +96,26 @@ __all__ = [
 ]
 
 
+def _check_disjoint(layer: Iterable[MoveRecord]) -> None:
+    """A parallel layer's moves must touch pairwise disjoint qubit slots."""
+    seen: set[int] = set()
+    for rec in layer:
+        slots = rec.slots()
+        if seen & slots:
+            raise MoveError("parallel layer has overlapping move supports")
+        seen |= slots
+
+
 @dataclass(frozen=True)
 class MoveGroup:
     """One protocol step: parallel move layers, or one permutation.
 
     kind is LOCAL or PERMUTATION. For LOCAL groups ``layers`` holds one
-    tuple of records per parallel layer; supports inside a layer must be
-    disjoint and ``run_schedule`` re-checks that on replay. PERMUTATION
-    groups hold exactly one PERMUTATION record plus the prebuilt target
-    lattice and the grid-metric displacement of the relabeling. The kind
-    and the record count are checked on construction (MoveError).
+    tuple of records per parallel layer, whose moves must touch pairwise
+    disjoint qubit slots. PERMUTATION groups hold exactly one PERMUTATION
+    record plus the prebuilt target lattice and the grid-metric
+    displacement of the relabeling. The kind, the record count and the
+    disjointness are checked once, on construction (MoveError).
     """
 
     kind: str
@@ -119,6 +129,8 @@ class MoveGroup:
             raise MoveError(f"unknown group kind {self.kind!r}")
         if self.kind == PERMUTATION and [r.kind for r in self.records()] != [PERMUTATION]:
             raise MoveError("permutation group must hold exactly one PERMUTATION record")
+        for layer in self.layers:
+            _check_disjoint(layer)
 
     def records(self) -> Iterable[MoveRecord]:
         for layer in self.layers:
@@ -205,6 +217,14 @@ def _disk_coords(vid: int, cols: int) -> tuple[int, int]:
     return (vid - 1) // cols + 1, (vid - 1) % cols
 
 
+def _grid_distance(u: int, v: int, cols: int) -> int:
+    """Ring steps plus circular sector steps between two patch vertices."""
+    ru, su = _disk_coords(u, cols)
+    rv, sv = _disk_coords(v, cols)
+    ds = abs(su - sv)
+    return abs(ru - rv) + min(ds, cols - ds)
+
+
 def _eid_ring(rows: int, cols: int, r: int, s: int) -> int:
     return cols + (r - 1) * cols + (s % cols)
 
@@ -274,40 +294,6 @@ def _canonical_disk(lat: SurfaceLattice) -> tuple[int, int]:
 # -- schedule execution ------------------------------------------------------
 
 
-def _record_slots(lat: SurfaceLattice, rec: MoveRecord) -> set[int]:
-    """Qubit slots a move touches, evaluated on the pre-move lattice."""
-
-    def slots_of(edge_ids: Iterable[int]) -> set[int]:
-        out = set()
-        for eid in edge_ids:
-            q = lat.edges[eid].qubit
-            if q is not None:
-                out.add(q)
-        return out
-
-    if rec.kind == F_MOVE:
-        return slots_of((rec.edge,) + tuple(rec.legs))
-    if rec.kind == PACHNER_13:
-        return slots_of(rec.legs) | set(rec.new_slots)
-    if rec.kind == PACHNER_31:
-        # new_edges here are the spokes the move removes; they exist now
-        return slots_of(tuple(rec.legs) + tuple(rec.new_edges))
-    if rec.kind == PERMUTATION:
-        sigma = rec.sigma or {}
-        return set(sigma) | set(sigma.values())
-    raise MoveError(f"unknown move kind {rec.kind!r}")
-
-
-def _check_disjoint(lat: SurfaceLattice, layer: Iterable[MoveRecord]) -> None:
-    """A parallel layer's moves must touch pairwise disjoint qubit slots."""
-    seen: set[int] = set()
-    for rec in layer:
-        slots = _record_slots(lat, rec)
-        if seen & slots:
-            raise MoveError("parallel layer has overlapping move supports")
-        seen |= slots
-
-
 def _apply_record(
     state: StringNetState,
     lat: SurfaceLattice,
@@ -335,19 +321,17 @@ def run_schedule(
 ) -> tuple[StringNetState | None, SurfaceLattice]:
     """Replay a schedule on a state, or on the lattice alone if state is None.
 
-    Each LOCAL layer is verified to have pairwise disjoint qubit
-    supports before it runs; overlap raises MoveError, since such a
-    layer could not execute in one parallel time step. Without a state
-    each layer is rewritten on one private lattice copy. With
-    assert_code_space the state is re-projected after every LOCAL group
-    and must be left unchanged within CODE_TOL (relative).
+    Every LOCAL layer is one parallel time step: its group checked, when
+    it was built, that the layer's moves touch disjoint qubit slots.
+    Without a state each layer is rewritten on one private lattice
+    copy. With assert_code_space the state is re-projected after every
+    LOCAL group and must be left unchanged within CODE_TOL (relative).
     """
     data = fibonacci_data() if data is None else data
     cur, cur_lat = state, lat
     for group in schedule.groups:
         if group.kind == LOCAL:
             for layer in group.layers:
-                _check_disjoint(cur_lat, layer)
                 if cur is None:
                     cur_lat = replay_moves(cur_lat, layer)
                     continue
@@ -370,17 +354,8 @@ def run_schedule(
 
 
 def _cpi_grid_range(lat: SurfaceLattice, vmap: dict[int, int], cols: int) -> float:
-    worst = 0
-    for edge in lat.edges.values():
-        if edge.qubit is None:
-            continue
-        for v in edge.endpoints():
-            r1, s1 = _disk_coords(v, cols)
-            r2, s2 = _disk_coords(vmap[v], cols)
-            ds = abs(s1 - s2)
-            ds = min(ds, cols - ds)
-            worst = max(worst, abs(r1 - r2) + ds)
-    return float(worst)
+    ends = {v for edge in lat.edges.values() if edge.qubit is not None for v in edge.endpoints()}
+    return float(max((_grid_distance(v, vmap[v], cols) for v in ends), default=0))
 
 
 def shear_step(
@@ -543,11 +518,6 @@ def _build_shear(
     local_layers = tuple(
         tuple(layers[key]) for key in layer_order if key in layers
     )
-    # the check run_schedule makes; flips keep every edge's slot, so the
-    # start lattice gives the slots each layer's pre-layer lattice would
-    for layer in local_layers:
-        _check_disjoint(lat, layer)
-
     vmap: dict[int, int] = {0: 0}
     for vid in lat.vertices:
         if vid == 0:

@@ -81,6 +81,14 @@ class MoveRecord:
     sigma: Optional[dict[int, int]] = None
     qubits: tuple[int, ...] = ()
 
+    def slots(self) -> frozenset[int]:
+        """Every qubit slot the move touches, read from the record alone."""
+        if self.kind == PERMUTATION:
+            sigma = self.sigma or {}
+            return frozenset(sigma) | frozenset(sigma.values())
+        held = (q for q in self.qubits if q >= 0)
+        return frozenset(held).union(self.new_slots, self.released_slots)
+
     def to_jsonable(self) -> dict:
         doc: dict = {"kind": self.kind}
         if self.edge is not None:

@@ -362,9 +362,8 @@ def test_compile_schedule_rejects_parallel_slot_reuse():
     _, r0 = pachner_13(lat, tris[0])
     _, r1 = pachner_13(lat, tris[1])  # same fresh slots, dry-run from same base
     assert set(r0.new_slots) & set(r1.new_slots)
-    sched = MoveSchedule((MoveGroup(LOCAL, ((r0, r1),)),))
-    with pytest.raises(MoveError, match="allocated twice"):
-        compile_schedule(lat, sched)
+    with pytest.raises(MoveError, match="overlap"):
+        compile_schedule(lat, MoveSchedule((MoveGroup(LOCAL, ((r0, r1),)),)))
 
 
 # ---- gate and circuit validation ----------------------------------------------
@@ -450,3 +449,25 @@ def test_export_matches_golden_file(tmp_path):
 def test_import_rejects_missing_file():
     with pytest.raises(MoveError, match="cannot read"):
         import_circuit("/nonexistent/circuit.json")
+
+
+def test_import_rejects_permutation_layers_out_of_order():
+    from tvq.errors import lightcone_grow
+
+    def two_swaps(first, second):
+        swap = [[0, 1], [1, 0]]
+        doc = {
+            "qubits": [0, 1],
+            "layers": [[]],
+            "permutations": [
+                {"after_layer": first, "sigma": swap},
+                {"after_layer": second, "sigma": swap},
+            ],
+        }
+        return io.StringIO(json.dumps(doc))
+
+    with pytest.raises(MoveError, match="out of order"):
+        import_circuit(two_swaps(1, 0))
+    # equal positions stay allowed and act in their listed order
+    for first, second in ((0, 0), (0, 1), (1, 1)):
+        assert lightcone_grow({1}, import_circuit(two_swaps(first, second))) == {1}

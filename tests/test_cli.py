@@ -104,6 +104,35 @@ def test_ground_dim_missing_file(capsys):
     assert "cannot read" in captured.err
 
 
+def assert_input_error(argv, capsys, match):
+    # bad input: one error line on stderr, status 2, nothing on stdout
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert match in captured.err
+
+
+def test_lattice_build_rejects_malformed_punctures(capsys):
+    assert_input_error(["lattice", "build", "patch", "--punctures", "1"], capsys, "ring,sector")
+
+
+def test_errors_rejects_non_integer_distances(capsys):
+    assert_input_error(["errors", "--distances", "4,x"], capsys, "--distances")
+
+
+def test_lattice_build_out_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "lat.json"
+    assert_input_error(["lattice", "build", "tetra", "--out", str(out)], capsys, "cannot write")
+
+
+def test_errors_out_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "stretch.json"
+    argv = ["errors", "--distances", "4", "--trials", "1", "--out", str(out)]
+    assert_input_error(argv, capsys, "cannot write")
+
+
 def test_braid_report_structure(capsys):
     status, rep = run_json(["braid", "--distance", "4"], capsys)
     assert status == 0
@@ -230,6 +259,14 @@ def test_errors_csv_matches_golden(capsys):
     status, out = run_cli(argv, capsys)
     assert status == 0
     assert out == (GOLDEN / "errors_d4_t20_s17.csv").read_text()
+
+
+def test_errors_csv_d4_d8_matches_golden(capsys):
+    # the d = 8 rows run the relabelings and the light cone of a larger braid
+    argv = ["errors", "--distances", "4,8", "--trials", "40", "--seed", "17", "--format", "csv"]
+    status, out = run_cli(argv, capsys)
+    assert status == 0
+    assert out == (GOLDEN / "errors_d4_8_t40_s17.csv").read_text()
 
 
 def test_verify_all_stdout_matches_golden(capsys):

@@ -231,12 +231,12 @@ def test_braid_trial_rejects_a_relabeling_that_merges_the_string():
 
     lat, cols, sched, circ = _braid_setup(4, DATA)
     err = radial_string(lat, cols, 3, 4, 6)
-    last = sched.groups[-1]
-    (rec,) = last.records()
-    for sigma in ({s: 0 for s in rec.sigma}, {s: -5 for s in rec.sigma}):
-        bad = dataclasses.replace(last, layers=((dataclasses.replace(rec, sigma=sigma),),))
+    after, pairs = circ.permutation_layers[-1]
+    for sigma in ({s: 0 for s, _ in pairs}, {s: -5 for s, _ in pairs}):
+        perms = circ.permutation_layers[:-1] + ((after, tuple(sigma.items())),)
+        bad = dataclasses.replace(circ, permutation_layers=perms)
         with pytest.raises(MoveError, match="edge count"):
-            braid_error_trial(lat, MoveSchedule(sched.groups[:-1] + (bad,)), circ, err, cols)
+            braid_error_trial(lat, sched, bad, err, cols)
 
 
 def test_stretch_report_is_size_independent():

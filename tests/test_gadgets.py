@@ -322,9 +322,8 @@ def test_run_schedule_rejects_overlapping_layer():
     lat = build_planar_patch(2, 4)
     _, r0 = pachner_22(lat, 12)
     _, r1 = pachner_22(lat, 13)  # shares a quad leg with edge 12's flip
-    bad = MoveSchedule((MoveGroup(LOCAL, ((r0, r1),)),))
     with pytest.raises(MoveError, match="overlap"):
-        run_schedule(None, lat, bad)
+        run_schedule(None, lat, MoveSchedule((MoveGroup(LOCAL, ((r0, r1),)),)))
 
 
 def test_run_schedule_rejects_malformed_groups():

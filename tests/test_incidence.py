@@ -22,6 +22,7 @@ from tvq.gadgets import (
 )
 from tvq.lattice import (
     F_MOVE,
+    PACHNER_13,
     PACHNER_31,
     PERMUTATION,
     Edge,
@@ -106,6 +107,22 @@ def assert_record_slots(lat, rec):
         assert rec.released_slots == slots(rec.new_edges)
 
 
+def lattice_read_slots(lat, rec):
+    """Qubit slots a move touches, read from the pre-move lattice."""
+
+    def slots_of(edge_ids):
+        return {lat.edges[e].qubit for e in edge_ids if lat.edges[e].qubit is not None}
+
+    if rec.kind == F_MOVE:
+        return slots_of((rec.edge,) + rec.legs)
+    if rec.kind == PACHNER_13:
+        return slots_of(rec.legs) | set(rec.new_slots)
+    if rec.kind == PACHNER_31:
+        # new_edges here are the spokes the move removes; they exist now
+        return slots_of(rec.legs + rec.new_edges)
+    return set(rec.sigma) | set(rec.sigma.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(LATTICES)),
@@ -125,6 +142,7 @@ def test_kept_maps_match_a_rebuild(name, moves):
             pass  # a rejected move must leave its input untouched, checked below
         else:
             assert_record_slots(lat, rec)
+            assert rec.slots() == lattice_read_slots(lat, rec)
             lat = nxt
         assert_maps_current(lat)
         history.append((lat, lat.signature(), lat.version))
