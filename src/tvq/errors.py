@@ -319,6 +319,8 @@ def stretch_report(
     """
     if trials < 1:
         raise MoveError("need at least one trial")
+    if not lattice_sizes:
+        raise MoveError("need at least one distance")
     data = fibonacci_data() if data is None else data
     rows_out = []
     summary = []

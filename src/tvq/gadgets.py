@@ -65,12 +65,10 @@ from .statevec import (
     apply_pachner13,
     apply_pachner31,
     apply_state_permutation,
+    code_space,
     diff_norm,
-    enumerate_valid_configs,
     ground_project,
     inner,
-    make_delta_state,
-    make_state,
     rebind_state,
 )
 
@@ -928,55 +926,20 @@ def merge_rows(
 # -- logical action -----------------------------------------------------------
 
 
-def _axpy(
-    lat: SurfaceLattice, a: StringNetState, b: StringNetState, coeff: complex
-) -> StringNetState:
-    cfg = np.concatenate([a.configs, b.configs])
-    amp = np.concatenate([a.amps, coeff * b.amps])
-    return make_state(lat, cfg, amp)
-
-
-def _scaled(lat: SurfaceLattice, a: StringNetState, coeff: complex) -> StringNetState:
-    return make_state(lat, a.configs, coeff * a.amps)
-
-
 def encoded_basis(
     lat: SurfaceLattice,
     data: FusionData | None = None,
-    max_seeds: int = 12,
+    max_seeds: int = 24,
     max_edges: int = 30,
 ) -> list[StringNetState]:
-    """Orthonormal basis of the encoded subspace, by seeded projection.
-
-    Delta states on a deterministic spread of valid configurations are
-    ground-projected and Gram-Schmidt filtered; seeds whose projection
-    is (numerically) inside the span already found are dropped. The
-    spread covers the configuration list evenly, which in practice hits
-    every encoded sector; raise max_seeds if a protocol reports a
-    smaller dimension than code_space_dim does.
+    """Orthonormal basis of the encoded subspace: statevec.code_space's
+    basis, seeded and filtered as there. Raises MoveError when the
+    lattice has more than max_edges qubits or the basis is empty. The
+    seed spread can miss a sector on lattices with more than 1024 valid
+    configs; raise max_seeds if a protocol reports a smaller dimension
+    than expected.
     """
-    data = fibonacci_data() if data is None else data
-    nq = len(lat.qubit_slots())
-    if nq > max_edges:
-        raise MoveError(f"lattice has {nq} qubits, above the dense limit {max_edges}")
-    configs = enumerate_valid_configs(lat, data, max_qubits=max(nq, 40))
-    if configs.size == 0:
-        raise MoveError("lattice admits no valid configurations")
-    step = max(1, configs.size // max_seeds)
-    basis: list[StringNetState] = []
-    for cfg in configs[::step][:max_seeds]:
-        cand = ground_project(make_delta_state(lat, int(cfg)), lat, data)
-        full = cand.norm()
-        if full <= 1e-13:
-            continue
-        for b in basis:
-            cand = _axpy(lat, cand, b, -inner(b, cand))
-        res = cand.norm()
-        if res <= 1e-6 * full:
-            continue
-        if len(basis) == 8:
-            raise MoveError("encoded dimension exceeds 8")
-        basis.append(_scaled(lat, cand, 1.0 / res))
+    basis = code_space(lat, data, max_edges=max_edges, max_seeds=max_seeds)
     if not basis:
         raise MoveError("encoded dimension is 0")
     return basis
@@ -987,8 +950,6 @@ def logical_action(
     lat: SurfaceLattice,
     data: FusionData | None = None,
     tol: float = 1e-8,
-    max_seeds: int = 12,
-    max_edges: int = 30,
     basis: Sequence[StringNetState] | None = None,
 ) -> np.ndarray:
     """Matrix of a closed protocol on an orthonormal encoded basis.
@@ -996,16 +957,17 @@ def logical_action(
     protocol is a MoveSchedule, or a callable taking (state, lattice)
     and returning at least (state, lattice); it must end on a lattice
     with the same signature it started from. The basis defaults to
-    encoded_basis(lat, ...); pass one explicitly to amortize its cost
-    across several protocols on the same lattice. Entry [i, j] is the
-    overlap of basis state i with the protocol applied to basis state
-    j. Raises MoveError when the encoded dimension is 0 or above 8, or
-    when the resulting matrix fails unitarity at tol (a sign the
-    protocol leaks out of the encoded subspace).
+    encoded_basis(lat, data) with its default limits; build one with
+    encoded_basis to set them, and pass it to amortize its cost across
+    several protocols on the same lattice. Entry [i, j] is the overlap
+    of basis state i with the protocol applied to basis state j. Raises
+    MoveError when encoded_basis does (above its qubit limit, or
+    dimension 0), or when the resulting matrix fails unitarity at tol
+    (a sign the protocol leaks out of the encoded subspace).
     """
     data = fibonacci_data() if data is None else data
     if basis is None:
-        basis = encoded_basis(lat, data=data, max_seeds=max_seeds, max_edges=max_edges)
+        basis = encoded_basis(lat, data=data)
     dim = len(basis)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for j, b in enumerate(basis):

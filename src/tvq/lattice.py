@@ -1050,17 +1050,24 @@ def lattice_to_json(lat: SurfaceLattice) -> str:
 
 
 def lattice_from_json(text: str) -> SurfaceLattice:
-    doc = json.loads(text)
-    lat = SurfaceLattice(
-        topology=doc["topology"],
-        vertices={int(v["id"]): (float(v["x"]), float(v["y"])) for v in doc["vertices"]},
-        edges={
-            int(e["id"]): Edge(int(e["v1"]), int(e["v2"]), None if e["qubit"] is None else int(e["qubit"]))
-            for e in doc["edges"]
-        },
-        triangles={int(t["id"]): tuple(int(x) for x in t["edges"]) for t in doc["triangles"]},
-        punctures=frozenset(int(p) for p in doc["punctures"]),
-        version=int(doc["version"]),
-    )
-    lat.check()
+    """Inverse of lattice_to_json; text that is not a well-formed lattice
+    document raises MoveError."""
+    try:
+        doc = json.loads(text)
+        lat = SurfaceLattice(
+            topology=doc["topology"],
+            vertices={int(v["id"]): (float(v["x"]), float(v["y"])) for v in doc["vertices"]},
+            edges={
+                int(e["id"]): Edge(int(e["v1"]), int(e["v2"]), None if e["qubit"] is None else int(e["qubit"]))
+                for e in doc["edges"]
+            },
+            triangles={int(t["id"]): tuple(int(x) for x in t["edges"]) for t in doc["triangles"]},
+            punctures=frozenset(int(p) for p in doc["punctures"]),
+            version=int(doc["version"]),
+        )
+        lat.check()
+    except MoveError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MoveError(f"not lattice JSON: {type(exc).__name__}: {exc}") from None
     return lat

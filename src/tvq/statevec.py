@@ -410,6 +410,47 @@ def inner(a: StringNetState, b: StringNetState) -> complex:
     return complex(np.sum(np.conj(a.amps[hit]) * b.amps[at[hit]]))
 
 
+def code_space(
+    lat: SurfaceLattice,
+    data: FusionData | None = None,
+    tol: float = 1e-8,
+    max_edges: int = 30,
+    max_seeds: int = 24,
+) -> list[StringNetState]:
+    """Orthonormal basis of the code space, by seeded projection.
+
+    Delta states on every valid config (when there are at most 1024) or
+    on a deterministic spread of max_seeds of them are ground-projected
+    in config order. A projected seed p joins the basis unless its
+    weight outside the basis so far, |p|^2 - sum |<b|p>|^2, is at most
+    tol * |p|^2; otherwise all its overlaps are subtracted in one
+    make_state and the remainder is normalised. The spread can miss a
+    sector, so on large lattices the basis may be smaller than the code
+    space; raise max_seeds to check.
+    """
+    data = data or fibonacci_data()
+    nq = len(lat.qubit_slots())
+    if nq > max_edges:
+        raise MoveError(f"lattice has {nq} qubits, above the dense limit {max_edges}")
+    seeds = enumerate_valid_configs(lat, data, max_qubits=max(nq, 40))
+    if len(seeds) > 1024:
+        seeds = seeds[:: max(len(seeds) // max_seeds, 1)][:max_seeds]
+    basis: list[StringNetState] = []
+    for cfg in seeds:
+        p = ground_project(make_delta_state(lat, int(cfg)), lat, data)
+        c = np.array([inner(b, p) for b in basis], dtype=np.complex128)
+        weight = float(np.sum(np.abs(p.amps) ** 2))
+        if weight - float(np.sum(np.abs(c) ** 2)) <= tol * weight:
+            continue
+        r = make_state(
+            lat,
+            np.concatenate([p.configs, *(b.configs for b in basis)]),
+            np.concatenate([p.amps, *(-cb * b.amps for cb, b in zip(c, basis))]),
+        )
+        basis.append(replace(r, amps=r.amps / r.norm()))
+    return basis
+
+
 def code_space_dim(
     lat: SurfaceLattice,
     data: FusionData | None = None,
@@ -417,40 +458,8 @@ def code_space_dim(
     max_edges: int = 30,
     max_seeds: int = 24,
 ) -> int:
-    """Numerical rank of the Gram matrix of ground-projected seeds.
-
-    Small lattices use every valid config as a seed (exact); larger ones
-    use a deterministic spread of seeds. The projected seeds are scattered
-    into one dense (seeds x union of supports) array, so the Gram matrix
-    is a single product.
-    """
-    data = data or fibonacci_data()
-    nq = len(lat.qubit_slots())
-    if nq > max_edges:
-        raise MoveError(f"{nq} qubit edges exceed the code_space_dim guard ({max_edges})")
-    configs = enumerate_valid_configs(lat, data, max_qubits=max(nq, 40))
-    if len(configs) <= 1024:
-        seeds = configs
-    else:
-        step = len(configs) // max_seeds
-        seeds = configs[:: max(step, 1)][:max_seeds]
-    projected = []
-    for cfg in seeds:
-        st = ground_project(make_delta_state(lat, int(cfg)), lat, data)
-        if st.norm() > 1e-13:
-            projected.append(st)
-    if not projected:
-        return 0
-    union = np.unique(np.concatenate([st.configs for st in projected]))
-    a = np.zeros((len(projected), len(union)), dtype=np.complex128)
-    for i, st in enumerate(projected):
-        a[i, np.searchsorted(union, st.configs)] = st.amps
-    g = a.conj() @ a.T
-    evals = np.linalg.eigvalsh(g)
-    top = evals[-1]
-    if top <= tol:
-        return 0
-    return int(np.sum(evals > tol * max(top, 1.0)))
+    """Size of code_space's basis (same arguments)."""
+    return len(code_space(lat, data, tol, max_edges, max_seeds))
 
 
 # ---- Pachner moves on amplitudes ---------------------------------------------------

@@ -390,8 +390,8 @@ def test_ac7_braid_equals_baseline():
     braid = braid_schedule(lat, anyon, 0, steps=4, data=DATA)
     path = [polar_vertex_id(4, 2, -(i + 1) % 4) for i in range(4)]
     base = baseline_schedule(lat, anyon, path, data=DATA)
-    u_braid = logical_action(braid, lat, data=DATA, basis=basis, max_edges=40)
-    u_base = logical_action(base, lat, data=DATA, basis=basis, max_edges=40)
+    u_braid = logical_action(braid, lat, data=DATA, basis=basis)
+    u_base = logical_action(base, lat, data=DATA, basis=basis)
 
     i, j = np.unravel_index(np.argmax(np.abs(u_base)), u_base.shape)
     phase = u_braid[i, j] / u_base[i, j]

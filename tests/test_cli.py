@@ -122,6 +122,17 @@ def test_errors_rejects_non_integer_distances(capsys):
     assert_input_error(["errors", "--distances", "4,x"], capsys, "--distances")
 
 
+def test_errors_rejects_empty_distance_list(capsys):
+    assert_input_error(["errors", "--distances", ","], capsys, "at least one distance")
+
+
+@pytest.mark.parametrize("text, match", [("", "JSONDecodeError"), ("{}", "KeyError")])
+def test_ground_dim_rejects_non_lattice_file(tmp_path, capsys, text, match):
+    path = tmp_path / "lat.json"
+    path.write_text(text)
+    assert_input_error(["ground-dim", str(path)], capsys, f"not lattice JSON: {match}")
+
+
 def test_lattice_build_out_in_missing_directory(tmp_path, capsys):
     out = tmp_path / "missing" / "lat.json"
     assert_input_error(["lattice", "build", "tetra", "--out", str(out)], capsys, "cannot write")

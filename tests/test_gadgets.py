@@ -26,6 +26,7 @@ from tvq.lattice import (
 )
 from tvq.statevec import (
     bit_positions,
+    code_space_dim,
     diff_norm,
     enumerate_valid_configs,
     ground_project,
@@ -461,6 +462,17 @@ def test_logical_action_identity_and_unitarity_guard():
 
     with pytest.raises(MoveError, match="unitary"):
         logical_action(lossy, lat, data=DATA, basis=basis)
+
+
+def test_encoded_basis_above_dimension_eight():
+    # 28 qubits, 29 375 valid configs: the seeded path; the default 24
+    # seeds find only 14 of the 15 states (CHANGES.md), so use 48
+    lat = build_planar_patch(3, 4, punctures=[(0, 0), (2, 0), (2, 2)])
+    assert code_space_dim(lat, DATA, max_seeds=48) == 15
+    basis = encoded_basis(lat, data=DATA, max_seeds=48)
+    gram = np.array([[inner(a, b) for b in basis] for a in basis])
+    assert len(basis) == 15
+    assert np.max(np.abs(gram - np.eye(15))) < 1e-12
 
 
 def test_logical_action_guards_lattice_size():

@@ -1,16 +1,21 @@
-"""The benchmark's traced names still resolve in the package.
+"""The benchmark's traced names and calls still resolve in the package.
 
-perfbench wraps tvq functions by name from outside the package, so a
-rename it does not follow would only show in a traced benchmark run.
-These tests load its tracing and workload modules without writing
-bytecode next to them and check every name they use.
+perfbench wraps tvq functions by name from outside the package, and
+calls them with fixed arguments, so a rename or a dropped parameter it
+does not follow would only show as a failed benchmark run. These tests
+load its tracing and workload modules without writing bytecode next to
+them, read its sources without running them, and check every name and
+call they use.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import tvq
 import tvq.cli  # noqa: F401  (loads every module a layer names)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,3 +48,34 @@ def test_expected_calls_name_traced_spans():
     spans = set(load("tracing").span_names())
     for name, workload in load("workloads").WORKLOADS.items():
         assert set(workload.EXPECTED_CALLS) <= spans, name
+
+
+def tvq_calls():
+    """(file, line, dotted name, call node) of every tvq.<name>(...) call."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            parts, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                parts.append(func.attr)
+                func = func.value
+            if isinstance(func, ast.Name) and func.id == "tvq" and parts:
+                yield path.name, node.lineno, ".".join(reversed(parts)), node
+
+
+def test_benchmark_calls_bind():
+    calls = list(tvq_calls())
+    assert calls, "no tvq calls found in perfbench"
+    for name, line, dotted, node in calls:
+        where = f"{name}:{line} tvq.{dotted}"
+        assert not any(isinstance(a, ast.Starred) for a in node.args), where
+        assert all(k.arg is not None for k in node.keywords), where
+        obj = tvq
+        for part in dotted.split("."):
+            assert hasattr(obj, part), f"{where} does not resolve"
+            obj = getattr(obj, part)
+        try:
+            inspect.signature(obj).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
