@@ -148,7 +148,13 @@ class GateCircuit:
 
     def check(self) -> None:
         known = set(self.qubits)
+        # a layer object that recurs, as compile_schedule's repeated
+        # groups do, is checked once
+        checked: set[int] = set()
         for layer in self.layers:
+            if id(layer) in checked:
+                continue
+            checked.add(id(layer))
             seen: set[int] = set()
             for gate in layer:
                 sup = gate.support()
@@ -339,14 +345,15 @@ def compile_schedule(
     supports disjoint because the moves' slot supports already are.
     PERMUTATION groups become free relabelings pinned between layers.
     A LOCAL group object that recurs, as the shears of a braid do, is
-    lowered once per call when it allocates and releases no slot.
+    lowered once per call when it allocates and releases no slot, and
+    its recurrences share the same layer objects.
     Each move is lowered from the qubit slots its record holds; lat
     gives only the starting register and the version. The gate angles
     are the Fibonacci ones, so any other category raises MoveError.
     """
     if data is not None and not np.array_equal(data.fsym, fibonacci_data().fsym):
         raise MoveError("gate compilation covers only the Fibonacci F-symbols")
-    layers: list[list[Gate]] = []
+    layers: list[tuple[Gate, ...]] = []
     perms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     allocated: list[int] = []
     released: list[int] = []
@@ -354,7 +361,7 @@ def compile_schedule(
     # gate layers of each LOCAL group object already lowered, kept only
     # for groups that allocate and release nothing, so that the slot
     # checks still run on every occurrence of the others
-    lowered: dict[int, list[list[Gate]]] = {}
+    lowered: dict[int, list[tuple[Gate, ...]]] = {}
 
     for group in schedule.groups:
         if group.kind == LOCAL:
@@ -381,7 +388,7 @@ def compile_schedule(
                         if i < len(g):
                             merged.extend(g[i])
                     if merged:
-                        layers.append(merged)
+                        layers.append(tuple(merged))
             if len(allocated) + len(released) == slots_moved:
                 lowered[id(group)] = layers[first:]
         else:
@@ -390,7 +397,7 @@ def compile_schedule(
 
     circ = GateCircuit(
         qubits=tuple(sorted(qubits)),
-        layers=tuple(tuple(layer) for layer in layers),
+        layers=tuple(layers),
         permutation_layers=tuple(perms),
         allocated=tuple(allocated),
         released=tuple(released),

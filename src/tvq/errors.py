@@ -101,26 +101,26 @@ def grid_span(lat: SurfaceLattice, err: ErrorString, cols: int) -> int:
 
 def propagate_cpi(
     err: ErrorString,
-    sigma: dict[int, int],
+    vmap: dict[int, int],
     lat: SurfaceLattice,
     target: SurfaceLattice | None = None,
 ) -> tuple[ErrorString, SurfaceLattice]:
-    """Push a string through an accepted relabeling.
+    """Push a string through the relabeling of a vertex map.
 
-    sigma maps qubit slots, exactly as the permutation records store
-    it. The move is validated by the lattice layer; the image string is
-    re-validated as a connected path, which the edge-to-edge property
-    guarantees. Edge count is preserved exactly.
+    vmap maps vertices, exactly as the permutation records store it;
+    apply_cpi checks it and derives the slot map the string's edges
+    follow. The image string is re-validated as a connected path, which
+    the edge-to-edge property guarantees. Edge count is preserved exactly.
     """
-    out_lat, _rec = apply_cpi(lat, sigma, target=target)
-    slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
-    edge_of = {rec.qubit: e for e, rec in out_lat.edges.items() if rec.qubit is not None}
+    out_lat, rec = apply_cpi(lat, vmap, target=target)
+    slot_of = {e: r.qubit for e, r in lat.edges.items() if r.qubit is not None}
+    edge_of = out_lat.slot_edge_map()
     mapped = []
     for e in err.edges:
         slot = slot_of.get(e)
         if slot is None:
             raise MoveError(f"edge {e} carries no qubit, cannot relabel an error on it")
-        mapped.append(edge_of[sigma.get(slot, slot)])
+        mapped.append(edge_of[rec.sigma[slot]])
     out = error_string(out_lat, mapped)
     return out, out_lat
 
@@ -166,18 +166,14 @@ def lightcone_grow(support, circuit: GateCircuit) -> frozenset[int]:
 # ---- braid-level analysis ------------------------------------------------------
 
 
-def _edge_adjacency(lat: SurfaceLattice) -> dict[int, set[int]]:
-    at_vertex: dict[int, set[int]] = {}
-    for e, rec in lat.edges.items():
-        if rec.qubit is None:
-            continue
-        for v in (rec.v1, rec.v2):
-            at_vertex.setdefault(v, set()).add(e)
-    adj: dict[int, set[int]] = {}
-    for edges in at_vertex.values():
-        for e in edges:
-            adj.setdefault(e, set()).update(edges - {e})
-    return adj
+def _qubit_neighbours(lat: SurfaceLattice, e: int) -> set[int]:
+    """Qubit edges sharing a vertex with edge e, read from the kept
+    vertex -> edges map."""
+    ve, edges = lat.vertex_edges(), lat.edges
+    rec = edges[e]
+    out = {x for v in (rec.v1, rec.v2) for x in ve[v] if edges[x].qubit is not None}
+    out.discard(e)
+    return out
 
 
 def _sample_string(
@@ -195,24 +191,19 @@ def _sample_string(
     ratio below is well defined (a walk that loops back would report a
     zero-length anyon pair).
     """
-    adj = _edge_adjacency(lat)
     if rings is None:
-        pool = sorted(adj)
+        pool = sorted(e for e, rec in lat.edges.items() if rec.qubit is not None)
     else:
         lo, hi = rings
-        pool = []
-        for e in sorted(adj):
-            rec = lat.edges[e]
-            r1 = _disk_coords(rec.v1, cols)[0]
-            r2 = _disk_coords(rec.v2, cols)[0]
-            if lo <= r1 <= hi or lo <= r2 <= hi:
-                pool.append(e)
+        ve = lat.vertex_edges()
+        window = (v for v in lat.vertices if lo <= _disk_coords(v, cols)[0] <= hi)
+        pool = sorted({e for v in window for e in ve[v] if lat.edges[e].qubit is not None})
     for _ in range(256):
         start = pool[int(rng.integers(len(pool)))]
         path = [start]
         used = {start}
         while len(path) < length:
-            options = sorted(adj[path[-1]] - used)
+            options = sorted(_qubit_neighbours(lat, path[-1]) - used)
             if not options:
                 break
             nxt = options[int(rng.integers(len(options)))]
@@ -226,16 +217,20 @@ def _sample_string(
     raise MoveError("could not sample a connected error string")
 
 
-def _bfs_distance(adj: dict[int, set[int]], seeds, targets) -> int:
-    """Max over targets of hop distance to the seed set."""
+def _bfs_distance(lat: SurfaceLattice, seeds, targets) -> int:
+    """Max over targets of hop distance to the seed set, along qubit
+    edges that share a vertex; the search stops once every target is
+    reached."""
     seen = {s: 0 for s in seeds}
+    missing = set(targets) - seen.keys()
     frontier = list(seeds)
-    while frontier:
+    while frontier and missing:
         nxt = []
         for e in frontier:
-            for o in adj[e]:
+            for o in _qubit_neighbours(lat, e):
                 if o not in seen:
                     seen[o] = seen[e] + 1
+                    missing.discard(o)
                     nxt.append(o)
         frontier = nxt
     return max(seen[t] for t in targets)
@@ -281,8 +276,7 @@ def braid_error_trial(
     grown = lightcone_grow(support, circuit)
     final_edges = sorted(edge_of[q] for q in grown)
 
-    adj = _edge_adjacency(end_lat)
-    spread = _bfs_distance(adj, set(cur_edges), set(final_edges))
+    spread = _bfs_distance(end_lat, set(cur_edges), set(final_edges))
     span0 = grid_span(lat, err, cols)
     span1 = grid_span(end_lat, final_err, cols)
     return {

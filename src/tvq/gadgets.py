@@ -57,7 +57,6 @@ from .lattice import (
     replace_lattice,
     replay_move,
     replay_moves,
-    sigma_from_vertex_map,
 )
 from .statevec import (
     StringNetState,
@@ -306,7 +305,7 @@ def _apply_record(
     if rec.kind == PACHNER_31:
         return apply_pachner31(state, lat, rec.vertex, data)
     if rec.kind == PERMUTATION:
-        return apply_state_permutation(state, lat, dict(rec.sigma or {}), target=target)
+        return apply_state_permutation(state, lat, rec.vmap, target=target)
     raise MoveError(f"unknown move kind {rec.kind!r}")
 
 
@@ -395,15 +394,15 @@ class _ShearStep:
     """One shear step, built without regard to punctures.
 
     groups holds the LOCAL flip group and the PERMUTATION rotation group,
-    whose target is the bare canonical patch; vmap is the rotation's
-    vertex map and start the lattice the step was built on. The step
-    depends only on start's complex, the direction, the stride and the
-    base ring, so it can be placed on any lattice with the same complex.
+    whose target is the bare canonical patch and whose record holds the
+    rotation's vertex map; start is the lattice the step was built on.
+    The step depends only on start's complex, the direction, the stride
+    and the base ring, so it can be placed on any lattice with the same
+    complex.
     """
 
     start: SurfaceLattice
     groups: tuple[MoveGroup, MoveGroup]
-    vmap: dict[int, int]
 
 
 def _shear(
@@ -467,9 +466,8 @@ def _place_shear(lat: SurfaceLattice, step: _ShearStep, anyon_id: int) -> Surfac
     """
     _check_corridor(lat, anyon_id)
     flips, rotation = step.groups
-    end = replace_lattice(
-        rotation.target, punctures=frozenset(step.vmap[p] for p in lat.punctures)
-    )
+    (perm,) = rotation.records()
+    end = replace_lattice(rotation.target, punctures=frozenset(perm.vmap[p] for p in lat.punctures))
     n_flips = sum(len(layer) for layer in flips.layers)
     end.version = max(lat.version + n_flips, rotation.target.version) + 1
     return end
@@ -487,9 +485,8 @@ def _build_shear(
     if cols % 2:
         raise MoveError("sector count must be even for parallel layering")
     if cols == 2:
-        # ring edges come in parallel pairs, which sigma_from_vertex_map
-        # matches by id, so the relabeling would not map triangles to
-        # triangles
+        # ring edges come in parallel pairs, which apply_cpi matches by
+        # id, so the relabeling would not map triangles to triangles
         raise MoveError("shear needs at least 4 sectors")
     k = max(1, cols // 6) if stride is None else int(stride)
     if k < 1:
@@ -529,14 +526,13 @@ def _build_shear(
             rho = 0
         vmap[vid] = polar_vertex_id(cols, r, s + rho)
     target = build_planar_patch(rows, cols)
-    sigma = sigma_from_vertex_map(cur, target, vmap)
-    perm = apply_cpi(cur, sigma, target=target)[1]
+    perm = apply_cpi(cur, vmap, target=target)[1]
     grange = _cpi_grid_range(cur, vmap, cols)
     groups = (
         MoveGroup(LOCAL, local_layers, tag="shear flips"),
         MoveGroup(PERMUTATION, ((perm,),), target=target, range=grange, tag="shear rotation"),
     )
-    return _ShearStep(lat, groups, vmap)
+    return _ShearStep(lat, groups)
 
 
 def braid_arena(d: int) -> tuple[SurfaceLattice, int, int]:

@@ -15,13 +15,18 @@ value-semantic: they return a new lattice with a bumped version counter
 plus a MoveRecord that can replay the rewrite deterministically. Each
 local rewrite is one in-place step on a private copy; ``pachner_22`` and
 friends copy once per move, ``replay_moves`` once per run of moves.
+
+A qubit permutation is the relabeling induced by a map of the surface's
+vertices: ``apply_cpi`` takes that vertex map and derives the slot map
+from it, refusing any map that does not carry edges to edges of the same
+kind and triangles to triangles.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -66,7 +71,8 @@ class MoveRecord:
     * F_MOVE: (edge, a, b, c, d), the flipped edge then its quad legs;
     * PACHNER_13 / PACHNER_31: (a, b, c), the legs of the subdivided
       triangle; the fresh spokes are ``new_slots`` / ``released_slots``;
-    * PERMUTATION: empty, the relabeling is ``sigma``.
+    * PERMUTATION: empty; ``vmap`` is the relabeling's full vertex map
+      and ``sigma`` the qubit-slot map derived from it.
     """
 
     kind: str
@@ -79,6 +85,7 @@ class MoveRecord:
     new_slots: tuple[int, ...] = ()
     released_slots: tuple[int, ...] = ()
     sigma: Optional[dict[int, int]] = None
+    vmap: Optional[dict[int, int]] = None
     qubits: tuple[int, ...] = ()
 
     def slots(self) -> frozenset[int]:
@@ -746,165 +753,82 @@ def replay_moves(lat: SurfaceLattice, records: Iterable[MoveRecord]) -> SurfaceL
     return out
 
 
-# ---- connectivity-preserving qubit permutations -------------------------------
+# ---- relabelings by a vertex map -------------------------------------------------
 
 
-def _induced_vertex_map(
-    source: SurfaceLattice, target: SurfaceLattice, edge_image: dict[int, int]
-) -> dict[int, int]:
-    """Vertex bijection consistent with a prescribed qubit-edge bijection.
+def _relabel(
+    lat: SurfaceLattice, target: SurfaceLattice, vmap: dict[int, int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Full vertex map and edge image of a vertex bijection onto target.
 
-    Every source vertex candidate set starts as the intersection of its
-    incident image-edge endpoint sets; constraint propagation plus a small
-    backtracking pass settles symmetric leftovers. Raises MoveError when
-    no consistent assignment exists (the CPI rejection path).
+    Vertices vmap omits stay fixed. Each edge maps to an edge of the same
+    kind (qubit or pinned) between the image endpoints, parallel edges
+    matched in sorted-id order, and the three edges of every triangle to
+    those of a target triangle. Raises MoveError when any of that fails.
     """
-    ve = source._maps()[1]
-    cand: dict[int, set[int]] = {}
-    for v in source.vertices:
-        sets = []
-        for e in ve[v]:
-            if e in edge_image:
-                img = target.edges[edge_image[e]]
-                sets.append(set(img.endpoints()))
-        if not sets:
-            cand[v] = set(target.vertices)
-        else:
-            cur = sets[0]
-            for s in sets[1:]:
-                cur = cur & s
-            cand[v] = cur
-        if not cand[v]:
-            raise MoveError(f"no image vertex consistent with edges at vertex {v}")
-
-    order = sorted(source.vertices, key=lambda v: (len(cand[v]), v))
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(v, img):
-        for e in ve[v]:
-            if e not in edge_image:
-                continue
-            rec = source.edges[e]
-            other = rec.v2 if rec.v1 == v else rec.v1
-            timg = target.edges[edge_image[e]]
-            allowed = set(timg.endpoints())
-            if img not in allowed:
-                return False
-            if other in assign:
-                want = allowed - {img} if len(allowed) == 2 else allowed
-                if rec.v1 == rec.v2:
-                    continue
-                if assign[other] not in want:
-                    return False
-        return True
-
-    # depth-first search with an explicit stack (one candidate iterator per
-    # assigned vertex), so arenas of any size stay off the call stack
-    if not order:
-        return assign
-    frames = [iter(sorted(cand[order[0]]))]
-    while frames:
-        v = order[len(frames) - 1]
-        if v in assign:  # backtracked into v: release its image
-            used.discard(assign.pop(v))
-        for img in frames[-1]:
-            if img not in used and consistent(v, img):
-                assign[v] = img
-                used.add(img)
-                break
-        else:
-            frames.pop()
-            continue
-        if len(frames) == len(order):
-            return assign
-        frames.append(iter(sorted(cand[order[len(frames)]])))
-    raise MoveError("qubit permutation does not preserve connectivity")
+    if not vmap.keys() <= lat.vertices.keys():
+        raise MoveError("vertex map names a vertex the lattice does not have")
+    full = {v: vmap.get(v, v) for v in lat.vertices}
+    images = set(full.values())
+    if len(images) != len(full):
+        raise MoveError("vertex map is not injective")
+    if images != target.vertices.keys():
+        raise MoveError("vertex map does not land on the target's vertices")
+    if len(lat.edges) != len(target.edges) or len(lat.triangles) != len(target.triangles):
+        raise MoveError("target has a different number of edges or triangles")
+    # free target edges per (v1, v2, pinned), v1 <= v2 as Edge keeps
+    # them, largest id first so that pop() hands out the smallest
+    free: dict[tuple[int, int, bool], list[int]] = {}
+    for e, rec in sorted(target.edges.items(), reverse=True):
+        free.setdefault((rec.v1, rec.v2, rec.qubit is None), []).append(e)
+    emap: dict[int, int] = {}
+    for e, rec in sorted(lat.edges.items()):
+        a, b = full[rec.v1], full[rec.v2]
+        pinned = rec.qubit is None
+        key = (a, b, pinned) if a <= b else (b, a, pinned)
+        hits = free.get(key)
+        if not hits:
+            if (key[0], key[1], not pinned) in free:
+                raise MoveError(f"edge {e} would land on an edge of the other kind")
+            raise MoveError(f"edge {e} has no image under the vertex map")
+        emap[e] = hits.pop()
+    tris = Counter(frozenset(es) for es in target.triangles.values())
+    for t, es in lat.triangles.items():
+        img = frozenset(emap[e] for e in es)
+        if not tris[img]:
+            raise MoveError(f"triangle {t} does not land on a target triangle")
+        tris[img] -= 1
+    return full, emap
 
 
 def apply_cpi(
     lat: SurfaceLattice,
-    sigma: dict[int, int],
+    vmap: dict[int, int],
     target: Optional[SurfaceLattice] = None,
 ) -> tuple[SurfaceLattice, MoveRecord]:
-    """Relocate qubits by the slot bijection sigma.
+    """Relabel qubits by a vertex map: vertex map in, slot map derived.
 
-    sigma maps each qubit slot of `lat` to a slot of the target layout
-    (default: `lat` itself). Accepted only when the induced edge map is a
-    connectivity-preserving isomorphism: every edge of the source maps to
-    an edge of the target, and the three edges of every triangle to the
-    three edges of a target triangle. Punctures ride the induced vertex
-    map.
+    vmap maps vertices of `lat` to vertices of the target layout
+    (default: `lat` itself); vertices it omits stay fixed. Accepted only
+    when it is a bijection that carries every qubit edge to a qubit
+    edge, every pinned edge to a pinned edge and every triangle to a
+    triangle (MoveError otherwise). Punctures ride the map. The
+    PERMUTATION record holds the full vertex map and the slot map sigma
+    it induces on every qubit slot.
     """
     tgt = target if target is not None else lat
-    slots = lat.qubit_slots()
-    full = {s: sigma.get(s, s) for s in slots}
-    if sorted(full.values()) != sorted(tgt.qubit_slots()):
-        raise MoveError("sigma is not a bijection onto the target qubit slots")
-    src_of = lat.slot_edge_map()
-    tgt_of = tgt.slot_edge_map()
-    edge_image = {src_of[s]: tgt_of[full[s]] for s in slots}
-    vmap = _induced_vertex_map(lat, tgt, edge_image)
-
-    # every edge, pinned ones included, must land on a target edge, and
-    # every triangle on a target triangle; a pinned edge may land on any
-    # pinned edge between its image endpoints
-    tgt_pairs: dict[frozenset[int], list[int]] = {}
-    for e, rec in tgt.edges.items():
-        tgt_pairs.setdefault(rec.endpoints(), []).append(e)
-    images: dict[int, list[int]] = {}
-    for e, rec in lat.edges.items():
-        want = frozenset((vmap[rec.v1], vmap[rec.v2]))
-        if e in edge_image:
-            img = tgt.edges[edge_image[e]]
-            if img.endpoints() != want:
-                raise MoveError(f"edge {e} image endpoints disagree with the vertex map")
-            images[e] = [edge_image[e]]
-        else:
-            images[e] = [x for x in tgt_pairs.get(want, []) if tgt.edges[x].pinned]
-            if not images[e]:
-                raise MoveError(f"pinned edge {e} has no pinned image in the target")
-    tgt_tris = {frozenset(es) for es in tgt.triangles.values()}
-    for t, es in lat.triangles.items():
-        if not any(frozenset(c) in tgt_tris for c in itertools.product(*(images[e] for e in es))):
-            raise MoveError(f"triangle {t} does not land on a target triangle")
-
-    out = replace_lattice(tgt, punctures=frozenset(vmap[p] for p in lat.punctures))
+    full, emap = _relabel(lat, tgt, vmap)
+    sigma = {
+        lat.edges[e].qubit: tgt.edges[img].qubit for e, img in emap.items() if not lat.edges[e].pinned
+    }
+    out = replace_lattice(tgt, punctures=frozenset(full[p] for p in lat.punctures))
     out.version = max(lat.version, tgt.version) + 1
-    record = MoveRecord(kind=PERMUTATION, sigma=dict(full))
-    return out, record
-
-
-def sigma_from_vertex_map(
-    lat: SurfaceLattice, target: SurfaceLattice, vmap: dict[int, int]
-) -> dict[int, int]:
-    """Qubit-slot bijection induced by a vertex bijection.
-
-    Each qubit edge (u, v) of the source must map to a qubit edge
-    (vmap[u], vmap[v]) of the target; parallel target edges are matched in
-    sorted-id order, which is unambiguous for all shipped layouts.
-    """
-    tgt_pairs: dict[frozenset[int], list[int]] = {}
-    for e, rec in sorted(target.edges.items()):
-        if not rec.pinned:
-            tgt_pairs.setdefault(rec.endpoints(), []).append(e)
-    taken: set[int] = set()
-    sigma: dict[int, int] = {}
-    for e, rec in sorted(lat.edges.items()):
-        if rec.pinned:
-            continue
-        want = frozenset((vmap[rec.v1], vmap[rec.v2]))
-        hits = [x for x in tgt_pairs.get(want, []) if x not in taken]
-        if not hits:
-            raise MoveError(f"edge {e} has no qubit image under the vertex map")
-        taken.add(hits[0])
-        sigma[rec.qubit] = target.edges[hits[0]].qubit
-    return sigma
+    return out, MoveRecord(kind=PERMUTATION, sigma=sigma, vmap=full)
 
 
 def replay_move(lat: SurfaceLattice, record: MoveRecord, target: Optional[SurfaceLattice] = None):
     if record.kind == PERMUTATION:
-        return apply_cpi(lat, record.sigma or {}, target=target)[0]
+        return apply_cpi(lat, record.vmap, target=target)[0]
     return replay_moves(lat, (record,))
 
 
@@ -919,38 +843,14 @@ def _structure_tables(lat: SurfaceLattice):
 
 
 def _verify_iso(a: SurfaceLattice, b: SurfaceLattice, vmap: dict[int, int]):
-    """Edge and triangle correspondence induced by a vertex bijection."""
-    if set(vmap.keys()) != set(a.vertices) or set(vmap.values()) != set(b.vertices):
+    """Edge correspondence induced by a vertex bijection, or None."""
+    try:
+        full, emap = _relabel(a, b, vmap)
+    except MoveError:
         return None
-    b_pairs: dict[tuple[frozenset[int], bool], list[int]] = {}
-    for e, rec in sorted(b.edges.items()):
-        b_pairs.setdefault((rec.endpoints(), rec.pinned), []).append(e)
-    emap: dict[int, int] = {}
-    used: set[int] = set()
-    for e, rec in sorted(a.edges.items()):
-        key = (frozenset((vmap[rec.v1], vmap[rec.v2])), rec.pinned)
-        hits = [x for x in b_pairs.get(key, []) if x not in used]
-        if not hits:
-            return None
-        emap[e] = hits[0]
-        used.add(hits[0])
-    if len(used) != len(b.edges):
+    if frozenset(full[p] for p in a.punctures) != b.punctures:
         return None
-    b_tris = {}
-    for t, es in b.triangles.items():
-        b_tris.setdefault(tuple(sorted(es)), []).append(t)
-    seen: set[int] = set()
-    for t, es in a.triangles.items():
-        key = tuple(sorted(emap[e] for e in es))
-        hits = [x for x in b_tris.get(key, []) if x not in seen]
-        if not hits:
-            # parallel-edge ambiguity: retry with swapped parallel assignments is
-            # out of scope; treat as failure
-            return None
-        seen.add(hits[0])
-    if frozenset(vmap[p] for p in a.punctures) != b.punctures:
-        return None
-    return {"vertices": vmap, "edges": emap}
+    return {"vertices": full, "edges": emap}
 
 
 def isomorphism_check(a: SurfaceLattice, b: SurfaceLattice):

@@ -653,23 +653,23 @@ def apply_pachner31(
 def apply_state_permutation(
     state: StringNetState,
     lat: SurfaceLattice,
-    sigma: dict[int, int],
+    vmap: dict[int, int],
     target: SurfaceLattice | None = None,
 ):
-    """Relabel configuration bits by an accepted qubit permutation.
+    """Relabel configuration bits by the relabeling of a vertex map.
 
-    The bits move by one mask-and-shift per distinct shift (_move_bits).
-    apply_cpi accepts only a bijection of qubit slots, so the relabeled
-    configs are distinct: one sort orders them and nothing is merged.
+    apply_cpi checks the vertex map and derives the slot map sigma; the
+    bits move by one mask-and-shift per distinct shift (_move_bits).
+    sigma is a bijection of qubit slots, so the relabeled configs are
+    distinct: one sort orders them and nothing is merged.
     """
     _check_version(state, lat)
     _check_width(lat)
-    out, rec = apply_cpi(lat, sigma, target=target)
+    out, rec = apply_cpi(lat, vmap, target=target)
     tgt = target if target is not None else lat
     tgt_rank = {s: i for i, s in enumerate(tgt.qubit_slots())}
-    full = rec.sigma or {}
     moved = _move_bits(
-        state.configs, ((i, tgt_rank[full.get(s, s)]) for i, s in enumerate(lat.qubit_slots()))
+        state.configs, ((i, tgt_rank[rec.sigma[s]]) for i, s in enumerate(lat.qubit_slots()))
     )
     order = np.argsort(moved)
     keep = np.abs(state.amps[order]) >= state.tolerance

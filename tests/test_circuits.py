@@ -333,6 +333,19 @@ def test_compile_repeated_groups():
         compile_schedule(small, MoveSchedule(split.groups * 2), DATA)
 
 
+def test_repeated_groups_share_layer_objects_and_check_reads_each_once():
+    lat, _, anyon = braid_arena(4)
+    circ = compile_schedule(lat, braid_schedule(lat, anyon, 0, steps=6), DATA)
+    per_step = circ.depth() // 6
+    assert all(circ.layers[i] is circ.layers[i % per_step] for i in range(circ.depth()))
+    assert len({id(layer) for layer in circ.layers}) == per_step
+    # a malformed layer object is refused whether or not it recurs
+    bad = (Gate("X", (0,)), Gate("RY", (0,), params=(1.0,)))
+    for layers in ((bad, bad), ((Gate("X", (1,)),), bad, bad)):
+        with pytest.raises(MoveError, match="overlapping"):
+            GateCircuit(qubits=(0, 1), layers=layers).check()
+
+
 def test_compile_schedule_rejects_record_without_slots():
     lat = build_tetra_sphere()
     sched = MoveSchedule((MoveGroup(LOCAL, ((MoveRecord(F_MOVE, edge=0),),)),))

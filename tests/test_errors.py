@@ -86,7 +86,7 @@ def test_single_edge_string_maps_to_single_edge():
     for rec in sched.groups[0].records():
         cur = pachner_22(cur, rec.edge)[0]
     (perm,) = sched.groups[1].records()
-    out, _ = propagate_cpi(err, dict(perm.sigma), cur, target=sched.groups[1].target)
+    out, _ = propagate_cpi(err, perm.vmap, cur, target=sched.groups[1].target)
     assert out.length == 1
 
 
@@ -105,14 +105,13 @@ def test_shear_stretches_crossing_string_and_inverse_squeezes():
     for rec in sched.groups[0].records():
         cur = pachner_22(cur, rec.edge)[0]
     (perm,) = sched.groups[1].records()
-    sigma = dict(perm.sigma)
 
-    stretched, out_lat = propagate_cpi(err, sigma, cur, target=sched.groups[1].target)
+    stretched, out_lat = propagate_cpi(err, perm.vmap, cur, target=sched.groups[1].target)
     assert stretched.length == err.length
     span1 = grid_span(out_lat, stretched, cols)
     assert span1 == span0 + k
 
-    inverse = {v: s for s, v in sigma.items()}
+    inverse = {v: u for u, v in perm.vmap.items()}
     squeezed, back_lat = propagate_cpi(stretched, inverse, out_lat, target=cur)
     assert squeezed.length == err.length
     assert grid_span(back_lat, squeezed, cols) == span0
@@ -131,7 +130,7 @@ def test_rigid_block_carries_string_without_stretch():
     for rec in sched.groups[0].records():
         cur = pachner_22(cur, rec.edge)[0]
     (perm,) = sched.groups[1].records()
-    out, out_lat = propagate_cpi(err, dict(perm.sigma), cur, target=sched.groups[1].target)
+    out, out_lat = propagate_cpi(err, perm.vmap, cur, target=sched.groups[1].target)
     assert out.length == err.length
     assert grid_span(out_lat, out, 8) == span0
 
@@ -139,11 +138,12 @@ def test_rigid_block_carries_string_without_stretch():
 def test_propagate_rejects_non_cpi_sigma():
     lat = build_planar_patch(4, 8, punctures=[(0, 0)])
     err = radial_string(lat, 8, 0, 1, 3)
-    slots = lat.qubit_slots()
-    # swapping two random far-apart slots tears the edge map
-    bad = {slots[0]: slots[-1], slots[-1]: slots[0]}
+    # swapping two far-apart vertices tears the edge map
+    u, w = polar_vertex_id(8, 1, 0), polar_vertex_id(8, 4, 4)
     with pytest.raises(MoveError):
-        propagate_cpi(err, bad, lat)
+        propagate_cpi(err, {u: w, w: u}, lat)
+    with pytest.raises(MoveError, match="not injective"):
+        propagate_cpi(err, {u: w}, lat)
 
 
 # ---- light cone ----------------------------------------------------------------

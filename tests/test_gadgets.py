@@ -17,6 +17,7 @@ from tvq.fusion import fibonacci_data
 from tvq.lattice import (
     F_MOVE,
     MoveError,
+    apply_cpi,
     build_honeycomb_torus,
     build_planar_patch,
     build_theta_sphere,
@@ -334,6 +335,28 @@ def test_run_schedule_rejects_malformed_groups():
         run_schedule(None, lat, MoveSchedule((MoveGroup("PERMUTATION", ((rec, rec),)),)))
     with pytest.raises(MoveError, match="unknown group kind"):
         run_schedule(None, lat, MoveSchedule((MoveGroup("GLOBAL", ((rec,),)),)))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_permutation_records_replay_from_their_vertex_maps(d):
+    """Each relabeling of a braid and of a full-loop baseline, fed its
+    record's vertex map on the lattice before it, derives the record's
+    sigma; the walk closes on the starting lattice."""
+    lat, cols, anyon = braid_arena(d)
+    for sched in (braid_schedule(lat, anyon, 0, steps=6), baseline_schedule(lat, anyon, ring_path(cols, cols))):
+        cur, seen = lat, 0
+        for group in sched.groups:
+            if group.kind == LOCAL:
+                cur = run_schedule(None, cur, MoveSchedule((group,)))[1]
+                continue
+            (rec,) = group.records()
+            assert rec.vmap.keys() == cur.vertices.keys()
+            cur, again = apply_cpi(cur, rec.vmap, group.target)
+            assert again.sigma == rec.sigma
+            assert sorted(rec.sigma) == sorted(rec.sigma.values()) == group.target.qubit_slots()
+            seen += 1
+        assert seen == len(sched.groups) // 2
+        assert cur.signature() == lat.signature()
 
 
 # ---- structure at large distance ----------------------------------------------

@@ -64,7 +64,10 @@ def assert_maps_current(lat):
 
 
 def shuffled_slots(lat, pick):
-    """A copy of lat with its qubit slots rotated, and the sigma onto it."""
+    """A copy of lat with its qubit slots rotated, and the slot map onto it.
+
+    The identity vertex map carries lat onto the copy, and the slot map
+    is the one that relabeling derives."""
     slots = lat.qubit_slots()
     shift = pick % len(slots)
     moved = dict(zip(slots, slots[shift:] + slots[:shift]))
@@ -87,8 +90,10 @@ def step(lat, kind, pick):
         ve = lat.vertex_edges()
         cubic = sorted(v for v in lat.vertices if len(ve[v]) == 3) or sorted(lat.vertices)
         return pachner_31(lat, cubic[pick % len(cubic)])
-    sigma, target = shuffled_slots(lat, pick)
-    return apply_cpi(lat, sigma, target=target)
+    moved, target = shuffled_slots(lat, pick)
+    out, rec = apply_cpi(lat, {}, target=target)
+    assert rec.sigma == moved
+    return out, rec
 
 
 def assert_record_slots(lat, rec):

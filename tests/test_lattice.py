@@ -17,8 +17,8 @@ from tvq.lattice import (
     pachner_22,
     pachner_31,
     polar_vertex_id,
+    replace_lattice,
     replay_move,
-    sigma_from_vertex_map,
 )
 
 
@@ -188,16 +188,22 @@ def test_cpi_rotation_accepted():
     for r in range(1, 4):
         for s in range(n):
             vmap[polar_vertex_id(n, r, s)] = polar_vertex_id(n, r, s + 1)
-    sigma = sigma_from_vertex_map(lat, lat, vmap)
-    out, rec = apply_cpi(lat, sigma)
+    out, rec = apply_cpi(lat, vmap)
     assert out.punctures == frozenset({polar_vertex_id(n, 1, 1)})
+    assert rec.vmap == vmap
+    # sigma sends each qubit edge to the edge between its image endpoints
+    for e, edge in lat.edges.items():
+        if not edge.pinned:
+            img = lat.slot_edge_map()[rec.sigma[edge.qubit]]
+            assert lat.edges[img].endpoints() == {vmap[edge.v1], vmap[edge.v2]}
 
 
 def test_cpi_rejects_distant_transposition():
+    # swapping a ring-1 vertex with a far ring-3 vertex tears the edge map
     lat = build_planar_patch(3, 6, [])
-    s0, s1 = 0, len(lat.qubit_slots()) // 2
+    u, w = polar_vertex_id(6, 1, 0), polar_vertex_id(6, 3, 3)
     with pytest.raises(MoveError):
-        apply_cpi(lat, {s0: s1, s1: s0})
+        apply_cpi(lat, {u: w, w: u})
 
 
 def test_cpi_rejects_relabelings_that_scramble_triangles():
@@ -206,18 +212,40 @@ def test_cpi_rejects_relabelings_that_scramble_triangles():
     lat = build_honeycomb_torus(2, 2)
     for (di, dj), ok in (((1, 0), False), ((0, 1), False), ((1, 1), True)):
         vmap = {i + 2 * j: (i + di) % 2 + 2 * ((j + dj) % 2) for i in range(2) for j in range(2)}
-        sigma = sigma_from_vertex_map(lat, lat, vmap)
         if ok:
-            apply_cpi(lat, sigma)
+            apply_cpi(lat, vmap)
         else:
             with pytest.raises(MoveError, match="triangle"):
-                apply_cpi(lat, sigma)
+                apply_cpi(lat, vmap)
 
 
 def test_cpi_requires_bijection():
     lat = build_theta_sphere()
-    with pytest.raises(MoveError):
-        apply_cpi(lat, {0: 1})
+    with pytest.raises(MoveError, match="not injective"):
+        apply_cpi(lat, {0: 1})  # vertex 1 stays fixed, so two vertices land on 1
+    with pytest.raises(MoveError, match="target's vertices"):
+        apply_cpi(lat, {0: 7})
+    with pytest.raises(MoveError, match="does not have"):
+        apply_cpi(lat, {9: 0, 0: 9})
+
+
+def test_cpi_refuses_edges_that_change_kind():
+    lat = build_planar_patch(3, 4, [])
+    qubit = next(e for e, rec in sorted(lat.edges.items()) if not rec.pinned)
+    pinned = next(e for e, rec in sorted(lat.edges.items()) if rec.pinned)
+    # the same complex with one qubit edge pinned and one pinned edge
+    # given that slot: the identity map would move a qubit onto a pinned
+    # edge and a pinned edge onto a qubit
+    edges = dict(lat.edges)
+    a, b = lat.edges[qubit], lat.edges[pinned]
+    edges[qubit] = Edge(a.v1, a.v2, None)
+    edges[pinned] = Edge(b.v1, b.v2, a.qubit)
+    target = replace_lattice(lat, edges=edges)
+    target.check()
+    with pytest.raises(MoveError, match="other kind"):
+        apply_cpi(lat, {}, target=target)
+    with pytest.raises(MoveError, match="other kind"):
+        apply_cpi(target, {}, target=lat)
 
 
 def test_replay_reproduces_rewrites():

@@ -18,6 +18,7 @@ from tvq.fusion import FusionData, fibonacci_data, trivial_data
 from tvq.gadgets import PERMUTATION, MoveSchedule, baseline_schedule, braid_schedule, run_schedule
 from tvq.lattice import (
     MoveError,
+    apply_cpi,
     build_honeycomb_torus,
     build_planar_patch,
     build_tetra_sphere,
@@ -25,7 +26,6 @@ from tvq.lattice import (
     pachner_13,
     pachner_22,
     polar_vertex_id,
-    sigma_from_vertex_map,
 )
 from tvq.statevec import (
     StringNetState,
@@ -538,35 +538,36 @@ def test_merge_rejects_entangled_interior(tetra):
 # ---- permutations ------------------------------------------------------------------
 
 
-def torus_translation(lat, size, di, dj):
-    """Slot map of the (di, dj) translation of build_honeycomb_torus(size, size)."""
-    vmap = {
+def torus_translation(size, di, dj):
+    """Vertex map of the (di, dj) translation of build_honeycomb_torus(size, size)."""
+    return {
         i + size * j: (i + di) % size + size * ((j + dj) % size)
         for i in range(size)
         for j in range(size)
     }
-    return sigma_from_vertex_map(lat, lat, vmap)
 
 
 def test_translation_permutation_round_trip(torus):
     # on the 2x2 torus only the diagonal shift keeps triangles whole
-    sigma = torus_translation(torus, 2, 1, 1)
+    vmap = torus_translation(2, 1, 1)
     st = random_valid_state(torus, np.random.default_rng(29))
-    st1, lat1 = apply_state_permutation(st, torus, sigma)
+    st1, lat1 = apply_state_permutation(st, torus, vmap)
     assert abs(st1.norm() - 1.0) < 1e-12
     assert np.allclose(np.sort(np.abs(st1.amps)), np.sort(np.abs(st.amps)))
-    inv = {v: k for k, v in sigma.items()}
+    inv = {v: k for k, v in vmap.items()}
     st2, lat2 = apply_state_permutation(st1, lat1, inv)
     assert st2.configs.tolist() == st.configs.tolist()
     assert np.allclose(st2.amps, st.amps)
 
 
 def test_permutation_rejects_non_automorphism(torus):
-    sigma = {q: q for q in range(12)}
-    sigma[0], sigma[1] = 1, 0  # mixes an h edge with a v edge
+    # swapping two vertices of the 2x2 torus keeps every edge an edge
+    # (its vertices are pairwise joined) but splits its triangles
     st = make_delta_state(torus, 0)
-    with pytest.raises(MoveError):
-        apply_state_permutation(st, torus, sigma)
+    with pytest.raises(MoveError, match="triangle"):
+        apply_state_permutation(st, torus, {0: 1, 1: 0})
+    with pytest.raises(MoveError, match="not injective"):
+        apply_state_permutation(st, torus, {0: 1})
 
 
 # ---- kernels against per-config references ------------------------------------------
@@ -657,13 +658,14 @@ FLIPS = [(PATCH, e) for e in PATCH_FLIPS] + [(TORUS, e) for e in flippable(TORUS
 
 
 def relabelings():
-    """(lattice, sigma, target) of the torus translations that keep
-    triangles whole (the diagonal shift of the 2x2 torus, the unit shifts
-    of the 3x3 torus) and of every relabeling in the state_loop braid and
-    its baseline."""
+    """(lattice, vmap, target, sigma) of the torus translations that
+    keep triangles whole (the diagonal shift of the 2x2 torus, the unit
+    shifts of the 3x3 torus) and of every relabeling in the state_loop
+    braid and its baseline; sigma is the slot map the record derives."""
     out = []
     for lat, size, di, dj in ((TORUS, 2, 1, 1), (TORUS3, 3, 1, 0), (TORUS3, 3, 0, 1)):
-        out.append((lat, torus_translation(lat, size, di, dj), None))
+        vmap = torus_translation(size, di, dj)
+        out.append((lat, vmap, None, apply_cpi(lat, vmap)[1].sigma))
     anyon = polar_vertex_id(4, 2, 0)
     cur = PATCH
     for build in (
@@ -673,7 +675,7 @@ def relabelings():
         for group in build(cur).groups:
             if group.kind == PERMUTATION:
                 (rec,) = group.records()
-                out.append((cur, dict(rec.sigma or {}), group.target))
+                out.append((cur, rec.vmap, group.target, rec.sigma))
             _, cur = run_schedule(None, cur, MoveSchedule((group,)))
     return out
 
@@ -804,17 +806,17 @@ def test_fmove_reference_rounds_underflow_like_the_kernel():
 @settings(max_examples=80, deadline=None)
 @given(st_.data())
 def test_state_permutation_matches_per_config_reference(data):
-    lat, sigma, target = data.draw(st_.sampled_from(RELABELINGS))
+    lat, vmap, target, sigma = data.draw(st_.sampled_from(RELABELINGS))
     state = draw_state(data.draw, lat)
-    out, _ = apply_state_permutation(state, lat, sigma, target=target)
+    out, _ = apply_state_permutation(state, lat, vmap, target=target)
     assert_bit_equal(out, permutation_reference(state, lat, sigma, target))
 
 
 def test_state_permutation_drops_amplitudes_below_the_tolerance():
-    lat, sigma, target = RELABELINGS[0]
+    lat, vmap, target, sigma = RELABELINGS[0]
     state = make_state(lat, np.arange(4, dtype=np.uint64), np.array([1e-3, 1.0, 1e-9, 0.5]))
     state = replace(state, tolerance=1e-6)
-    out, _ = apply_state_permutation(state, lat, sigma, target=target)
+    out, _ = apply_state_permutation(state, lat, vmap, target=target)
     assert out.nnz() == 3
     assert_bit_equal(out, permutation_reference(state, lat, sigma, target))
 
@@ -895,9 +897,9 @@ def test_kernels_on_the_empty_state():
     out, _ = apply_fmove(empty, PATCH, edge)
     assert_bit_equal(out, fmove_reference(empty, PATCH, edge))
     assert out.nnz() == 0
-    lat, sigma, target = RELABELINGS[-1]
+    lat, vmap, target, _ = RELABELINGS[-1]
     empty = make_state(lat, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.complex128))
-    out, _ = apply_state_permutation(empty, lat, sigma, target=target)
+    out, _ = apply_state_permutation(empty, lat, vmap, target=target)
     assert out.nnz() == 0 and out.configs.dtype == np.uint64
 
 
