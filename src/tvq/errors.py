@@ -14,6 +14,16 @@ full braid at several code distances and tabulates the growth ratios.
 The protocol is depth-invariant in the distance, so the measured max
 ratio must not drift upward with d; that is the constant-factor claim
 this module exists to check.
+
+The report works one distance at a time. It samples every trial's
+string first, then grows all their light cones in one walk of the
+compiled circuit over a (trials x qubit slots) boolean mask: each
+distinct layer object becomes a CSR table of gate supports once, a gate
+layer is then one reduceat and one repeat over the mask, and a
+relabeling one column scatter. The slot <-> edge maps, the composed
+relabeling of the whole braid and padded neighbour tables for the
+spread search are built once per distance too. lightcone_grow is the
+one-support view of the same walk.
 """
 
 from __future__ import annotations
@@ -131,13 +141,71 @@ def lightcone_radius_bound(circuit: GateCircuit) -> int:
     Per layer the suspect set can spread at most to the far side of one
     touching gate, so the reach is the largest gate support minus one.
     The bound depends only on the compiled shape, which is the point:
-    depth-invariant protocols get a size-independent radius.
+    depth-invariant protocols get a size-independent radius. A layer
+    object that recurs, as compile_schedule's repeated groups do, is
+    read once.
     """
-    reach = 0
-    for layer in circuit.layers:
-        for gate in layer:
-            reach = max(reach, len(gate.support()) - 1)
-    return circuit.depth() * reach
+    distinct = {id(layer): layer for layer in circuit.layers}.values()
+    reach = max((len(gate.support()) - 1 for layer in distinct for gate in layer), default=0)
+    return circuit.depth() * max(reach, 0)
+
+
+def _columns(qubits: np.ndarray, slots) -> np.ndarray:
+    """Column of each slot in the sorted qubit array; MoveError for a
+    slot the circuit does not hold."""
+    slots = np.fromiter((int(q) for q in slots), dtype=np.int64)
+    cols = np.searchsorted(qubits, slots)
+    found = cols < len(qubits)
+    found[found] = qubits[cols[found]] == slots[found]
+    if not found.all():
+        raise MoveError(f"slot {int(slots[~found][0])} is not a qubit of the circuit")
+    return cols
+
+
+def _layer_table(qubits: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One gate layer as CSR: the columns of every gate's support laid
+    end to end, each gate's start in that run, and each gate's size.
+    Gates with an empty support touch nothing and are left out."""
+    sups = [sorted(sup) for sup in (gate.support() for gate in layer) if sup]
+    sizes = np.array([len(sup) for sup in sups], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    return _columns(qubits, (q for sup in sups for q in sup)), starts, sizes
+
+
+def _grow_cones(circuit: GateCircuit, supports) -> tuple[np.ndarray, np.ndarray]:
+    """Grow many suspect-slot sets through a circuit in one walk.
+
+    Returns the circuit's qubit slots in ascending order and a (number
+    of supports) x (number of slots) boolean mask whose row i is the
+    light cone of supports[i] over those slots. The circuit is checked
+    first, so a relabeling that is not a bijection on the circuit's
+    qubits, or a layer whose gates overlap, raises MoveError. Each
+    distinct layer object gets its CSR table once; a gate layer is then
+    one reduceat (which gates touch each row's set) and one repeat (their
+    whole supports join it), and a relabeling is one column scatter.
+    """
+    circuit.check()
+    qubits = np.array(sorted(circuit.qubits), dtype=np.int64)
+    supports = list(supports)
+    mask = np.zeros((len(supports), len(qubits)), dtype=bool)
+    for row, support in enumerate(supports):
+        mask[row, _columns(qubits, support)] = True
+    tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for sigma, layer in circuit.steps():
+        if sigma is not None:
+            src, dst = _columns(qubits, sigma.keys()), _columns(qubits, sigma.values())
+            mask[:, dst] = mask[:, src]
+            continue
+        table = tables.get(id(layer))
+        if table is None:
+            table = tables[id(layer)] = _layer_table(qubits, layer)
+        flat, starts, sizes = table
+        if flat.size:
+            # supports in a layer are disjoint, so a gate's columns all
+            # end up set exactly when any of them was
+            hit = np.logical_or.reduceat(mask[:, flat], starts, axis=1)
+            mask[:, flat] = np.repeat(hit, sizes, axis=1)
+    return qubits, mask
 
 
 def lightcone_grow(support, circuit: GateCircuit) -> frozenset[int]:
@@ -147,33 +215,42 @@ def lightcone_grow(support, circuit: GateCircuit) -> frozenset[int]:
     alphabet. Each gate layer adds the full support of every gate that
     touches the current set; relabelings move the set without growing
     it, in the order GateCircuit.steps gives. An empty circuit returns
-    the input unchanged.
+    the input unchanged. This is the one-support view of the batched
+    walk stretch_report uses for all trials of a distance at once. The
+    circuit is checked first, so a relabeling that is not a bijection,
+    and a support slot the circuit does not hold, raise MoveError.
     """
-    cur = frozenset(int(q) for q in support)
-    for sigma, layer in circuit.steps():
-        if sigma is not None:
-            cur = frozenset(sigma.get(q, q) for q in cur)
-            continue
-        grown = set(cur)
-        for gate in layer:
-            sup = gate.support()
-            if sup & cur:
-                grown |= sup
-        cur = frozenset(grown)
-    return cur
+    qubits, mask = _grow_cones(circuit, [support])
+    return frozenset(qubits[mask[0]].tolist())
 
 
 # ---- braid-level analysis ------------------------------------------------------
 
 
-def _qubit_neighbours(lat: SurfaceLattice, e: int) -> set[int]:
-    """Qubit edges sharing a vertex with edge e, read from the kept
-    vertex -> edges map."""
+def _neighbour_table(lat: SurfaceLattice) -> np.ndarray:
+    """Row e lists the qubit edges sharing a vertex with edge e,
+    ascending and padded with -1; rows of absent edge ids are all -1."""
     ve, edges = lat.vertex_edges(), lat.edges
-    rec = edges[e]
-    out = {x for v in (rec.v1, rec.v2) for x in ve[v] if edges[x].qubit is not None}
-    out.discard(e)
-    return out
+    rows = {}
+    for e, rec in edges.items():
+        near = {x for v in (rec.v1, rec.v2) for x in ve[v] if edges[x].qubit is not None}
+        near.discard(e)
+        rows[e] = sorted(near)
+    width = max((len(row) for row in rows.values()), default=0)
+    table = np.full((max(edges, default=-1) + 1, width), -1, dtype=np.int64)
+    for e, row in rows.items():
+        table[e, : len(row)] = row
+    return table
+
+
+def _sample_pool(lat: SurfaceLattice, cols: int, rings: tuple[int, int]) -> list[int]:
+    """Ascending qubit edges with an endpoint in the ring window; strings
+    far from the transport corridor ride rigidly and only dilute the
+    statistics."""
+    lo, hi = rings
+    ve = lat.vertex_edges()
+    window = (v for v in lat.vertices if lo <= _disk_coords(v, cols)[0] <= hi)
+    return sorted({e for v in window for e in ve[v] if lat.edges[e].qubit is not None})
 
 
 def _sample_string(
@@ -181,29 +258,23 @@ def _sample_string(
     rng: np.random.Generator,
     length: int,
     cols: int,
-    rings: tuple[int, int] | None = None,
+    pool: list[int],
+    neighbours: np.ndarray,
 ) -> ErrorString:
     """Random connected path over qubit-bearing edges, length edges.
 
-    With a ring window, the first edge must touch it; strings far from
-    the transport corridor ride rigidly and only dilute the statistics.
-    Resamples until the endpoints are distinct vertices, so the span
-    ratio below is well defined (a walk that loops back would report a
-    zero-length anyon pair).
+    The first edge is drawn from pool, each next one from the unused
+    qubit neighbours (a _neighbour_table of lat) of the last. Resamples
+    until the endpoints are distinct vertices, so the span ratio below
+    is well defined (a walk that loops back would report a zero-length
+    anyon pair).
     """
-    if rings is None:
-        pool = sorted(e for e, rec in lat.edges.items() if rec.qubit is not None)
-    else:
-        lo, hi = rings
-        ve = lat.vertex_edges()
-        window = (v for v in lat.vertices if lo <= _disk_coords(v, cols)[0] <= hi)
-        pool = sorted({e for v in window for e in ve[v] if lat.edges[e].qubit is not None})
     for _ in range(256):
         start = pool[int(rng.integers(len(pool)))]
         path = [start]
         used = {start}
         while len(path) < length:
-            options = sorted(_qubit_neighbours(lat, path[-1]) - used)
+            options = [o for o in neighbours[path[-1]].tolist() if o >= 0 and o not in used]
             if not options:
                 break
             nxt = options[int(rng.integers(len(options)))]
@@ -217,23 +288,54 @@ def _sample_string(
     raise MoveError("could not sample a connected error string")
 
 
-def _bfs_distance(lat: SurfaceLattice, seeds, targets) -> int:
+def _bfs_distance(neighbours: np.ndarray, seeds, targets) -> int:
     """Max over targets of hop distance to the seed set, along qubit
-    edges that share a vertex; the search stops once every target is
-    reached."""
-    seen = {s: 0 for s in seeds}
-    missing = set(targets) - seen.keys()
-    frontier = list(seeds)
-    while frontier and missing:
-        nxt = []
-        for e in frontier:
-            for o in _qubit_neighbours(lat, e):
-                if o not in seen:
-                    seen[o] = seen[e] + 1
-                    missing.discard(o)
-                    nxt.append(o)
-        frontier = nxt
-    return max(seen[t] for t in targets)
+    edges that share a vertex (a _neighbour_table); the search stops
+    once every target is reached, and a target it cannot reach raises
+    MoveError naming that edge."""
+    seeds = np.fromiter(seeds, dtype=np.int64)
+    targets = np.fromiter(sorted(targets), dtype=np.int64)
+    outside = targets[(targets < 0) | (targets >= len(neighbours))]
+    if outside.size:
+        raise MoveError(f"edge {int(outside[0])} is not on the lattice")
+    hops = np.full(len(neighbours), -1, dtype=np.int64)
+    hops[seeds] = 0
+    frontier, level = seeds, 0
+    while frontier.size and (hops[targets] < 0).any():
+        level += 1
+        near = neighbours[frontier].ravel()
+        near = near[near >= 0]
+        hops[near[hops[near] < 0]] = level
+        frontier = np.flatnonzero(hops == level)
+    lost = targets[hops[targets] < 0]
+    if lost.size:
+        raise MoveError(f"edge {int(lost[0])} cannot be reached along qubit edges")
+    return int(hops[targets].max())
+
+
+class _BraidTables:
+    """What every error trial through one braid shares, built once.
+
+    The end lattice is the target of the schedule's last group, which
+    must be a relabeling with a target; otherwise MoveError. Holds the
+    start lattice's edge -> slot map, the end lattice's slot -> edge
+    map, the composed relabeling of the whole circuit (slot at the
+    start -> slot at the end) and the end lattice's neighbour table.
+    """
+
+    def __init__(self, lat: SurfaceLattice, schedule: MoveSchedule, circuit: GateCircuit):
+        end_lat = schedule.groups[-1].target if schedule.groups else None
+        if end_lat is None:
+            raise MoveError("error trial needs a schedule that ends on a relabeling with a target")
+        self.end_lat = end_lat
+        self.slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
+        self.edge_of = end_lat.slot_edge_map()
+        moved = {q: q for q in self.slot_of.values()}
+        for sigma, _ in circuit.steps():
+            if sigma is not None:
+                moved = {q: sigma.get(s, s) for q, s in moved.items()}
+        self.moved = moved
+        self.end_neighbours = _neighbour_table(end_lat)
 
 
 def braid_error_trial(
@@ -242,6 +344,9 @@ def braid_error_trial(
     circuit: GateCircuit,
     err: ErrorString,
     cols: int,
+    *,
+    tables: _BraidTables | None = None,
+    cone=None,
 ) -> dict:
     """Push one string through one braid, both mechanisms at once.
 
@@ -257,28 +362,27 @@ def braid_error_trial(
     protocol closes on the starting layout where the span comparison
     is made. The returned lengths count edges: initial the string,
     final the light-cone-grown support.
+
+    stretch_report passes the per-distance tables and the trial's cone
+    (its slots after lightcone growth), both made for all trials of a
+    distance at once; a lone call builds the tables and grows the cone
+    itself. The string's edge count is checked before the cone is used.
     """
-    end_lat = schedule.groups[-1].target if schedule.groups else None
-    if end_lat is None:
-        raise MoveError("error trial needs a schedule that ends on a relabeling with a target")
-    slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
-    slots = [slot_of[e] for e in err.edges]
-    for sigma, _ in circuit.steps():
-        if sigma is not None:
-            slots = [sigma.get(s, s) for s in slots]
-    edge_of = end_lat.slot_edge_map()
-    cur_edges = tuple(edge_of.get(s) for s in slots)
+    tables = _BraidTables(lat, schedule, circuit) if tables is None else tables
+    edge_of = tables.edge_of
+    slots = [tables.slot_of[e] for e in err.edges]
+    cur_edges = tuple(edge_of.get(tables.moved[s]) for s in slots)
     if None in cur_edges or len(set(cur_edges)) != err.length:
         raise MoveError("relabeling changed an error string's edge count")
     final_err = ErrorString(cur_edges)
 
-    support = frozenset(slot_of[e] for e in err.edges)
-    grown = lightcone_grow(support, circuit)
-    final_edges = sorted(edge_of[q] for q in grown)
+    if cone is None:
+        cone = lightcone_grow(slots, circuit)
+    final_edges = sorted(edge_of[q] for q in cone)
 
-    spread = _bfs_distance(end_lat, set(cur_edges), set(final_edges))
+    spread = _bfs_distance(tables.end_neighbours, cur_edges, final_edges)
     span0 = grid_span(lat, err, cols)
-    span1 = grid_span(end_lat, final_err, cols)
+    span1 = grid_span(tables.end_lat, final_err, cols)
     return {
         # the anyon-pair separation is the length a decoder sees; the
         # edge count is invariant by construction and asserted above
@@ -310,6 +414,14 @@ def stretch_report(
     a string of 2 to 4 edges (STRING_LENGTHS) and one braid pushes it
     through. Identical inputs give identical reports, including the CSV
     rendering.
+
+    Work is batched per distance: the braid, its _BraidTables, the
+    sampling pool and the start lattice's neighbour table are built
+    once, every trial's string is sampled first, and one walk of the
+    compiled circuit grows all the trials' light cones together
+    (_grow_cones). braid_error_trial then runs once per trial with that
+    trial's cone. Since the RNG streams are keyed per trial, the
+    strings, and so the report, do not depend on the batching.
     """
     if trials < 1:
         raise MoveError("need at least one trial")
@@ -320,15 +432,22 @@ def stretch_report(
     summary = []
     for d in lattice_sizes:
         lat, cols, sched, circ = _braid_setup(int(d), data)
+        tables = _BraidTables(lat, sched, circ)
         k = cols // 6
-        window = (2, k + 4)  # transport corridor plus one ring either side
-        ratios = []
-        spreads = []
+        pool = _sample_pool(lat, cols, (2, k + 4))  # transport corridor plus one ring either side
+        neighbours = _neighbour_table(lat)
+        errs = []
         for t in range(trials):
             rng = np.random.default_rng((int(seed), int(d), t))
             length = STRING_LENGTHS[int(rng.integers(len(STRING_LENGTHS)))]
-            err = _sample_string(lat, rng, length, cols, rings=window)
-            res = braid_error_trial(lat, sched, circ, err, cols)
+            errs.append(_sample_string(lat, rng, length, cols, pool, neighbours))
+        qubits, cones = _grow_cones(circ, ([tables.slot_of[e] for e in err.edges] for err in errs))
+        ratios = []
+        spreads = []
+        for t, (err, cone) in enumerate(zip(errs, cones)):
+            res = braid_error_trial(
+                lat, sched, circ, err, cols, tables=tables, cone=qubits[cone].tolist()
+            )
             ratios.append(res["ratio"])
             spreads.append(res["lightcone_spread"])
             rows_out.append(

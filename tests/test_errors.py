@@ -179,6 +179,36 @@ def test_lightcone_relabeling_moves_without_growth():
     assert lightcone_grow({0}, circ) == frozenset({2})
 
 
+def test_lightcone_refuses_relabelings_that_are_not_bijections():
+    # ((0, 1), (1, 1)) merges slots 0 and 1, which would shrink the cone;
+    # the others move slot 0 onto -5, a slot the circuit does not hold
+    for pairs in (((0, 1), (1, 1)), ((0, -5), (1, 1)), ((0, -5), (-5, 0))):
+        circ = GateCircuit(qubits=(0, 1), permutation_layers=((0, pairs),))
+        with pytest.raises(MoveError, match="bijection|outside the circuit"):
+            lightcone_grow({0, 1}, circ)
+
+
+def test_lightcone_refuses_a_support_outside_the_circuit():
+    circ = GateCircuit(qubits=(0, 1, 2))
+    for support in ({3}, {-1}, {0, 7}):
+        with pytest.raises(MoveError, match="not a qubit of the circuit"):
+            lightcone_grow(support, circ)
+
+
+def test_bfs_distance_names_an_edge_it_cannot_reach():
+    from tvq.errors import _bfs_distance, _neighbour_table
+
+    lat = build_planar_patch(3, 6, punctures=[(0, 0)])
+    table = _neighbour_table(lat)
+    start = min(e for e, rec in lat.edges.items() if rec.qubit is not None)
+    assert lat.edges[18].qubit is None  # pinned: no qubit-edge path reaches it
+    with pytest.raises(MoveError, match="edge 18 cannot be reached"):
+        _bfs_distance(table, {start}, {18})
+    with pytest.raises(MoveError, match=f"edge {10 ** 6} is not on the lattice"):
+        _bfs_distance(table, {start}, {start, 10 ** 6})
+    assert _bfs_distance(table, {start}, {start}) == 0
+
+
 def test_lightcone_layer_growth_is_reproducible_by_hand():
     """One layer grows the set by exactly the touching gates' supports."""
     rng = np.random.default_rng(2)
@@ -249,6 +279,18 @@ def test_stretch_report_is_size_independent():
     assert by_d[4]["lightcone_radius"] == by_d[8]["lightcone_radius"]
     for s in rep["summary"]:
         assert s["max_ratio"] >= 1.0
+
+
+@pytest.mark.parametrize("seed", [2, 17])
+def test_stretch_report_scales_with_distance(seed):
+    rep = stretch_report([4, 8, 16], trials=40, seed=seed)
+    assert [s["d"] for s in rep["summary"]] == [4, 8, 16]
+    assert len(rep["rows"]) == 3 * 40
+    # the compiled braid has one shape at every d, so one radius bounds
+    # every trial's spread
+    assert len({s["lightcone_radius"] for s in rep["summary"]}) == 1
+    for s in rep["summary"]:
+        assert 0 <= s["max_lightcone_spread"] <= s["lightcone_radius"]
 
 
 def test_stretch_report_deterministic():
