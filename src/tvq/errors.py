@@ -35,8 +35,8 @@ import numpy as np
 
 from .circuits import GateCircuit, compile_schedule
 from .fusion import FusionData, fibonacci_data
-from .gadgets import MoveSchedule, _disk_coords, _grid_distance, braid_arena, braid_schedule
-from .lattice import MoveError, SurfaceLattice, apply_cpi
+from .gadgets import MoveSchedule, braid_arena, braid_schedule
+from .lattice import MoveError, SurfaceLattice, _disk_coords, _grid_distance, apply_cpi
 
 __all__ = [
     "ErrorString",

@@ -47,7 +47,13 @@ from .lattice import (
     MoveError,
     MoveRecord,
     SurfaceLattice,
+    _corner,
+    _disk_coords,
+    _eid_diag,
+    _eid_spoke,
     _flip,
+    _grid_distance,
+    _tid_lower,
     apply_cpi,
     build_planar_patch,
     pachner_13,
@@ -199,93 +205,35 @@ def depth_report_to_json(report: DepthReport) -> str:
 
 # -- canonical patch arithmetic ---------------------------------------------
 #
-# All builders below run on lattices laid out exactly like
-# build_planar_patch output: vertex 0 at the center, ring r sector s at
-# id 1 + (r-1)*cols + s, and edge ids in builder order (center spokes,
-# ring edges, radial spokes, diagonals). That lets move targets be
-# computed arithmetically instead of by search. _canonical_disk verifies
-# the layout and raises MoveError when it does not hold, e.g. after a
-# split that has not been merged back.
+# All builders below run on lattices with the complex of a
+# build_planar_patch output, whose ids the layout helpers in tvq.lattice
+# give arithmetically, so move targets need no search. _canonical_disk
+# checks that complex once per schedule build and raises MoveError when
+# it does not hold, e.g. after a split that has not been merged back.
+# Quad corners come from lattice._corner.
 
 
-def _disk_coords(vid: int, cols: int) -> tuple[int, int]:
-    if vid == 0:
-        return 0, 0
-    return (vid - 1) // cols + 1, (vid - 1) % cols
-
-
-def _grid_distance(u: int, v: int, cols: int) -> int:
-    """Ring steps plus circular sector steps between two patch vertices."""
-    ru, su = _disk_coords(u, cols)
-    rv, sv = _disk_coords(v, cols)
-    ds = abs(su - sv)
-    return abs(ru - rv) + min(ds, cols - ds)
-
-
-def _eid_ring(rows: int, cols: int, r: int, s: int) -> int:
-    return cols + (r - 1) * cols + (s % cols)
-
-
-def _eid_spoke(rows: int, cols: int, r: int, s: int) -> int:
-    return cols + rows * cols + (r - 1) * cols + (s % cols)
-
-
-def _eid_diag(rows: int, cols: int, r: int, s: int) -> int:
-    return cols + rows * cols + (rows - 1) * cols + (r - 1) * cols + (s % cols)
-
-
-def _tid_lower(rows: int, cols: int, r: int, s: int) -> int:
-    return cols + 2 * ((r - 1) * cols + (s % cols))
-
-
-def _canonical_disk(lat: SurfaceLattice) -> tuple[int, int]:
-    """Return (rows, cols) after verifying builder layout, ids included."""
+def _canonical_disk(lat: SurfaceLattice) -> tuple[int, int, SurfaceLattice]:
+    """(rows, cols, build_planar_patch(rows, cols)) for a lattice with
+    that build's complex: its topology, its edges (endpoints, qubit
+    slots and pinning) and its triangles (ids and edge sets). Vertex
+    positions and punctures are not compared. Raises MoveError otherwise.
+    """
     bad = MoveError("lattice does not have the canonical patch layout")
     if lat.topology != "disk" or 0 not in lat.vertices:
         raise bad
-    cols = sum(1 for e in lat.edges.values() if 0 in e.endpoints())
-    if cols < 2:
+    cols = len(lat.vertex_edges()[0])
+    if cols < 2 or (len(lat.vertices) - 1) % cols:
         raise bad
-    nv = len(lat.vertices)
-    if (nv - 1) % cols:
-        raise bad
-    rows = (nv - 1) // cols
+    rows = (len(lat.vertices) - 1) // cols
     if rows < 2:
         raise bad
-    n_edges = cols + rows * cols + 2 * (rows - 1) * cols
-    if len(lat.edges) != n_edges or len(lat.triangles) != cols + 2 * (rows - 1) * cols:
+    patch = build_planar_patch(rows, cols)
+    if lat.edges != patch.edges or lat.triangles.keys() != patch.triangles.keys():
         raise bad
-
-    def expect(eid: int, v1: int, v2: int, pinned: bool) -> None:
-        edge = lat.edges.get(eid)
-        if edge is None or edge.endpoints() != frozenset((v1, v2)):
-            raise bad
-        if edge.pinned != pinned:
-            raise bad
-
-    for s in range(cols):
-        expect(s, 0, polar_vertex_id(cols, 1, s), False)
-        for r in range(1, rows + 1):
-            expect(
-                _eid_ring(rows, cols, r, s),
-                polar_vertex_id(cols, r, s),
-                polar_vertex_id(cols, r, s + 1),
-                r == rows,
-            )
-        for r in range(1, rows):
-            expect(
-                _eid_spoke(rows, cols, r, s),
-                polar_vertex_id(cols, r, s),
-                polar_vertex_id(cols, r + 1, s),
-                False,
-            )
-            expect(
-                _eid_diag(rows, cols, r, s),
-                polar_vertex_id(cols, r, s),
-                polar_vertex_id(cols, r + 1, s + 1),
-                False,
-            )
-    return rows, cols
+    if any(sorted(es) != sorted(patch.triangles[t]) for t, es in lat.triangles.items()):
+        raise bad
+    return rows, cols, patch
 
 
 # -- schedule execution ------------------------------------------------------
@@ -382,102 +330,37 @@ def shear_step(
     (it would be dragged along or torn by the flips). Raises MoveError
     when the lattice is not canonical, the sector count is odd (no
     two-way parity layering) or 2 (parallel ring edges, which the
-    relabeling cannot tell apart), a spectator puncture sits off center, or
-    there are not enough rings between the puncture and the pinned
-    boundary.
+    relabeling cannot tell apart), the stride is not a positive
+    integer, a spectator puncture sits off center, or there are not
+    enough rings between the puncture and the pinned boundary.
     """
     return _shear(lat, anyon_id, direction, stride)[0]
-
-
-@dataclass(frozen=True)
-class _ShearStep:
-    """One shear step, built without regard to punctures.
-
-    groups holds the LOCAL flip group and the PERMUTATION rotation group,
-    whose target is the bare canonical patch and whose record holds the
-    rotation's vertex map; start is the lattice the step was built on.
-    The step depends only on start's complex, the direction, the stride
-    and the base ring, so it can be placed on any lattice with the same
-    complex.
-    """
-
-    start: SurfaceLattice
-    groups: tuple[MoveGroup, MoveGroup]
 
 
 def _shear(
     lat: SurfaceLattice, anyon_id: int, direction: int, stride: int | None
 ) -> tuple[MoveSchedule, SurfaceLattice]:
     """shear_step's schedule plus the lattice it ends on."""
-    step = _build_shear(lat, anyon_id, direction, stride)
-    return MoveSchedule(step.groups), _place_shear(lat, step, anyon_id)
+    groups, end = _shear_reusing({}, _canonical_disk(lat), lat, anyon_id, direction, stride)
+    return MoveSchedule(groups), end
 
 
 def _shear_reusing(
-    built: dict[tuple[int, int, int], _ShearStep],
+    built: dict[tuple[int, int, int], tuple[MoveGroup, MoveGroup]],
+    disk: tuple[int, int, SurfaceLattice],
     lat: SurfaceLattice,
     anyon_id: int,
     direction: int,
-    stride: int,
-    cols: int,
+    stride: int | None,
 ) -> tuple[tuple[MoveGroup, MoveGroup], SurfaceLattice]:
-    """_shear's groups and end lattice, for the schedule builders.
+    """One shear step's groups and the lattice they end on.
 
-    built holds the steps of one schedule build, keyed by (direction,
-    stride, base ring). A kept step is reused, group objects included,
-    when lat has the complex it was built on; otherwise the step is
-    built anew with every check. Either way lat's punctures are checked.
+    disk is _canonical_disk(lat), or that of any lattice with lat's
+    complex. built holds the steps of one schedule build, keyed by
+    (direction, stride, base ring); a kept step is reused, group objects
+    included. Every call checks its arguments and lat's punctures.
     """
-    key = (direction, stride, _disk_coords(anyon_id, cols)[0] + 1)
-    step = built.get(key)
-    if step is None or not _same_complex(step.start, lat):
-        step = built[key] = _build_shear(lat, anyon_id, direction, stride)
-    return step.groups, _place_shear(lat, step, anyon_id)
-
-
-def _same_complex(a: SurfaceLattice, b: SurfaceLattice) -> bool:
-    return (
-        a.topology == b.topology
-        and a.vertices == b.vertices
-        and a.edges == b.edges
-        and a.triangles == b.triangles
-    )
-
-
-def _check_corridor(lat: SurfaceLattice, anyon_id: int) -> None:
-    if anyon_id not in lat.punctures:
-        raise MoveError(f"vertex {anyon_id} is not a puncture")
-    for p in lat.punctures:
-        # the rigid block would drag any off-center puncture along, and a
-        # puncture in the sheared corridor would break the flip pattern;
-        # only the rotation's fixed point, the center vertex 0, is safe
-        # for spectators
-        if p not in (anyon_id, 0):
-            raise MoveError("shear is blocked by another off-center puncture")
-
-
-def _place_shear(lat: SurfaceLattice, step: _ShearStep, anyon_id: int) -> SurfaceLattice:
-    """Check lat's punctures against the step; return the lattice it ends on.
-
-    That is the step's target with lat's punctures moved by the vertex
-    map, at the version apply_cpi gives after the step's flips. No
-    puncture the checks allow touches a flip, so the step's records are
-    the same whatever lat's punctures are.
-    """
-    _check_corridor(lat, anyon_id)
-    flips, rotation = step.groups
-    (perm,) = rotation.records()
-    end = replace_lattice(rotation.target, punctures=frozenset(perm.vmap[p] for p in lat.punctures))
-    n_flips = sum(len(layer) for layer in flips.layers)
-    end.version = max(lat.version + n_flips, rotation.target.version) + 1
-    return end
-
-
-def _build_shear(
-    lat: SurfaceLattice, anyon_id: int, direction: int, stride: int | None
-) -> _ShearStep:
-    """Check a shear step on lat, then build it on a puncture-free copy."""
-    rows, cols = _canonical_disk(lat)
+    rows, cols, patch = disk
     if anyon_id not in lat.punctures:
         raise MoveError(f"vertex {anyon_id} is not a puncture")
     if direction not in (-1, 1):
@@ -488,33 +371,55 @@ def _build_shear(
         # ring edges come in parallel pairs, which apply_cpi matches by
         # id, so the relabeling would not map triangles to triangles
         raise MoveError("shear needs at least 4 sectors")
-    k = max(1, cols // 6) if stride is None else int(stride)
+    try:
+        k = max(1, cols // 6) if stride is None else int(stride)
+    except (TypeError, ValueError):
+        raise MoveError(f"stride must be an integer, got {stride!r}") from None
     if k < 1:
         raise MoveError("stride must be positive")
     base = _disk_coords(anyon_id, cols)[0] + 1
-    _check_corridor(lat, anyon_id)
+    for p in lat.punctures:
+        # the rigid block would drag any off-center puncture along, and a
+        # puncture in the sheared corridor would break the flip pattern;
+        # only the rotation's fixed point, the center vertex 0, is safe
+        # for spectators
+        if p not in (anyon_id, 0):
+            raise MoveError("shear is blocked by another off-center puncture")
     if base + k > rows:
         raise MoveError("not enough rings between the puncture and the boundary")
+    groups = built.get((direction, k, base))
+    if groups is None:
+        groups = built[direction, k, base] = _build_shear(disk, direction, k, base)
+    # the step ends on its target with lat's punctures moved by the vertex
+    # map, at the version apply_cpi gives after the step's flips; no
+    # puncture the checks allow touches a flip, so the records hold for lat
+    flips, rotation = groups
+    (perm,) = rotation.records()
+    end = replace_lattice(patch, punctures=frozenset(perm.vmap[p] for p in lat.punctures))
+    end.version = max(lat.version + sum(len(layer) for layer in flips.layers), patch.version) + 1
+    return groups, end
 
+
+def _build_shear(
+    disk: tuple[int, int, SurfaceLattice], direction: int, k: int, base: int
+) -> tuple[MoveGroup, MoveGroup]:
+    """The flip and rotation groups of a shear step, built on the bare
+    canonical patch, whose rotation group targets that patch."""
+    rows, cols, patch = disk
     # dry-run the flips on one private copy; ids are stable so targets
     # come from arithmetic
+    eid = _eid_diag if direction == -1 else _eid_spoke
     layers: dict[tuple[int, int], list[MoveRecord]] = {}
-    cur = lat._fork()
-    cur.punctures = frozenset()
+    cur = patch._fork()
     for j in range(k):
-        r = base + j
         for s in range(cols):
-            if direction == -1:
-                eid = _eid_diag(rows, cols, r, s)
-            else:
-                eid = _eid_spoke(rows, cols, r, s)
-            layers.setdefault((j % 2, s % 2), []).append(_flip(cur, eid))
+            layers.setdefault((j % 2, s % 2), []).append(_flip(cur, eid(rows, cols, base + j, s)))
     layer_order = [(0, 0), (0, 1), (1, 0), (1, 1)]
     local_layers = tuple(
         tuple(layers[key]) for key in layer_order if key in layers
     )
     vmap: dict[int, int] = {0: 0}
-    for vid in lat.vertices:
+    for vid in patch.vertices:
         if vid == 0:
             continue
         r, s = _disk_coords(vid, cols)
@@ -525,14 +430,12 @@ def _build_shear(
         else:
             rho = 0
         vmap[vid] = polar_vertex_id(cols, r, s + rho)
-    target = build_planar_patch(rows, cols)
-    perm = apply_cpi(cur, vmap, target=target)[1]
+    perm = apply_cpi(cur, vmap, target=patch)[1]
     grange = _cpi_grid_range(cur, vmap, cols)
-    groups = (
+    return (
         MoveGroup(LOCAL, local_layers, tag="shear flips"),
-        MoveGroup(PERMUTATION, ((perm,),), target=target, range=grange, tag="shear rotation"),
+        MoveGroup(PERMUTATION, ((perm,),), target=patch, range=grange, tag="shear rotation"),
     )
-    return _ShearStep(lat, groups)
 
 
 def braid_arena(d: int) -> tuple[SurfaceLattice, int, int]:
@@ -563,7 +466,8 @@ def braid_schedule(
     one step is built and its two group objects are repeated. The
     composite returns the lattice to its exact starting signature.
     """
-    rows, cols = _canonical_disk(lat)
+    disk = _canonical_disk(lat)
+    rows, cols, _ = disk
     if set(lat.punctures) != {anyon_a, anyon_b}:
         raise MoveError("braid needs exactly the two named punctures")
     if _disk_coords(anyon_b, cols)[0] != 0:
@@ -578,12 +482,12 @@ def braid_schedule(
         raise MoveError("not enough rings between the puncture and the boundary")
 
     groups: list[MoveGroup] = []
-    built: dict[tuple[int, int, int], _ShearStep] = {}
+    built: dict = {}
     cur = lat
     cur_a = anyon_a
     sec_a = _disk_coords(anyon_a, cols)[1]
     for _ in range(steps):
-        step, cur = _shear_reusing(built, cur, cur_a, -1, k, cols)
+        step, cur = _shear_reusing(built, disk, cur, cur_a, -1, k)
         groups.extend(step)
         sec_a = (sec_a - k) % cols
         cur_a = polar_vertex_id(cols, ring_a, sec_a)
@@ -607,11 +511,12 @@ def baseline_schedule(
     path is the empty schedule. Hops in one direction repeat the group
     objects of the first such hop.
     """
-    rows, cols = _canonical_disk(lat)
+    disk = _canonical_disk(lat)
+    cols = disk[1]
     if anyon_id not in lat.punctures:
         raise MoveError(f"vertex {anyon_id} is not a puncture")
     groups: list[MoveGroup] = []
-    built: dict[tuple[int, int, int], _ShearStep] = {}
+    built: dict = {}
     cur = lat
     cur_id = anyon_id
     for nxt in path:
@@ -630,7 +535,7 @@ def baseline_schedule(
             raise MoveError("path hops must move to an adjacent sector")
         if nxt in cur.punctures:
             raise MoveError("path runs into another puncture")
-        step, cur = _shear_reusing(built, cur, cur_id, direction, 1, cols)
+        step, cur = _shear_reusing(built, disk, cur, cur_id, direction, 1)
         groups.extend(step)
         cur_id = nxt
         if cur_id not in cur.punctures:
@@ -658,7 +563,7 @@ def split_row(
     The row must carry no punctures on either bounding ring, and the
     sector count must be even so the final sweep can two-color.
     """
-    rows, cols = _canonical_disk(lat)
+    rows, cols, _ = _canonical_disk(lat)
     try:
         r = int(row_spec)
     except (TypeError, ValueError):
@@ -674,19 +579,9 @@ def split_row(
 
     cur = lat
     lay1: list[MoveRecord] = []
-    new_vertices: list[int] = []
     for s in range(cols):
-        tid = _tid_lower(rows, cols, r, s)
-        want = {
-            _eid_spoke(rows, cols, r, s),
-            _eid_ring(rows, cols, r + 1, s),
-            _eid_diag(rows, cols, r, s),
-        }
-        if set(cur.triangles[tid]) != want:
-            raise MoveError("lattice does not have the canonical patch layout")
-        cur, rec = pachner_13(cur, tid)
+        cur, rec = pachner_13(cur, _tid_lower(rows, cols, r, s))
         lay1.append(rec)
-        new_vertices.append(rec.vertex)
 
     lay2: list[MoveRecord] = []
     for s in range(cols):
@@ -706,11 +601,8 @@ def split_row(
 
 
 def _vertex_adjacency(lat: SurfaceLattice) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in lat.vertices}
-    for edge in lat.edges.values():
-        adj[edge.v1].add(edge.v2)
-        adj[edge.v2].add(edge.v1)
-    return adj
+    edges = lat.edges
+    return {v: {edges[e].v1 + edges[e].v2 - v for e in es} for v, es in lat.vertex_edges().items()}
 
 
 def _order_ring(mids: list[int], adj: dict[int, set[int]]) -> list[int]:
@@ -773,22 +665,18 @@ def _merge_chain(
     return None
 
 
+def _quads(lat: SurfaceLattice, u: int, v: int) -> Iterable[tuple[int, set[int]]]:
+    """(edge id, the apexes of its flip quad) per interior edge between u and v."""
+    et = lat.edge_triangles()
+    want = (min(u, v), max(u, v))
+    for eid in lat.vertex_edges()[u]:
+        if (lat.edges[eid].v1, lat.edges[eid].v2) == want and len(et[eid]) == 2:
+            yield eid, {_corner(lat, eid, t)[0] for t in et[eid]}
+
+
 def _resolve_edge(lat: SurfaceLattice, u: int, v: int, apexes: set[int]) -> int:
     """Edge id between u and v whose flip quad has exactly these apexes."""
-    found = []
-    tri_of = lat.edge_triangles()
-    for eid, edge in lat.edges.items():
-        if edge.endpoints() != frozenset((u, v)):
-            continue
-        tris = tri_of.get(eid, ())
-        if len(tris) != 2:
-            continue
-        got = set()
-        for tid in tris:
-            for other in lat.triangles[tid]:
-                got |= set(lat.edges[other].endpoints())
-        if got - {u, v} == apexes:
-            found.append(eid)
+    found = [eid for eid, got in _quads(lat, u, v) if got == apexes]
     if len(found) != 1:
         raise MoveError("rows are not mergeable: ambiguous or missing quad")
     return found[0]
@@ -810,7 +698,10 @@ def merge_rows(
     with the freshly created vertices, it restores the original lattice
     exactly, ids included.
     """
-    mids = sorted(set(int(v) for v in rows_spec))
+    try:
+        mids = sorted(set(int(v) for v in rows_spec))
+    except (TypeError, ValueError):
+        raise MoveError(f"rows_spec must list vertex ids, got {rows_spec!r}") from None
     if not mids:
         raise MoveError("empty row specification")
     if len(mids) < 2 or len(mids) % 2:
@@ -863,22 +754,10 @@ def merge_rows(
     far: list[int | None] = [None] * n
     ring_ids: list[int] = []
     blocked = set(mids) | set(side)
-    tri_of = cur.edge_triangles()
     for s in range(n):
-        m_next = mids[(s + 1) % n]
         want_side = side[(s + 1) % n]
         found: list[tuple[int, int]] = []
-        for eid, edge in cur.edges.items():
-            if edge.endpoints() != frozenset((mids[s], m_next)):
-                continue
-            tris = tri_of.get(eid, ())
-            if len(tris) != 2:
-                continue
-            corners = set()
-            for tid in tris:
-                for other in cur.triangles[tid]:
-                    corners |= set(cur.edges[other].endpoints())
-            apexes = corners - {mids[s], m_next}
+        for eid, apexes in _quads(cur, mids[s], mids[(s + 1) % n]):
             others = apexes - {want_side}
             if want_side in apexes and len(others) == 1 and not (others & blocked):
                 found.append((eid, others.pop()))

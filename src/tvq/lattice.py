@@ -144,7 +144,9 @@ class SurfaceLattice:
     output a copy updated at the entries it touched. That is sound
     because a lattice is never mutated after it is returned; rewrites
     only mutate private copies (``_fork``). Map entries are tuples, so
-    versions share them safely.
+    versions share them safely. Plaquettes are kept too, each filled on
+    its first call; a fork starts without them, and ``replace_lattice``
+    shares them only while the complex is unchanged.
     """
 
     topology: str  # sphere | torus | disk
@@ -155,6 +157,7 @@ class SurfaceLattice:
     version: int = 0
     _edge_tris: Optional[dict[int, tuple[int, ...]]] = field(default=None, init=False, repr=False, compare=False)
     _vertex_edges: Optional[dict[int, tuple[int, ...]]] = field(default=None, init=False, repr=False, compare=False)
+    _plaquettes: dict[int, Optional[Plaquette]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ---- derived structure -------------------------------------------------
 
@@ -206,9 +209,10 @@ class SurfaceLattice:
         return {rec.qubit: e for e, rec in self.edges.items() if rec.qubit is not None}
 
     def edge_between(self, u: int, v: int) -> Optional[int]:
-        want = frozenset((u, v))
-        for e, rec in sorted(self.edges.items()):
-            if rec.endpoints() == want:
+        """Smallest id of an edge joining u and v, or None."""
+        want = (min(u, v), max(u, v))
+        for e in self._maps()[1].get(u, ()):
+            if (self.edges[e].v1, self.edges[e].v2) == want:
                 return e
         return None
 
@@ -238,11 +242,7 @@ class SurfaceLattice:
         for t, es in self.triangles.items():
             if len(set(es)) != 3:
                 raise MoveError(f"triangle {t} has repeated edges {es}")
-            vs: set[int] = set()
-            for e in es:
-                vs |= set(self.edges[e].endpoints())
-            if len(vs) != 3:
-                raise MoveError(f"triangle {t} does not span 3 vertices")
+            _corner(self, es[0], t)  # raises unless t spans 3 vertices
         for p in self.punctures:
             if self.plaquette(p) is None:
                 raise MoveError(f"puncture {p} is not an interior plaquette")
@@ -250,7 +250,12 @@ class SurfaceLattice:
     # ---- plaquettes ---------------------------------------------------------
 
     def plaquette(self, vertex: int) -> Optional[Plaquette]:
-        """Closed fan at the vertex, or None for boundary vertices."""
+        """Closed fan at the vertex, or None for boundary vertices; kept."""
+        if vertex not in self._plaquettes:
+            self._plaquettes[vertex] = self._fan(vertex)
+        return self._plaquettes[vertex]
+
+    def _fan(self, vertex: int) -> Optional[Plaquette]:
         et, ve = self._maps()
         incident = ve.get(vertex, [])
         if len(incident) < 2:
@@ -298,8 +303,9 @@ class SurfaceLattice:
 
 
 def replace_lattice(lat: SurfaceLattice, **changes) -> SurfaceLattice:
-    """Copy with some fields changed. The kept maps carry over only when
-    vertices, edges and triangles are all unchanged, so none goes stale."""
+    """Copy with some fields changed. The kept maps and plaquettes carry
+    over only when vertices, edges and triangles are all unchanged, so
+    none goes stale."""
     out = SurfaceLattice(
         topology=changes.get("topology", lat.topology),
         vertices=dict(changes.get("vertices", lat.vertices)),
@@ -310,6 +316,7 @@ def replace_lattice(lat: SurfaceLattice, **changes) -> SurfaceLattice:
     )
     if not changes.keys() & {"vertices", "edges", "triangles"}:
         out._edge_tris, out._vertex_edges = lat._edge_tris, lat._vertex_edges
+        out._plaquettes = lat._plaquettes
     return out
 
 
@@ -402,6 +409,49 @@ def polar_position(cols: int, ring: int, sector: int) -> tuple[float, float]:
     return (radius * math.cos(ang), radius * math.sin(ang))
 
 
+# Patch layout. build_planar_patch numbers its edges center spokes, ring
+# edges (ring 1 outwards), radial spokes, diagonals, and its triangles
+# center fan, then a lower and an upper triangle per annulus cell; these
+# give every id arithmetically, so builders on the patch need no search.
+
+
+def _disk_coords(vid: int, cols: int) -> tuple[int, int]:
+    """(ring, sector) of a patch vertex; inverse of polar_vertex_id."""
+    if vid == 0:
+        return 0, 0
+    return (vid - 1) // cols + 1, (vid - 1) % cols
+
+
+def _grid_distance(u: int, v: int, cols: int) -> int:
+    """Ring steps plus circular sector steps between two patch vertices."""
+    ru, su = _disk_coords(u, cols)
+    rv, sv = _disk_coords(v, cols)
+    ds = abs(su - sv)
+    return abs(ru - rv) + min(ds, cols - ds)
+
+
+def _eid_ring(rows: int, cols: int, r: int, s: int) -> int:
+    """Ring edge (r, s) -> (r, s+1)."""
+    return cols + (r - 1) * cols + (s % cols)
+
+
+def _eid_spoke(rows: int, cols: int, r: int, s: int) -> int:
+    """Spoke (r, s) -> (r+1, s); ring 0 is the center."""
+    if r == 0:
+        return s % cols
+    return cols + rows * cols + (r - 1) * cols + (s % cols)
+
+
+def _eid_diag(rows: int, cols: int, r: int, s: int) -> int:
+    """Diagonal (r, s) -> (r+1, s+1)."""
+    return cols + rows * cols + (rows - 1) * cols + (r - 1) * cols + (s % cols)
+
+
+def _tid_lower(rows: int, cols: int, r: int, s: int) -> int:
+    """Lower triangle of annulus cell (r, s); the upper one is next."""
+    return cols + 2 * ((r - 1) * cols + (s % cols))
+
+
 def build_planar_patch(
     rows: int, cols: int, punctures: Iterable[tuple[int, int]] = ()
 ) -> SurfaceLattice:
@@ -424,47 +474,36 @@ def build_planar_patch(
         for s in range(n):
             vertices[polar_vertex_id(n, r, s)] = polar_position(n, r, s)
 
+    # inserted in id order, so qubit slots count up with edge ids
     edges: dict[int, Edge] = {}
-    eid: dict[tuple[str, int, int], int] = {}
-    k = 0
     slot = 0
 
-    def add(kind, r, s, u, v, pinned=False):
-        nonlocal k, slot
-        edges[k] = Edge(u, v, None if pinned else slot)
-        eid[(kind, r, s)] = k
-        k += 1
-        if not pinned:
-            slot += 1
+    def add(eid, r, s, r2, s2, pinned=False):
+        nonlocal slot
+        edges[eid] = Edge(polar_vertex_id(n, r, s), polar_vertex_id(n, r2, s2), None if pinned else slot)
+        slot += not pinned
 
-    for s in range(n):  # center spokes
-        add("spoke", 0, s, 0, polar_vertex_id(n, 1, s))
-    for r in range(1, m + 1):  # ring edges; outermost pinned
+    for s in range(n):
+        add(_eid_spoke(m, n, 0, s), 0, 0, 1, s)
+    for r in range(1, m + 1):  # outermost ring pinned
         for s in range(n):
-            add(
-                "ring", r, s,
-                polar_vertex_id(n, r, s), polar_vertex_id(n, r, s + 1),
-                pinned=(r == m),
-            )
-    for r in range(1, m):  # radial spokes
-        for s in range(n):
-            add("spoke", r, s, polar_vertex_id(n, r, s), polar_vertex_id(n, r + 1, s))
-    for r in range(1, m):  # diagonals
-        for s in range(n):
-            add("diag", r, s, polar_vertex_id(n, r, s), polar_vertex_id(n, r + 1, s + 1))
-
-    triangles: dict[int, tuple[int, int, int]] = {}
-    t = 0
-    for s in range(n):  # center fan
-        triangles[t] = (eid[("spoke", 0, s)], eid[("spoke", 0, (s + 1) % n)], eid[("ring", 1, s)])
-        t += 1
+            add(_eid_ring(m, n, r, s), r, s, r, s + 1, pinned=(r == m))
     for r in range(1, m):
         for s in range(n):
-            # lower: (r,s) (r+1,s) (r+1,s+1)
-            triangles[t] = (eid[("spoke", r, s)], eid[("ring", r + 1, s)], eid[("diag", r, s)])
-            # upper: (r,s) (r,s+1) (r+1,s+1)
-            triangles[t + 1] = (eid[("ring", r, s)], eid[("diag", r, s)], eid[("spoke", r, (s + 1) % n)])
-            t += 2
+            add(_eid_spoke(m, n, r, s), r, s, r + 1, s)
+    for r in range(1, m):
+        for s in range(n):
+            add(_eid_diag(m, n, r, s), r, s, r + 1, s + 1)
+
+    triangles: dict[int, tuple[int, int, int]] = {}
+    for s in range(n):  # center fan
+        triangles[s] = (_eid_spoke(m, n, 0, s), _eid_spoke(m, n, 0, s + 1), _eid_ring(m, n, 1, s))
+    for r in range(1, m):
+        for s in range(n):
+            t, diag = _tid_lower(m, n, r, s), _eid_diag(m, n, r, s)
+            # lower: (r,s) (r+1,s) (r+1,s+1); upper: (r,s) (r,s+1) (r+1,s+1)
+            triangles[t] = (_eid_spoke(m, n, r, s), _eid_ring(m, n, r + 1, s), diag)
+            triangles[t + 1] = (_eid_ring(m, n, r, s), diag, _eid_spoke(m, n, r, s + 1))
 
     marked: set[int] = set()
     for ring, sector in punctures:
@@ -487,6 +526,27 @@ def build_planar_patch(
 # ---- rewrites ----------------------------------------------------------------
 
 
+def _corner(lat: SurfaceLattice, edge_id: int, triangle_id: int) -> tuple[int, dict[int, int]]:
+    """Corner of a triangle across one of its edges, and the triangle's
+    two other sides keyed by the endpoint of that edge each meets.
+
+    Raises MoveError unless the other sides run from the edge's two
+    distinct endpoints to one third vertex.
+    """
+    rec = lat.edges[edge_id]
+    u, v = rec.v1, rec.v2
+    x, y = (e for e in lat.triangles[triangle_id] if e != edge_id)
+    rx, ry = lat.edges[x], lat.edges[y]
+    if v in (rx.v1, rx.v2) and u in (ry.v1, ry.v2):
+        x, y, rx, ry = y, x, ry, rx
+    elif not (u in (rx.v1, rx.v2) and v in (ry.v1, ry.v2)):
+        raise MoveError(f"triangle {triangle_id} does not span 3 vertices")
+    w = rx.v1 + rx.v2 - u  # x's far end, y's too in a proper triangle
+    if u == v or w in (u, v) or w != ry.v1 + ry.v2 - v:
+        raise MoveError(f"triangle {triangle_id} does not span 3 vertices")
+    return w, {u: x, v: y}
+
+
 def _flip_roles(lat: SurfaceLattice, edge_id: int):
     """Quadrilateral data for a 2-2 flip; raises MoveError when degenerate."""
     if edge_id not in lat.edges:
@@ -497,33 +557,16 @@ def _flip_roles(lat: SurfaceLattice, edge_id: int):
     ts = lat._maps()[0][edge_id]
     if len(ts) != 2:
         raise MoveError(f"edge {edge_id} is a boundary edge")
-    t1, t2 = sorted(ts)
-    e1 = [e for e in lat.triangles[t1] if e != edge_id]
-    e2 = [e for e in lat.triangles[t2] if e != edge_id]
-    if set(e1) & set(e2):
+    t1, t2 = ts
+    w1, at1 = _corner(lat, edge_id, t1)
+    w2, at2 = _corner(lat, edge_id, t2)
+    if set(at1.values()) & set(at2.values()):
         raise MoveError(f"edge {edge_id}: triangles share a second edge (degenerate quad)")
-    u, v = sorted((rec.v1, rec.v2))
-
-    def apex(pair):
-        vs = set(lat.edges[pair[0]].endpoints()) & set(lat.edges[pair[1]].endpoints())
-        vs -= {u, v}
-        if len(vs) != 1:
-            raise MoveError(f"edge {edge_id}: degenerate apex")
-        return vs.pop()
-
-    w1, w2 = apex(e1), apex(e2)
     if w1 == w2:
         raise MoveError(f"edge {edge_id}: both apexes coincide (degenerate quad)")
-
-    def at(pair, vertex):
-        hit = [e for e in pair if vertex in lat.edges[e].endpoints()]
-        if len(hit) != 1:
-            raise MoveError(f"edge {edge_id}: ambiguous quad sides")
-        return hit[0]
-
+    u, v = rec.v1, rec.v2
     # leg roles as used by the amplitude rule: a,b in t1 at v,u; c,d in t2 at u,v
-    a, b = at(e1, v), at(e1, u)
-    c, d = at(e2, u), at(e2, v)
+    a, b, c, d = at1[v], at1[u], at2[u], at2[v]
     for corner in (u, v, w1, w2):
         if corner in lat.punctures:
             raise MoveError(f"edge {edge_id}: flip touches puncture plaquette {corner}")
@@ -592,24 +635,14 @@ def _subdivide(lat: SurfaceLattice, triangle_id: int) -> MoveRecord:
     es = lat.triangles[triangle_id]
     if len(set(es)) != 3:
         raise MoveError(f"triangle {triangle_id} is degenerate")
-    b_e, a_e, c_e = sorted(es)[0], sorted(es)[1], sorted(es)[2]
-    corners: set[int] = set()
-    for e in es:
-        corners |= set(lat.edges[e].endpoints())
-    if len(corners) != 3:
-        raise MoveError(f"triangle {triangle_id} does not span 3 corners")
-    for vtx in corners:
+    b_e, a_e, c_e = sorted(es)
+    p, q, r = (_corner(lat, e, triangle_id)[0] for e in (a_e, b_e, c_e))
+    for vtx in (p, q, r):
         if vtx in lat.punctures:
             raise MoveError(f"triangle {triangle_id} touches puncture plaquette {vtx}")
-
-    def opposite(e):
-        (other,) = corners - set(lat.edges[e].endpoints())
-        return other
-
-    p, q, r = opposite(a_e), opposite(b_e), opposite(c_e)
     w = max(lat.vertices) + 1
-    px = sum(lat.vertices[vv][0] for vv in corners) / 3.0
-    py = sum(lat.vertices[vv][1] for vv in corners) / 3.0
+    px = sum(lat.vertices[vv][0] for vv in (p, q, r)) / 3.0
+    py = sum(lat.vertices[vv][1] for vv in (p, q, r)) / 3.0
 
     next_edge = max(lat.edges) + 1
     slots = lat.qubit_slots()
@@ -669,31 +702,22 @@ def pachner_31_roles(lat: SurfaceLattice, vertex_id: int):
         outer.append(rest[0])
     if len(set(outer)) != 3:
         raise MoveError(f"vertex {vertex_id}: outer edges not distinct")
-    b_e, a_e, c_e = sorted(outer)[0], sorted(outer)[1], sorted(outer)[2]
-    corners: set[int] = set()
-    for e in outer:
-        corners |= set(lat.edges[e].endpoints())
-    corners -= {vertex_id}
+    b_e, a_e, c_e = sorted(outer)
+    # outer edge -> its triangle's spokes, keyed by the outer endpoint each meets
+    sides = {e: _corner(lat, e, t)[1] for t, e in zip(tris, outer)}
+    corners = {x for at in sides.values() for x in at}
     if len(corners) != 3:
         raise MoveError(f"vertex {vertex_id}: outer edges do not form a triangle")
     for vtx in corners:
         if vtx in lat.punctures:
             raise MoveError(f"vertex {vertex_id}: removal touches puncture plaquette {vtx}")
 
-    def opposite(e):
-        (other,) = corners - set(lat.edges[e].endpoints())
-        return other
+    def spoke(e):
+        """The spoke to the corner across outer edge e."""
+        (hit,) = set(incident) - set(sides[e].values())
+        return hit
 
-    p, q, r = opposite(a_e), opposite(b_e), opposite(c_e)
-
-    def spoke(target):
-        hit = [e for e in incident if target in lat.edges[e].endpoints()]
-        if len(hit) != 1:
-            raise MoveError(f"vertex {vertex_id}: spokes ambiguous")
-        return hit[0]
-
-    d_e, e_e, f_e = spoke(p), spoke(r), spoke(q)
-    return tris, (a_e, b_e, c_e), (d_e, e_e, f_e)
+    return tris, (a_e, b_e, c_e), (spoke(a_e), spoke(c_e), spoke(b_e))
 
 
 def _unsubdivide(lat: SurfaceLattice, vertex_id: int) -> MoveRecord:

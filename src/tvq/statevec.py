@@ -7,10 +7,11 @@ is the i-th smallest; pinned boundary edges carry no bit and always read
 the vacuum label.
 
 All operations are pure and vectorized, and every kernel makes
-whole-array passes. The F-move and the plaquette projector read their
-coefficients from small read-only tables built once per category. Configs
-hold one bit per edge, so every kernel that indexes F-symbols with
-config bits rejects data without exactly two labels.
+whole-array passes. The F-move, the 1-3 and 3-1 moves and the plaquette
+projector read their coefficients from small read-only tables built
+once per category. Configs hold one bit per edge, so every kernel that
+indexes F-symbols with config bits rejects data without exactly two
+labels.
 """
 
 from __future__ import annotations
@@ -153,6 +154,21 @@ def make_state(
         amps=a,
         tolerance=tolerance,
     )
+
+
+def _moved(
+    state: StringNetState, out: SurfaceLattice, configs: np.ndarray, amps: np.ndarray
+) -> tuple[StringNetState, SurfaceLattice]:
+    """A move kernel's result: its output arrays bound to the lattice
+    out, with state's tolerance, and out itself."""
+    new_state = StringNetState(
+        lattice_version=out.version,
+        sig_key=_sig_key(out),
+        configs=configs,
+        amps=amps,
+        tolerance=state.tolerance,
+    )
+    return new_state, out
 
 
 def diff_norm(lat: SurfaceLattice, a: StringNetState, b: StringNetState) -> float:
@@ -530,43 +546,47 @@ def apply_fmove(
     a = state.amps[src]
     a[:n_same] *= stay[src_key[:n_same]]
     a[n_same:] *= flip[src_key[n_same:]]
-    c, a = _coalesce(c, a, state.tolerance)
-    new_state = StringNetState(
-        lattice_version=out.version,
-        sig_key=_sig_key(out),
-        configs=c,
-        amps=a,
-        tolerance=state.tolerance,
-    )
-    return new_state, out
+    return _moved(state, out, *_coalesce(c, a, state.tolerance))
 
 
-def _pachner13_coeffs(data: FusionData, la: int, lb: int, lc: int):
-    """(d, e, f) labels and isometry coefficients for one leg pattern.
+_PACHNER13_TABLES: dict[tuple[bytes, bytes], np.ndarray] = {}
+
+
+def _pachner13_table(data: FusionData) -> np.ndarray:
+    """Isometry coefficients of the 1-3 move, flat over the 6-bit key
+    a b c d e f: legs (a, b, c) above, new labels (d, e, f) below.
 
     The split leg b is copied, a vacuum loop is prepared with weight
     d_s/D, and two recouplings attach it; the closed form per new labels
-    (d, e, f) is (d_d/D) F[b,b,d,d,0,e] F[a,c,d,e,b,f].
+    (d, e, f) is (d_d/D) F[b,b,d,d,0,e] F[a,c,d,e,b,f], 0 where either
+    F-symbol is. The 3-1 move reads the same table. Built once per
+    category.
     """
-    out = []
-    droot = np.sqrt(data.total_dim_sq)
-    for d in range(data.num_labels):
-        for e in range(data.num_labels):
-            f1 = data.fsym[lb, lb, d, d, 0, e]
-            if abs(f1) < 1e-15:
-                continue
-            for f in range(data.num_labels):
-                f2 = data.fsym[la, lc, d, e, lb, f]
-                if abs(f2) < 1e-15:
-                    continue
-                out.append((d, e, f, data.qdim[d] / droot * f1 * np.conj(f2)))
-    return out
+    fp = (data.fsym.tobytes(), data.qdim.tobytes())
+    table = _PACHNER13_TABLES.get(fp)
+    if table is None:
+        droot = np.sqrt(data.total_dim_sq)
+        table = np.zeros(64, dtype=data.fsym.dtype)
+        for key in range(64):
+            a, b, c, d, e, f = ((key >> i) & 1 for i in range(5, -1, -1))
+            f1 = data.fsym[b, b, d, d, 0, e]
+            f2 = data.fsym[a, c, d, e, b, f]
+            if abs(f1) >= 1e-15 and abs(f2) >= 1e-15:
+                table[key] = data.qdim[d] / droot * f1 * np.conj(f2)
+        table.setflags(write=False)
+        _PACHNER13_TABLES[fp] = table
+    return table
 
 
 def apply_pachner13(
     state: StringNetState, lat: SurfaceLattice, triangle_id: int, data: FusionData | None = None
 ):
-    """1-3 move: three new qubit edges entangled by the exact isometry."""
+    """1-3 move: three new qubit edges entangled by the exact isometry.
+
+    Each config expands into one term per nonzero table entry of its leg
+    pattern, the new labels spread onto the fresh bits. The fresh bits
+    are the top ones and were 0, so no two terms share a config.
+    """
     _check_version(state, lat)
     data = data or fibonacci_data()
     _check_labels(data, "1-3 moves")
@@ -575,28 +595,13 @@ def apply_pachner13(
     pos_old = bit_positions(lat)
     pos_new = bit_positions(out)
     pd, pe, pf = (pos_new[e] for e in rec.new_edges)
-    key = _key(state.configs, [pos_old.get(e) for e in reversed(rec.legs)])
+    # key bits c b a from bit 0 up, then the 8 new-label patterns f e d
+    legs = _key(state.configs, [pos_old.get(e) for e in reversed(rec.legs)])
+    coeff = _pachner13_table(data).reshape(8, 8)[legs]
+    src, pat = np.nonzero(coeff)
     spread = _move_bits(np.arange(8, dtype=U64), [(2, pd), (1, pe), (0, pf)])
-    pieces_c = []
-    pieces_a = []
-    for pat in np.unique(key):
-        sel = np.flatnonzero(key == pat)
-        terms = _pachner13_coeffs(data, (pat >> 2) & 1, (pat >> 1) & 1, pat & 1)
-        for d, e, f, coeff in terms:
-            pieces_c.append(state.configs[sel] | spread[(d << 2) | (e << 1) | f])
-            pieces_a.append(state.amps[sel] * coeff)
-    if pieces_c:
-        c, a = _coalesce(np.concatenate(pieces_c), np.concatenate(pieces_a), state.tolerance)
-    else:
-        c, a = np.array([], dtype=U64), np.array([], dtype=np.complex128)
-    new_state = StringNetState(
-        lattice_version=out.version,
-        sig_key=_sig_key(out),
-        configs=c,
-        amps=a,
-        tolerance=state.tolerance,
-    )
-    return new_state, out
+    c = state.configs[src] | spread[pat]
+    return _moved(state, out, *_coalesce(c, state.amps[src] * coeff[src, pat], state.tolerance))
 
 
 def apply_pachner31(
@@ -617,16 +622,7 @@ def apply_pachner31(
     spoke_bits = [pos[e] for e in spokes]
     # key bits f e d (spokes) then c b a (legs) from bit 0 up
     key = _key(state.configs, [pos.get(e) for e in reversed((*legs, *spokes))])
-
-    coeff = np.zeros(len(state.configs))
-    for pat in np.unique(key):
-        sel = key == pat
-        terms = _pachner13_coeffs(data, (pat >> 5) & 1, (pat >> 4) & 1, (pat >> 3) & 1)
-        want = ((pat >> 2) & 1, (pat >> 1) & 1, pat & 1)
-        for d, e, f, cf in terms:
-            if (d, e, f) == want:
-                coeff[sel] = np.conj(cf)
-                break
+    coeff = np.conj(_pachner13_table(data)[key])
     nz = np.flatnonzero(np.abs(coeff) > 1e-15)
     kept = [b for b in range(nbits) if b not in spoke_bits]
     stripped = _move_bits(state.configs[nz], ((b, j) for j, b in enumerate(kept)))
@@ -640,14 +636,7 @@ def apply_pachner31(
             f"3-1 at vertex {vertex_id}: released qubits are entangled "
             f"(residual weight {in_norm2 - out_norm2:.3e})"
         )
-    new_state = StringNetState(
-        lattice_version=out.version,
-        sig_key=_sig_key(out),
-        configs=c,
-        amps=a,
-        tolerance=state.tolerance,
-    )
-    return new_state, out
+    return _moved(state, out, c, a)
 
 
 def apply_state_permutation(
@@ -675,14 +664,7 @@ def apply_state_permutation(
     keep = np.abs(state.amps[order]) >= state.tolerance
     if not keep.all():
         order = order[keep]
-    new_state = StringNetState(
-        lattice_version=out.version,
-        sig_key=_sig_key(out),
-        configs=moved[order],
-        amps=state.amps[order],
-        tolerance=state.tolerance,
-    )
-    return new_state, out
+    return _moved(state, out, moved[order], state.amps[order])
 
 
 # ---- snapshots ---------------------------------------------------------------------

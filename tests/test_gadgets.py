@@ -16,7 +16,9 @@ import pytest
 from tvq.fusion import fibonacci_data
 from tvq.lattice import (
     F_MOVE,
+    Edge,
     MoveError,
+    SurfaceLattice,
     apply_cpi,
     build_honeycomb_torus,
     build_planar_patch,
@@ -197,6 +199,39 @@ def test_shear_rejects_non_canonical_lattices():
         shear_step(build_theta_sphere(), 0, stride=1)
     with pytest.raises(MoveError):
         shear_step(build_honeycomb_torus(2, 2), 0, stride=1)
+
+
+@pytest.mark.parametrize("swap", ["slots", "triangles"])
+def test_shear_and_braid_reject_patches_with_swapped_ids(swap):
+    """Endpoints all match the canonical patch, but two qubit slots or
+    two triangle ids are swapped."""
+    lat, cols, anyon = braid_arena(4)
+    edges, triangles = dict(lat.edges), dict(lat.triangles)
+    if swap == "slots":
+        a, b = lat.edges[20], lat.edges[21]
+        edges[20], edges[21] = Edge(a.v1, a.v2, b.qubit), Edge(b.v1, b.v2, a.qubit)
+    else:
+        triangles[20], triangles[21] = triangles[21], triangles[20]
+    bad = SurfaceLattice(lat.topology, dict(lat.vertices), edges, triangles, lat.punctures)
+    bad.check()
+    with pytest.raises(MoveError, match="canonical patch layout"):
+        shear_step(bad, anyon, stride=1)
+    with pytest.raises(MoveError, match="canonical patch layout"):
+        braid_schedule(bad, anyon, 0, steps=6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda lat: merge_rows(lat, ["x"]),
+        lambda lat: merge_rows(lat, [None]),
+        lambda lat: shear_step(lat, 0, stride="a"),
+    ],
+    ids=["merge-str", "merge-none", "shear-stride-str"],
+)
+def test_non_integer_arguments_raise_move_error(build):
+    with pytest.raises(MoveError, match="got"):
+        build(build_planar_patch(3, 4, punctures=[(0, 0)]))
 
 
 def test_shear_rejects_non_puncture_anyon():

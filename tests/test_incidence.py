@@ -1,9 +1,10 @@
 """Kept incidence maps and one-copy replay.
 
 Every lattice keeps its edge -> triangles and vertex -> edges maps, and
-each rewrite updates a copy at the entries it touched. These tests walk
-random rewrites and compare the kept maps with a from-scratch rebuild
-after every step, check that no earlier version changes, and check that
+each rewrite updates a copy at the entries it touched; plaquettes are
+kept as they are first asked for, and a relabeling onto a target shares
+the target's. These tests walk random rewrites and compare the kept
+maps and plaquettes with a from-scratch rebuild after every step, check that no earlier version changes, and check that
 replaying local moves on one private copy equals replaying them one
 move at a time.
 """
@@ -37,6 +38,7 @@ from tvq.lattice import (
     pachner_22,
     pachner_31,
     polar_vertex_id,
+    replace_lattice,
     replay_move,
     replay_moves,
 )
@@ -59,6 +61,9 @@ def assert_maps_current(lat):
     fresh = rebuilt(lat)
     assert lat.edge_triangles() == fresh.edge_triangles()
     assert lat.vertex_edges() == fresh.vertex_edges()
+    # kept plaquettes, those carried from other lattices included, then all
+    for v, plq in list(lat._plaquettes.items()):
+        assert plq == fresh.plaquette(v)
     for v in lat.vertices:
         assert lat.plaquette(v) == fresh.plaquette(v)
 
@@ -77,6 +82,7 @@ def shuffled_slots(lat, pick):
     }
     target = SurfaceLattice(lat.topology, dict(lat.vertices), edges, dict(lat.triangles), lat.punctures)
     target.check()  # builds the target's maps, which apply_cpi passes on
+    target.plaquette_vertices()  # and fills its plaquettes, passed on too
     return moved, target
 
 
@@ -154,6 +160,16 @@ def test_kept_maps_match_a_rebuild(name, moves):
     for old, sig, version in history:
         assert old.signature() == sig and old.version == version
         assert_maps_current(old)
+
+
+def test_replace_lattice_keeps_plaquettes_only_for_the_same_complex():
+    lat = build_planar_patch(3, 4)
+    lat.plaquette_vertices()
+    flipped = pachner_22(lat, 24)[0]  # a diagonal
+    moved = replace_lattice(lat, edges=flipped.edges, triangles=flipped.triangles)
+    assert_maps_current(moved)
+    assert [moved.plaquette(v) for v in moved.vertices] == [flipped.plaquette(v) for v in moved.vertices]
+    assert replace_lattice(lat, punctures=[0])._plaquettes is lat._plaquettes
 
 
 def replay_per_move(lat, schedule):
