@@ -33,6 +33,7 @@ is rescaled.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -66,10 +67,11 @@ from .lattice import (
 )
 from .statevec import (
     StringNetState,
+    _defer_permutation,
+    _materialize,
     apply_fmove,
     apply_pachner13,
     apply_pachner31,
-    apply_state_permutation,
     code_space,
     diff_norm,
     ground_project,
@@ -239,24 +241,6 @@ def _canonical_disk(lat: SurfaceLattice) -> tuple[int, int, SurfaceLattice]:
 # -- schedule execution ------------------------------------------------------
 
 
-def _apply_record(
-    state: StringNetState,
-    lat: SurfaceLattice,
-    rec: MoveRecord,
-    target: SurfaceLattice | None,
-    data: FusionData,
-) -> tuple[StringNetState, SurfaceLattice]:
-    if rec.kind == F_MOVE:
-        return apply_fmove(state, lat, rec.edge, data)
-    if rec.kind == PACHNER_13:
-        return apply_pachner13(state, lat, rec.triangles[0], data)
-    if rec.kind == PACHNER_31:
-        return apply_pachner31(state, lat, rec.vertex, data)
-    if rec.kind == PERMUTATION:
-        return apply_state_permutation(state, lat, rec.vmap, target=target)
-    raise MoveError(f"unknown move kind {rec.kind!r}")
-
-
 def run_schedule(
     state: StringNetState | None,
     lat: SurfaceLattice,
@@ -271,27 +255,48 @@ def run_schedule(
     Without a state each layer is rewritten on one private lattice
     copy. With assert_code_space the state is re-projected after every
     LOCAL group and must be left unchanged within CODE_TOL (relative).
+
+    On a state, relabelings are deferred: a PERMUTATION record rewrites
+    the lattice and drops amplitudes below the tolerance, but only
+    composes a layout, the config bit that holds each canonical bit, and
+    F-moves read their bits through it. The bits move home in one pass
+    and one sort (materialization) before a 1-3 or 3-1 move, before each
+    code-space check and before returning, so no state in another layout
+    leaves this function. The result equals a record-by-record replay
+    through the public kernels bit for bit.
     """
     data = fibonacci_data() if data is None else data
     cur, cur_lat = state, lat
+    layout = None  # bit i holds canonical bit i
     for group in schedule.groups:
-        if group.kind == LOCAL:
-            for layer in group.layers:
-                if cur is None:
+        if cur is None:
+            if group.kind == LOCAL:
+                for layer in group.layers:
                     cur_lat = replay_moves(cur_lat, layer)
-                    continue
-                for rec in layer:
-                    cur, cur_lat = _apply_record(cur, cur_lat, rec, None, data)
-        else:
-            (rec,) = group.records()
-            if cur is None:
-                cur_lat = replay_move(cur_lat, rec, group.target)
             else:
-                cur, cur_lat = _apply_record(cur, cur_lat, rec, group.target, data)
-        if assert_code_space and cur is not None and group.kind == LOCAL:
+                (rec,) = group.records()
+                cur_lat = replay_move(cur_lat, rec, group.target)
+            continue
+        for rec in group.records():
+            if rec.kind == F_MOVE:
+                cur, cur_lat = apply_fmove(cur, cur_lat, rec.edge, data, layout=layout)
+            elif rec.kind == PERMUTATION:
+                cur, cur_lat, layout = _defer_permutation(cur, cur_lat, rec.vmap, layout, group.target)
+            else:
+                cur, layout = _materialize(cur, layout), None
+                if rec.kind == PACHNER_13:
+                    cur, cur_lat = apply_pachner13(cur, cur_lat, rec.triangles[0], data)
+                elif rec.kind == PACHNER_31:
+                    cur, cur_lat = apply_pachner31(cur, cur_lat, rec.vertex, data)
+                else:
+                    raise MoveError(f"unknown move kind {rec.kind!r}")
+        if assert_code_space and group.kind == LOCAL:
+            cur, layout = _materialize(cur, layout), None
             proj = ground_project(cur, cur_lat, data)
             if diff_norm(cur_lat, proj, cur) > CODE_TOL * max(cur.norm(), 1.0):
                 raise MoveError("schedule left the code space after a local group")
+    if cur is not None:
+        cur = _materialize(cur, layout)
     return cur, cur_lat
 
 
@@ -372,8 +377,8 @@ def _shear_reusing(
         # id, so the relabeling would not map triangles to triangles
         raise MoveError("shear needs at least 4 sectors")
     try:
-        k = max(1, cols // 6) if stride is None else int(stride)
-    except (TypeError, ValueError):
+        k = max(1, cols // 6) if stride is None else operator.index(stride)
+    except TypeError:
         raise MoveError(f"stride must be an integer, got {stride!r}") from None
     if k < 1:
         raise MoveError("stride must be positive")
@@ -565,8 +570,8 @@ def split_row(
     """
     rows, cols, _ = _canonical_disk(lat)
     try:
-        r = int(row_spec)
-    except (TypeError, ValueError):
+        r = operator.index(row_spec)
+    except TypeError:
         raise MoveError(f"row_spec must be a ring index, got {row_spec!r}") from None
     if not 1 <= r <= rows - 1:
         raise MoveError(f"no annulus row at ring {r}")
@@ -699,8 +704,8 @@ def merge_rows(
     exactly, ids included.
     """
     try:
-        mids = sorted(set(int(v) for v in rows_spec))
-    except (TypeError, ValueError):
+        mids = sorted(set(operator.index(v) for v in rows_spec))
+    except TypeError:
         raise MoveError(f"rows_spec must list vertex ids, got {rows_spec!r}") from None
     if not mids:
         raise MoveError("empty row specification")

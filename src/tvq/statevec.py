@@ -6,7 +6,13 @@ version. Bit i of a config is the label of the edge whose qubit slot id
 is the i-th smallest; pinned boundary edges carry no bit and always read
 the vacuum label.
 
-All operations are pure and vectorized, and every kernel makes
+All operations are pure and vectorized. The F-move, the largest state
+kernel, works in blocks of at most FMOVE_BLOCK sorted configs, so that
+its many passes run in cache. A block holds both members of every pair
+(c, c ^ flag) of the switched edge's bit, and the move mixes nothing
+else, so each output config gets its (at most two) terms from one
+block; their sum does not depend on the order, and the blocked result
+equals the whole-array one bit for bit. The other kernels make
 whole-array passes. The F-move, the 1-3 and 3-1 moves and the plaquette
 projector read their coefficients from small read-only tables built
 once per category. Configs hold one bit per edge, so every kernel that
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .lattice import (
 U64 = np.uint64
 CONFIG_BITS = 64  # one bit per qubit slot in a uint64 config
 PACHNER31_RESIDUAL_TOL = 1e-10  # relative weight a 3-1 move may drop
+FMOVE_BLOCK = 1 << 15  # configs per F-move block: 0.8 MB of configs and amplitudes
 
 
 class VersionError(ValueError):
@@ -507,21 +514,111 @@ def _fmove_tables(data: FusionData) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return tables
 
 
-def apply_fmove(
-    state: StringNetState, lat: SurfaceLattice, edge_id: int, data: FusionData | None = None
-):
-    """2-2 move: rewrite the lattice and rotate the switched edge label by
-    the admissible F-block controlled on the four legs.
+def _fmove_block(
+    cfg: np.ndarray,
+    amps: np.ndarray,
+    bits: list[int | None],
+    flag: np.uint64,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The F-move on sorted configs that hold both members of every pair
+    (c, c ^ flag) they touch; bits are the key bits e d c b a.
 
     Each config is keyed by its legs (a, b, c, d) and edge label e, and
     its two coefficients are read from the stay and flip tables. The
     nonzero terms form three runs, each already sorted because it keeps
     input order and treats one bit the same way throughout: configs that
     keep their label, configs whose e bit the move sets, and configs
-    whose e bit it clears. `_coalesce` merges them with a stable sort of
-    sorted runs. An output config gets at most two terms, one staying and
-    one flipped, and the sum of two doubles does not depend on their
-    order, so the amplitudes equal those of any other summation order.
+    whose e bit it clears. _coalesce merges them with a stable sort of
+    sorted runs.
+    """
+    stay, flip, run_tables = tables
+    # the intp key indexes the tables without a conversion pass
+    key = _key(cfg, bits)
+    runs = [np.flatnonzero(t[key]) for t in run_tables]
+    src = np.concatenate(runs)
+    n_same, n_set = len(runs[0]), len(runs[1])
+    c = cfg[src]
+    c[n_same : n_same + n_set] |= flag
+    c[n_same + n_set :] &= ~flag
+    src_key = key[src]
+    a = amps[src]
+    a[:n_same] *= stay[src_key[:n_same]]
+    a[n_same:] *= flip[src_key[n_same:]]
+    return _coalesce(c, a, tol)
+
+
+def _pair_blocks(cfg: np.ndarray, ebit: int) -> Iterator[tuple[list[list[slice]], int | None]]:
+    """Cut sorted configs into blocks of at most FMOVE_BLOCK that hold
+    both members of every pair (c, c ^ flag), flag = 1 << ebit.
+
+    Yields (blocks, split); a block is a list of slices of cfg whose
+    concatenation is sorted. Pairs share hi = c >> (ebit + 1), so runs of
+    whole hi groups make one-slice blocks, and then split is None. A hi
+    group larger than a block is cut by ranges of its bits below ebit
+    into (e = 0 slice, e = 1 slice) blocks, and split is the group's
+    first value with the e bit set: the outputs below it, block by
+    block, precede those at or above it.
+    """
+    n = len(cfg)
+    if n <= FMOVE_BLOCK:
+        yield [[slice(0, n)]], None
+        return
+    width = ebit + 1
+    start = 0  # always the first index of a hi group
+    while start < n:
+        stop = start + FMOVE_BLOCK
+        if stop >= n:
+            yield [[slice(start, n)]], None
+            return
+        base = (int(cfg[stop]) >> width) << width  # cfg[stop]'s hi group begins there
+        cut = start + int(np.searchsorted(cfg[start:stop], U64(base)))
+        if cut > start:
+            yield [[slice(start, cut)]], None
+            start = cut
+            continue
+        # cfg[start:stop + 1] lies in one hi group: cut it by low bits
+        nxt = base + (1 << width)
+        end = n if nxt >> CONFIG_BITS else stop + int(np.searchsorted(cfg[stop:], U64(nxt)))
+        split = base | (1 << ebit)
+        mid = start + int(np.searchsorted(cfg[start:end], U64(split)))
+        # every step-th low value of each slice starts a block, so a
+        # block takes at most step configs from each slice
+        step = max(FMOVE_BLOCK // 2, 1)
+        lows = np.union1d(cfg[start:mid:step] - U64(base), cfg[mid:end:step] - U64(split))
+        i0 = [*(start + np.searchsorted(cfg[start:mid], lows + U64(base))).tolist(), mid]
+        i1 = [*(mid + np.searchsorted(cfg[mid:end], lows + U64(split))).tolist(), end]
+        yield [
+            [slice(i0[k], i0[k + 1]), slice(i1[k], i1[k + 1])] for k in range(len(lows))
+        ], split
+        start = end
+
+
+def apply_fmove(
+    state: StringNetState,
+    lat: SurfaceLattice,
+    edge_id: int,
+    data: FusionData | None = None,
+    *,
+    layout: Sequence[int] | None = None,
+):
+    """2-2 move: rewrite the lattice and rotate the switched edge label by
+    the admissible F-block controlled on the four legs.
+
+    The move only mixes the two members of a pair (c, c ^ flag), flag the
+    bit of the switched edge: an output config gets at most two terms,
+    one staying and one flipped, both from its own pair. So the sorted
+    configs are cut into blocks of at most FMOVE_BLOCK that hold whole
+    pairs (_pair_blocks), the kernel runs on each block in cache
+    (_fmove_block), and the blocks' sorted outputs are concatenated in
+    order. The sum of two doubles does not depend on their order, so the
+    amplitudes equal those of one pass over the whole state, bit for bit.
+
+    layout, which only run_schedule passes, gives the config bit that
+    holds each of lat's canonical bits (bit_positions) while relabelings
+    are deferred; the state's configs are then sorted in that layout,
+    and so is the result.
     """
     _check_version(state, lat)
     _check_width(lat)
@@ -529,24 +626,35 @@ def apply_fmove(
     _check_labels(data, "F-moves")
     out, rec = pachner_22(lat, edge_id)
     pos = bit_positions(lat)
-    stay, flip, run_tables = _fmove_tables(data)
-    cfg = state.configs
+    if layout is not None:
+        pos = {e: layout[b] for e, b in pos.items()}
+    tables = _fmove_tables(data)
     ebit = pos[edge_id]
-    # key bits e d c b a from bit 0 up; the intp key indexes the tables
-    # without a conversion pass
-    key = _key(cfg, [ebit, *(pos.get(e) for e in reversed(rec.legs))])
-    runs = [np.flatnonzero(t[key]) for t in run_tables]
-    src = np.concatenate(runs)
-    n_same, n_set = len(runs[0]), len(runs[1])
+    # key bits e d c b a from bit 0 up
+    bits = [ebit, *(pos.get(e) for e in reversed(rec.legs))]
     flag = U64(1) << U64(ebit)
-    c = cfg[src]
-    c[n_same : n_same + n_set] |= flag
-    c[n_same + n_set :] &= ~flag
-    src_key = key[src]
-    a = state.amps[src]
-    a[:n_same] *= stay[src_key[:n_same]]
-    a[n_same:] *= flip[src_key[n_same:]]
-    return _moved(state, out, *_coalesce(c, a, state.tolerance))
+    cfg, amps = state.configs, state.amps
+    pieces: list[tuple[np.ndarray, np.ndarray]] = []
+    for blocks, split in _pair_blocks(cfg, ebit):
+        outs = [
+            _fmove_block(
+                np.concatenate([cfg[s] for s in block]),
+                np.concatenate([amps[s] for s in block]),
+                bits,
+                flag,
+                tables,
+                state.tolerance,
+            )
+            for block in blocks
+        ]
+        if split is None:
+            pieces += outs
+            continue
+        cuts = [int(np.searchsorted(c, U64(split))) for c, _ in outs]
+        pieces += [(c[:j], a[:j]) for (c, a), j in zip(outs, cuts)]
+        pieces += [(c[j:], a[j:]) for (c, a), j in zip(outs, cuts)]
+    configs = np.concatenate([c for c, _ in pieces])
+    return _moved(state, out, configs, np.concatenate([a for _, a in pieces]))
 
 
 _PACHNER13_TABLES: dict[tuple[bytes, bytes], np.ndarray] = {}
@@ -639,6 +747,19 @@ def apply_pachner31(
     return _moved(state, out, c, a)
 
 
+def _relabel(
+    state: StringNetState, lat: SurfaceLattice, vmap: dict[int, int], target: SurfaceLattice | None
+) -> tuple[SurfaceLattice, list[int]]:
+    """apply_cpi's lattice, and dest: canonical bit i of lat becomes
+    canonical bit dest[i] of the target."""
+    _check_version(state, lat)
+    _check_width(lat)
+    out, rec = apply_cpi(lat, vmap, target=target)
+    tgt = target if target is not None else lat
+    tgt_rank = {s: i for i, s in enumerate(tgt.qubit_slots())}
+    return out, [tgt_rank[rec.sigma[s]] for s in lat.qubit_slots()]
+
+
 def apply_state_permutation(
     state: StringNetState,
     lat: SurfaceLattice,
@@ -650,21 +771,52 @@ def apply_state_permutation(
     apply_cpi checks the vertex map and derives the slot map sigma; the
     bits move by one mask-and-shift per distinct shift (_move_bits).
     sigma is a bijection of qubit slots, so the relabeled configs are
-    distinct: one sort orders them and nothing is merged.
+    distinct: one sort orders them and nothing is merged. Amplitudes
+    below the tolerance are dropped.
     """
-    _check_version(state, lat)
-    _check_width(lat)
-    out, rec = apply_cpi(lat, vmap, target=target)
-    tgt = target if target is not None else lat
-    tgt_rank = {s: i for i, s in enumerate(tgt.qubit_slots())}
-    moved = _move_bits(
-        state.configs, ((i, tgt_rank[rec.sigma[s]]) for i, s in enumerate(lat.qubit_slots()))
-    )
+    out, dest = _relabel(state, lat, vmap, target)
+    moved = _move_bits(state.configs, enumerate(dest))
     order = np.argsort(moved)
     keep = np.abs(state.amps[order]) >= state.tolerance
     if not keep.all():
         order = order[keep]
     return _moved(state, out, moved[order], state.amps[order])
+
+
+def _defer_permutation(
+    state: StringNetState,
+    lat: SurfaceLattice,
+    vmap: dict[int, int],
+    layout: Sequence[int] | None,
+    target: SurfaceLattice | None = None,
+) -> tuple[StringNetState, SurfaceLattice, tuple[int, ...]]:
+    """apply_state_permutation with the bit moves deferred.
+
+    layout gives the config bit that holds each canonical bit of lat
+    (None: bit i holds bit i). The configs stay where they are, and the
+    returned layout gives the bit that holds each canonical bit of the
+    target; _materialize moves them home. Amplitudes below the tolerance
+    are dropped here, as apply_state_permutation drops them.
+    """
+    out, dest = _relabel(state, lat, vmap, target)
+    held = range(len(dest)) if layout is None else layout
+    new = [0] * len(dest)
+    for i, j in enumerate(dest):
+        new[j] = held[i]
+    keep = np.abs(state.amps) >= state.tolerance
+    if keep.all():
+        return *_moved(state, out, state.configs, state.amps), tuple(new)
+    return *_moved(state, out, state.configs[keep], state.amps[keep]), tuple(new)
+
+
+def _materialize(state: StringNetState, layout: Sequence[int] | None) -> StringNetState:
+    """The state with every canonical bit moved home from the bit layout
+    gives it (one _move_bits) and its configs sorted again."""
+    if layout is None or all(b == i for i, b in enumerate(layout)):
+        return state
+    moved = _move_bits(state.configs, ((b, i) for i, b in enumerate(layout)))
+    order = np.argsort(moved)
+    return replace(state, configs=moved[order], amps=state.amps[order])
 
 
 # ---- snapshots ---------------------------------------------------------------------

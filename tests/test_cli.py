@@ -251,7 +251,7 @@ def test_braid_stdout_matches_golden(capsys):
 
 
 def test_braid_compare_baseline_stdout_matches_golden(capsys):
-    # the only CLI output that runs apply_fmove and apply_state_permutation on states
+    # the only CLI output that replays states: apply_fmove and run_schedule's deferred relabelings
     status, out = run_cli(["braid", "--distance", "4", "--compare-baseline"], capsys)
     assert status == 0
     assert out == (GOLDEN / "braid_d4_compare.json").read_text()

@@ -7,15 +7,21 @@ braid-vs-baseline comparison on the two-puncture arena lives in the
 acceptance suite because of its runtime.
 """
 
+import functools
 import json
+import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tvq.fusion import fibonacci_data
+from tvq import statevec
 from tvq.lattice import (
     F_MOVE,
+    PACHNER_13,
+    PERMUTATION,
     Edge,
     MoveError,
     SurfaceLattice,
@@ -28,6 +34,10 @@ from tvq.lattice import (
     polar_vertex_id,
 )
 from tvq.statevec import (
+    apply_fmove,
+    apply_pachner13,
+    apply_pachner31,
+    apply_state_permutation,
     bit_positions,
     code_space_dim,
     diff_norm,
@@ -221,17 +231,39 @@ def test_shear_and_braid_reject_patches_with_swapped_ids(swap):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda lat: merge_rows(lat, ["x"]),
-        lambda lat: merge_rows(lat, [None]),
-        lambda lat: shear_step(lat, 0, stride="a"),
+        (lambda lat: merge_rows(lat, ["x"]), "rows_spec must list vertex ids, got ['x']"),
+        (lambda lat: merge_rows(lat, [None]), "rows_spec must list vertex ids, got [None]"),
+        (lambda lat: shear_step(lat, 0, stride="a"), "stride must be an integer, got 'a'"),
+        (lambda lat: shear_step(lat, 0, stride=2.9), "stride must be an integer, got 2.9"),
+        (lambda lat: shear_step(lat, 0, stride=1.0), "stride must be an integer, got 1.0"),
+        (lambda lat: split_row(lat, 1.9), "row_spec must be a ring index, got 1.9"),
+        (lambda lat: merge_rows(lat, [1.9, 2.9]), "rows_spec must list vertex ids, got [1.9, 2.9]"),
     ],
-    ids=["merge-str", "merge-none", "shear-stride-str"],
+    ids=[
+        "merge-str",
+        "merge-none",
+        "shear-stride-str",
+        "shear-stride-2.9",
+        "shear-stride-1.0",
+        "split-1.9",
+        "merge-1.9",
+    ],
 )
-def test_non_integer_arguments_raise_move_error(build):
-    with pytest.raises(MoveError, match="got"):
+def test_non_integer_arguments_raise_move_error(build, message):
+    """Floats are refused, not truncated to the integer below."""
+    with pytest.raises(MoveError, match=f"^{re.escape(message)}$"):
         build(build_planar_patch(3, 4, punctures=[(0, 0)]))
+
+
+def test_numpy_integer_arguments_are_accepted():
+    lat = build_planar_patch(3, 4, punctures=[(0, 0)])
+    assert shear_step(lat, 0, stride=np.int64(1)) == shear_step(lat, 0, stride=1)
+    assert split_row(lat, np.uint8(1)) == split_row(lat, 1)
+    _, mid = run_schedule(None, lat, split_row(lat, 1))
+    ring = sorted(set(mid.vertices) - set(lat.vertices))
+    assert merge_rows(mid, np.array(ring, dtype=np.int32)) == merge_rows(mid, ring)
 
 
 def test_shear_rejects_non_puncture_anyon():
@@ -649,3 +681,119 @@ def test_braid_then_baseline_back_from_a_large_star_state():
     """The same loop from more than 3e4 configs (about 1.6e5 mid-loop),
     so the sorted-run merges and grouped shifts run at scale."""
     braid_then_baseline_back(40000, 30000)
+
+
+# ---- deferred relabelings ---------------------------------------------------------
+
+
+def eager_replay(state, lat, schedule):
+    """The schedule record by record through the public kernels, every
+    relabeling moving the bits at once."""
+    for group in schedule.groups:
+        for rec in group.records():
+            if rec.kind == F_MOVE:
+                state, lat = apply_fmove(state, lat, rec.edge, DATA)
+            elif rec.kind == PERMUTATION:
+                state, lat = apply_state_permutation(state, lat, rec.vmap, target=group.target)
+            elif rec.kind == PACHNER_13:
+                state, lat = apply_pachner13(state, lat, rec.triangles[0], DATA)
+            else:
+                state, lat = apply_pachner31(state, lat, rec.vertex, DATA)
+    return state, lat
+
+
+def assert_replays_alike(state, lat, schedule, block=None, **kwargs):
+    """run_schedule's arrays equal the eager replay's, bit for bit; with
+    block set, run_schedule cuts its F-moves into blocks of that many
+    configs."""
+    want, want_lat = eager_replay(state, lat, schedule)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(statevec, "FMOVE_BLOCK", block)
+        got, got_lat = run_schedule(state, lat, schedule, data=DATA, **kwargs)
+    assert got_lat.signature() == want_lat.signature()
+    assert (got.lattice_version, got.sig_key, got.tolerance) == (
+        want.lattice_version,
+        want.sig_key,
+        want.tolerance,
+    )
+    assert np.array_equal(got.configs, want.configs)
+    assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+    return got, got_lat
+
+
+def moves_bits(schedule):
+    """Whether some relabeling of the schedule moves a qubit slot."""
+    return any(
+        any(s != t for s, t in rec.sigma.items())
+        for rec in schedule.records()
+        if rec.kind == PERMUTATION
+    )
+
+
+def test_deferred_relabelings_match_eager_replay_on_the_loop():
+    """The state_loop benchmark's braid and baseline back on the 5x4
+    patch, with F-move blocks of 64 configs on the deferred side."""
+    lat = build_planar_patch(5, 4, punctures=[(0, 0), (2, 0)])
+    anyon = polar_vertex_id(4, 2, 0)
+    start = star_state(lat, np.random.default_rng(5), 3000)
+    sched = braid_schedule(lat, anyon, 0, steps=4)
+    assert moves_bits(sched)
+    mid, mid_lat = assert_replays_alike(start, lat, sched, block=64)
+    assert mid.nnz() > 20 * 64
+    back = baseline_schedule(mid_lat, anyon, ring_path(4, 4, direction=1))
+    assert_replays_alike(mid, mid_lat, back, block=64)
+
+
+@functools.lru_cache(maxsize=None)
+def sheared_patch():
+    """The one-puncture 3x4 patch, a ground state on it, and one shear."""
+    lat = build_planar_patch(3, 4, punctures=[(0, 0)])
+    return lat, ground_state(lat), shear_step(lat, 0, direction=-1, stride=1)
+
+
+def test_deferred_relabelings_materialize_at_pachner_moves():
+    """A shear, a split and a merge of the next row, and a shear: the
+    1-3 and 3-1 moves see the bits moved home."""
+    lat, _, shear = sheared_patch()
+    state = random_valid_state(lat, np.random.default_rng(3), support=50, data=DATA)
+    _, cur = run_schedule(None, lat, shear)
+    split = split_row(cur, 1)
+    _, mid = run_schedule(None, cur, split)
+    merge = merge_rows(mid, sorted(set(mid.vertices) - set(cur.vertices)))
+    _, cur = run_schedule(None, mid, merge)
+    sched = shear.then(split).then(merge).then(shear_step(cur, 0, direction=-1, stride=1))
+    assert moves_bits(shear)
+    assert_replays_alike(state, lat, sched)
+
+
+def test_deferred_relabelings_materialize_for_code_space_checks():
+    lat, ground, shear = sheared_patch()
+    _, cur = run_schedule(None, lat, shear)
+    sched = shear.then(shear_step(cur, 0, direction=-1, stride=1))
+    assert_replays_alike(ground, lat, sched, assert_code_space=True)
+
+
+def test_deferred_relabeling_drops_small_amplitudes_where_it_stands():
+    """An amplitude below the tolerance goes at the relabeling, before
+    the next F-move could add it to its partner's term."""
+    lat, _, shear = sheared_patch()
+    flips, rotation = shear.groups
+    _, cur = run_schedule(None, lat, MoveSchedule((flips,)))
+    _, after = run_schedule(None, cur, MoveSchedule((rotation,)))
+    rec = next(r for r in shear_step(after, 0, direction=-1, stride=1).records() if -1 not in r.qubits)
+    sched = MoveSchedule((rotation, MoveGroup(LOCAL, ((rec,),))))
+    # two configs after the relabeling: every leg of the flip tau, its edge either way
+    pos = bit_positions(after)
+    legs = sum(1 << pos[e] for e in pachner_22(after, rec.edge)[1].legs)
+    flag = 1 << pos[rec.edge]
+    there = make_state(after, np.array([legs, legs | flag], dtype=np.uint64), np.array([1e-4, 0.6]))
+    (perm,) = rotation.records()
+    inverse = {v: u for u, v in perm.vmap.items()}
+    back, _ = apply_state_permutation(there, after, inverse, target=cur)
+    state = replace(rebind_state(back, cur), tolerance=1e-3)
+    got, _ = assert_replays_alike(state, cur, sched)
+    assert got.nnz() == 2
+    # kept to the F-move, the small term would change the sums
+    kept, _ = eager_replay(replace(state, tolerance=0.0), cur, sched)
+    assert not np.array_equal(kept.amps, got.amps)

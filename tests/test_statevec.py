@@ -27,12 +27,15 @@ from tvq.lattice import (
     pachner_22,
     polar_vertex_id,
 )
+from tvq import statevec
 from tvq.statevec import (
     StringNetState,
     VersionError,
     _bp_table,
     _key,
+    _materialize,
     _move_bits,
+    _pair_blocks,
     apply_bp,
     apply_fmove,
     apply_pachner13,
@@ -901,6 +904,81 @@ def test_kernels_on_the_empty_state():
     empty = make_state(lat, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.complex128))
     out, _ = apply_state_permutation(empty, lat, vmap, target=target)
     assert out.nnz() == 0 and out.configs.dtype == np.uint64
+
+
+# ---- blocked F-move ----------------------------------------------------------------
+
+
+BLOCK_LATTICES = (TORUS3, build_planar_patch(3, 4))  # no pinned edge; flips with pinned legs
+BLOCK_FLIPS = {id(lat): flippable(lat) for lat in BLOCK_LATTICES}
+BLOCK_VALID = {id(lat): enumerate_valid_configs(lat) for lat in BLOCK_LATTICES}
+
+
+def fmove_in_blocks(state, lat, edge, layout, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevec, "FMOVE_BLOCK", block)
+        out = apply_fmove(state, lat, edge, layout=layout)[0]
+        groups = _pair_blocks(state.configs, layout[bit_positions(lat)[edge]])
+        return out, [slices for blocks, _split in groups for slices in blocks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_.data())
+def test_blocked_fmove_equals_one_block(data):
+    """Blocks of a few configs give the arrays of one block over the
+    whole state, on random sorted valid supports of up to a few hundred
+    configs, with the flipped edge's bit laid out at config bit 0, at a
+    middle bit or at the top bit, at tolerance 0 and at the default."""
+    lat = data.draw(st_.sampled_from(BLOCK_LATTICES))
+    edge = data.draw(st_.sampled_from(BLOCK_FLIPS[id(lat)]))
+    nbits = len(lat.qubit_slots())
+    where = data.draw(st_.sampled_from([0, nbits // 2, nbits - 1]))
+    block = data.draw(st_.sampled_from([2, 3, 8, 32]))
+    tol = data.draw(st_.sampled_from([0.0, 1e-14]))
+    rng = np.random.default_rng(data.draw(st_.integers(0, 2**32 - 1)))
+    bit = bit_positions(lat)[edge]
+    layout = rng.permutation(nbits)
+    at = int(np.flatnonzero(layout == where)[0])
+    layout[[bit, at]] = layout[[at, bit]]
+    layout = tuple(layout.tolist())
+
+    valid = BLOCK_VALID[id(lat)]
+    picks = valid[rng.choice(len(valid), size=data.draw(st_.integers(0, 400)), replace=False)]
+    # half the picks bring their partner across the flipped edge, so two terms meet
+    partners = picks[rng.random(len(picks)) < 0.5] ^ np.uint64(1 << bit)
+    canon = np.union1d(picks, partners[np.isin(partners, valid)])
+    amps = rng.normal(size=len(canon)) + 1j * rng.normal(size=len(canon))
+    amps[rng.random(len(canon)) < 0.2] *= 1e-14  # some outputs fall below the default tolerance
+    canon_state = make_state(lat, canon, amps, tolerance=tol)
+    state = replace(canon_state, configs=_move_bits(canon_state.configs, enumerate(layout)))
+    order = np.argsort(state.configs)
+    state = replace(state, configs=state.configs[order], amps=state.amps[order])
+
+    got, blocks = fmove_in_blocks(state, lat, edge, layout, block)
+    whole, one = fmove_in_blocks(state, lat, edge, layout, max(state.nnz(), 1))
+    assert len(one) == 1
+    assert_bit_equal(got, (whole.configs, whole.amps))
+    # in the canonical layout the unblocked kernel gives the same state
+    assert_bit_equal(_materialize(got, layout), fmove_reference(canon_state, lat, edge))
+    # every block holds at most `block` configs, each with its partner
+    flag = 1 << layout[bit]
+    owner = {}
+    for k, slices in enumerate(blocks):
+        cfgs = np.concatenate([state.configs[s] for s in slices])
+        assert len(cfgs) <= block and np.all(cfgs[1:] > cfgs[:-1])
+        owner.update(dict.fromkeys(cfgs.tolist(), k))
+    assert sorted(owner) == state.configs.tolist()
+    assert all(owner.get(c ^ flag, k) == k for c, k in owner.items())
+
+
+def test_blocked_fmove_on_the_empty_state():
+    edge = BLOCK_FLIPS[id(TORUS3)][0]
+    layout = tuple(range(len(TORUS3.qubit_slots())))
+    empty = make_state(TORUS3, np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.complex128))
+    got, _ = fmove_in_blocks(empty, TORUS3, edge, layout, 2)
+    whole, _ = apply_fmove(empty, TORUS3, edge)
+    assert_bit_equal(got, (whole.configs, whole.amps))
+    assert got.nnz() == 0
 
 
 def golden_config(lat, edge):
