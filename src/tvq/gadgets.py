@@ -67,6 +67,7 @@ from .lattice import (
 )
 from .statevec import (
     StringNetState,
+    VersionError,
     _defer_permutation,
     _materialize,
     apply_fmove,
@@ -75,7 +76,6 @@ from .statevec import (
     code_space,
     diff_norm,
     ground_project,
-    inner,
     rebind_state,
 )
 
@@ -840,15 +840,25 @@ def logical_action(
     encoded_basis(lat, data) with its default limits; build one with
     encoded_basis to set them, and pass it to amortize its cost across
     several protocols on the same lattice. Entry [i, j] is the overlap
-    of basis state i with the protocol applied to basis state j. Raises
-    MoveError when encoded_basis does (above its qubit limit, or
-    dimension 0), or when the resulting matrix fails unitarity at tol
-    (a sign the protocol leaks out of the encoded subspace).
+    of basis state i with the protocol applied to basis state j. The
+    basis is aligned once on the union of its supports, so each protocol
+    output is found there with one searchsorted and its column of
+    overlaps is one product. Raises VersionError when a basis state is
+    not bound to the protocol's end lattice, MoveError when
+    encoded_basis does (above its qubit limit, or dimension 0), or when
+    the resulting matrix fails unitarity at tol (a sign the protocol
+    leaks out of the encoded subspace).
     """
     data = fibonacci_data() if data is None else data
     if basis is None:
         basis = encoded_basis(lat, data=data)
     dim = len(basis)
+    support, where = np.unique(np.concatenate([b.configs for b in basis]), return_inverse=True)
+    # row i: basis state i conjugated, on the union support
+    rows = np.zeros((dim, len(support)), dtype=np.complex128)
+    ends = np.cumsum([b.nnz() for b in basis])
+    for i, (b, at) in enumerate(zip(basis, np.split(where, ends[:-1]))):
+        rows[i, at] = np.conj(b.amps)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for j, b in enumerate(basis):
         if isinstance(protocol, MoveSchedule):
@@ -856,8 +866,15 @@ def logical_action(
         else:
             out = protocol(b, lat)
         out_state = rebind_state(out[0], lat)
-        for i, bi in enumerate(basis):
-            mat[i, j] = inner(bi, out_state)
+        bound = (out_state.lattice_version, out_state.sig_key)
+        if any((bi.lattice_version, bi.sig_key) != bound for bi in basis):
+            raise VersionError("basis states must be bound to the protocol's end lattice")
+        at = np.searchsorted(support, out_state.configs)
+        at[at == len(support)] = 0
+        hit = support[at] == out_state.configs
+        col = np.zeros(len(support), dtype=np.complex128)
+        col[at[hit]] = out_state.amps[hit]
+        mat[:, j] = rows @ col
     dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
     if dev > tol:
         raise MoveError(f"logical action is not unitary (deviation {dev:.3e})")

@@ -43,6 +43,7 @@ U64 = np.uint64
 CONFIG_BITS = 64  # one bit per qubit slot in a uint64 config
 PACHNER31_RESIDUAL_TOL = 1e-10  # relative weight a 3-1 move may drop
 FMOVE_BLOCK = 1 << 15  # configs per F-move block: 0.8 MB of configs and amplitudes
+SEED_BLOCK = 1 << 13  # valid configs x seed columns per code_space block: 128 kB of amplitudes
 
 
 class VersionError(ValueError):
@@ -100,24 +101,32 @@ def _check_labels(data: FusionData, kernel: str) -> None:
 def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sort, merge duplicate configs, drop tiny amplitudes.
 
-    The stable sort (timsort for uint64) merges inputs made of a few
-    presorted runs in about linear time.
+    amps is parallel to configs, or a block of columns (configs x
+    columns) that share them: then an amplitude below tol is zeroed in
+    its column, and a config is dropped when it is below tol in every
+    column. The stable sort (timsort for uint64) merges inputs made of a
+    few presorted runs in about linear time.
     """
     if len(configs) == 0:
         return configs.astype(U64), amps.astype(np.complex128)
     order = np.argsort(configs, kind="stable")
     c = configs[order]
-    a = amps[order]
+    a = np.take(amps, order, axis=0)
     head = np.empty(len(c), dtype=bool)
     head[0] = True
     np.not_equal(c[1:], c[:-1], out=head[1:])
     starts = np.flatnonzero(head)
-    summed = np.add.reduceat(a, starts)
+    summed = np.add.reduceat(a, starts, axis=0)
     uniq = c[starts]
     keep = np.abs(summed) >= tol
     if keep.all():
         return uniq, summed
-    return uniq[keep], summed[keep]
+    if summed.ndim == 1:
+        return uniq[keep], summed[keep]
+    rows = keep.any(axis=1)
+    summed = np.compress(rows, summed, axis=0)
+    summed[~np.compress(rows, keep, axis=0)] = 0
+    return uniq[rows], summed
 
 
 def _move_bits(configs: np.ndarray, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -153,7 +162,10 @@ def make_state(
     tolerance: float = 1e-14,
 ) -> StringNetState:
     _check_width(lat)
-    c, a = _coalesce(np.asarray(configs, dtype=U64), np.asarray(amps, dtype=np.complex128), tolerance)
+    amps = np.asarray(amps, dtype=np.complex128)
+    if not np.isfinite(amps).all():
+        raise ValueError("state amplitudes must be finite")
+    c, a = _coalesce(np.asarray(configs, dtype=U64), amps, tolerance)
     return StringNetState(
         lattice_version=lat.version,
         sig_key=_sig_key(lat),
@@ -293,7 +305,7 @@ def apply_qv(
 _BP_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _bp_table(data: FusionData, n: int, lkey: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bp_table(data: FusionData, n: int, lkey: int, fp: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries of the plaquette operator for one leg pattern.
 
     Entry (out, in) over boundary patterns is sum_s (d_s/D^2) prod_i
@@ -307,9 +319,11 @@ def _bp_table(data: FusionData, n: int, lkey: int) -> tuple[np.ndarray, np.ndarr
     nonzero, which the per-triangle masks of fsym decide for all 2^n
     patterns at once. Entries are computed over candidate outputs x
     candidate inputs only, as ones * F_0 * ... * F_{n-1} * (d_s/D^2)
-    summed over s from zeros. Built once per (category, n, leg pattern).
+    summed over s from zeros. Built once per (category, n, leg pattern);
+    fp is data.fsym.tobytes(), which a caller computes once for all the
+    leg patterns it looks up.
     """
-    key = (data.fsym.tobytes(), n, lkey)
+    key = (fp, n, lkey)
     table = _BP_TABLES.get(key)
     if table is None:
         f = data.fsym
@@ -347,24 +361,31 @@ def _bp_table(data: FusionData, n: int, lkey: int) -> tuple[np.ndarray, np.ndarr
     return table
 
 
-def apply_bp(
-    state: StringNetState, lat: SurfaceLattice, plaquette_id: int, data: FusionData | None = None
-) -> StringNetState:
-    """Plaquette projector B_p = sum_s (d_s/D^2) B_p^s at an interior
-    primal vertex; coefficients are cyclic products of F-symbols with the
-    legs as controls.
+def _bp_block(
+    lat: SurfaceLattice,
+    plaquette_id: int,
+    configs: np.ndarray,
+    amps: np.ndarray,
+    data: FusionData,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """B_p on a block of states that share one sorted support: amps is
+    (configs x columns), one column per state.
 
     Each config is keyed by its leg pattern, which picks a sparse table
     (_bp_table), and its boundary pattern, which picks that table's
     entries for this input. Every config expands into one term per entry
     (its non-boundary bits kept, the output pattern spread onto the
-    boundary bits); a config with no entries, branching-invalid at this
-    plaquette, contributes nothing. One `_coalesce` merges the terms,
-    summing each output's terms in input config order, and keeps
-    amplitudes above the tolerance.
+    boundary bits), and its row of amplitudes is scaled by the entry; a
+    config with no entries, branching-invalid at this plaquette,
+    contributes nothing. One `_coalesce` merges the terms, summing each
+    output's terms in input config order, zeroes every amplitude at or
+    below tol in its column and drops the configs zero in every column.
+    A column's result thus equals that of the column alone, up to the
+    rounding of sums that meet zeros from other columns. The terms take
+    (terms x columns) amplitudes twice over, which is what SEED_BLOCK
+    bounds.
     """
-    _check_version(state, lat)
-    data = data or fibonacci_data()
     _check_labels(data, "plaquette projectors")
     if plaquette_id in lat.punctures:
         raise MoveError(f"plaquette {plaquette_id} is a puncture")
@@ -377,16 +398,16 @@ def apply_bp(
     n = len(bpos)
     if n > 14:
         raise MoveError(f"plaquette {plaquette_id} has {n} boundary edges; table too large")
-    if len(state.configs) == 0:
-        return state
+    if len(configs) == 0:
+        return configs, amps
 
-    cfg = state.configs
     # boundary pattern spread onto the boundary bits; the all-ones one is their mask
     spread = _move_bits(np.arange(1 << n, dtype=U64), enumerate(bpos))
     mask = spread[-1]
-    ekey = _key(cfg, bpos)
-    uniq, inv = np.unique(_key(cfg, lpos), return_inverse=True)
-    tables = [_bp_table(data, n, int(u)) for u in uniq]
+    ekey = _key(configs, bpos)
+    uniq, inv = np.unique(_key(configs, lpos), return_inverse=True)
+    fp = data.fsym.tobytes()
+    tables = [_bp_table(data, n, int(u), fp) for u in uniq]
     # stack the tables into one CSR over (leg pattern, input pattern)
     base = np.cumsum([0] + [len(t[1]) for t in tables])
     ptr = np.concatenate([t[0][:-1] + b for t, b in zip(tables, base)] + [base[-1:]])
@@ -396,11 +417,25 @@ def apply_bp(
     lo = ptr[row]
     count = ptr[row + 1] - lo
     term = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    c = np.repeat(cfg & ~mask, count) | spread[outs[term]]
-    a = np.repeat(state.amps, count) * vals[term]
-    # keep |amplitude| > tolerance, as the projector always has
-    c, a = _coalesce(c, a, np.nextafter(state.tolerance, np.inf))
-    return replace(state, configs=c, amps=a)
+    c = np.repeat(configs & ~mask, count) | spread[outs[term]]
+    a = np.repeat(amps, count, axis=0)
+    a *= vals[term, None]
+    # keep |amplitude| > tol, as the projector always has
+    return _coalesce(c, a, np.nextafter(tol, np.inf))
+
+
+def apply_bp(
+    state: StringNetState, lat: SurfaceLattice, plaquette_id: int, data: FusionData | None = None
+) -> StringNetState:
+    """Plaquette projector B_p = sum_s (d_s/D^2) B_p^s at an interior
+    primal vertex; coefficients are cyclic products of F-symbols with the
+    legs as controls. This is the block kernel _bp_block on one column:
+    amplitudes at or below the state's tolerance are dropped.
+    """
+    _check_version(state, lat)
+    data = data or fibonacci_data()
+    c, a = _bp_block(lat, plaquette_id, state.configs, state.amps[:, None], data, state.tolerance)
+    return replace(state, configs=c, amps=a[:, 0])
 
 
 def ground_project(
@@ -433,6 +468,48 @@ def inner(a: StringNetState, b: StringNetState) -> complex:
     return complex(np.sum(np.conj(a.amps[hit]) * b.amps[at[hit]]))
 
 
+def _filter_block(
+    lat: SurfaceLattice, basis: list[StringNetState], configs: np.ndarray, amps: np.ndarray, tol: float
+) -> None:
+    """Gram-Schmidt filter over a projected block (configs x columns):
+    append to basis, in column order, each column p whose weight outside
+    the basis so far, |p|^2 - sum |<b|p>|^2, is above tol * |p|^2.
+
+    Each basis state is found once on the block's configs (one
+    searchsorted, as inner does), when a column first needs it; an
+    overlap then sums the products over the configs both hold, in config
+    order, as inner does. A kept column has all its overlaps subtracted
+    in one make_state, and the remainder is normalised.
+    """
+
+    def on_block(b: StringNetState) -> tuple[np.ndarray, np.ndarray]:
+        at = np.searchsorted(configs, b.configs)
+        at[at == len(configs)] = 0
+        hit = configs[at] == b.configs
+        return at[hit], b.amps[hit]
+
+    if len(configs) == 0:  # every seed projected to 0
+        return
+    index: list[tuple[np.ndarray, np.ndarray]] = []  # per basis state: block rows, amplitudes
+    for p in amps.T:
+        index += [on_block(b) for b in basis[len(index) :]]
+        c = np.zeros(len(basis), dtype=np.complex128)
+        for k, (at, b_amps) in enumerate(index):
+            mine = p[at]
+            hit = mine != 0
+            c[k] = np.sum(np.conj(b_amps[hit]) * mine[hit])
+        rows = np.flatnonzero(p)
+        weight = float(np.sum(np.abs(p[rows]) ** 2))
+        if weight - float(np.sum(np.abs(c) ** 2)) <= tol * weight:
+            continue
+        r = make_state(
+            lat,
+            np.concatenate([configs[rows], *(b.configs for b in basis)]),
+            np.concatenate([p[rows], *(-cb * b.amps for cb, b in zip(c, basis))]),
+        )
+        basis.append(replace(r, amps=r.amps / r.norm()))
+
+
 def code_space(
     lat: SurfaceLattice,
     data: FusionData | None = None,
@@ -442,12 +519,20 @@ def code_space(
 ) -> list[StringNetState]:
     """Orthonormal basis of the code space, by seeded projection.
 
-    Delta states on every valid config (when there are at most 1024) or
-    on a deterministic spread of max_seeds of them are ground-projected
-    in config order. A projected seed p joins the basis unless its
-    weight outside the basis so far, |p|^2 - sum |<b|p>|^2, is at most
-    tol * |p|^2; otherwise all its overlaps are subtracted in one
-    make_state and the remainder is normalised. The spread can miss a
+    The seeds are delta states on every valid config (when there are at
+    most 1024) or on a deterministic spread of max_seeds of them, in
+    config order. They are ground-projected in blocks: a block is a
+    sorted support shared by its seeds and one amplitude column per
+    seed, pushed once through every non-puncture plaquette (_bp_block);
+    each column is the seed's own ground_project up to the rounding of
+    its sums. A block holds at most max(SEED_BLOCK // valid configs, 1)
+    seeds, so a lattice with more than SEED_BLOCK // 2 valid configs
+    projects one seed at a time.
+
+    A projected seed p joins the basis unless its weight outside the
+    basis so far, |p|^2 - sum |<b|p>|^2, is at most tol * |p|^2;
+    otherwise all its overlaps are subtracted in one make_state and the
+    remainder is normalised (_filter_block). The spread can miss a
     sector, so on large lattices the basis may be smaller than the code
     space; raise max_seeds to check.
     """
@@ -455,23 +540,33 @@ def code_space(
     nq = len(lat.qubit_slots())
     if nq > max_edges:
         raise MoveError(f"lattice has {nq} qubits, above the dense limit {max_edges}")
-    seeds = enumerate_valid_configs(lat, data, max_qubits=max(nq, 40))
-    if len(seeds) > 1024:
-        seeds = seeds[:: max(len(seeds) // max_seeds, 1)][:max_seeds]
+    _check_width(lat)
+    valid = enumerate_valid_configs(lat, data, max_qubits=max(nq, 40))
+    seeds = valid if len(valid) <= 1024 else valid[:: max(len(valid) // max_seeds, 1)][:max_seeds]
     basis: list[StringNetState] = []
-    for cfg in seeds:
-        p = ground_project(make_delta_state(lat, int(cfg)), lat, data)
-        c = np.array([inner(b, p) for b in basis], dtype=np.complex128)
-        weight = float(np.sum(np.abs(p.amps) ** 2))
-        if weight - float(np.sum(np.abs(c) ** 2)) <= tol * weight:
-            continue
-        r = make_state(
-            lat,
-            np.concatenate([p.configs, *(b.configs for b in basis)]),
-            np.concatenate([p.amps, *(-cb * b.amps for cb, b in zip(c, basis))]),
-        )
-        basis.append(replace(r, amps=r.amps / r.norm()))
+    for configs, amps in _projected_blocks(lat, seeds, max(SEED_BLOCK // len(valid), 1), data):
+        _filter_block(lat, basis, configs, amps, tol)
     return basis
+
+
+def _projected_blocks(
+    lat: SurfaceLattice, seeds: np.ndarray, width: int, data: FusionData
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Delta states on the sorted, branching-valid seeds, ground-projected
+    in blocks of at most width: each block's configs and (configs x
+    columns) amplitudes, one column per seed, in seed order.
+
+    Valid seeds pass every branching projector, so a block only goes
+    through the non-puncture plaquettes, each once (_bp_block), at the
+    tolerance of a delta state.
+    """
+    plaquettes = [v for v in lat.plaquette_vertices() if v not in lat.punctures]
+    for start in range(0, len(seeds), width):
+        configs = seeds[start : start + width]
+        amps = np.eye(len(configs), dtype=np.complex128)
+        for v in plaquettes:
+            configs, amps = _bp_block(lat, v, configs, amps, data, StringNetState.tolerance)
+        yield configs, amps
 
 
 def code_space_dim(

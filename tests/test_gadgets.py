@@ -32,8 +32,10 @@ from tvq.lattice import (
     isomorphism_check,
     pachner_22,
     polar_vertex_id,
+    replace_lattice,
 )
 from tvq.statevec import (
+    VersionError,
     apply_fmove,
     apply_pachner13,
     apply_pachner31,
@@ -552,6 +554,29 @@ def test_logical_action_identity_and_unitarity_guard():
 
     with pytest.raises(MoveError, match="unitary"):
         logical_action(lossy, lat, data=DATA, basis=basis)
+
+
+def test_logical_action_matches_pairwise_overlaps():
+    """The aligned product gives inner(basis[i], output j) for every pair,
+    and a basis bound to another lattice version is refused."""
+    lat = build_planar_patch(3, 4, punctures=[(0, 0)])
+    b0, b1 = encoded_basis(lat, data=DATA, max_seeds=6)
+    basis = [b0, replace(b1, amps=b1.amps * np.exp(0.7j))]  # complex, so a missing conjugate shows
+    rot = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
+
+    def mix(state, dlat):
+        """The rotation rot on the span of the basis."""
+        coeff = rot @ np.array([inner(b, state) for b in basis])
+        cfg = np.concatenate([b.configs for b in basis])
+        return make_state(dlat, cfg, np.concatenate([c * b.amps for c, b in zip(coeff, basis)])), dlat
+
+    u = logical_action(mix, lat, data=DATA, basis=basis)
+    want = np.array([[inner(bi, mix(bj, lat)[0]) for bj in basis] for bi in basis])
+    assert np.max(np.abs(u - want)) < 1e-14
+    assert np.max(np.abs(u - rot)) < 1e-12
+    moved = replace_lattice(lat, version=lat.version + 1)
+    with pytest.raises(VersionError):
+        logical_action(lambda st, dlat: (rebind_state(st, dlat), dlat), moved, data=DATA, basis=basis)
 
 
 def test_encoded_basis_above_dimension_eight():
