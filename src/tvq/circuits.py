@@ -349,10 +349,12 @@ def compile_schedule(
     its recurrences share the same layer objects.
     Each move is lowered from the qubit slots its record holds; lat
     gives only the starting register and the version. The gate angles
-    are the Fibonacci ones, so any other category raises MoveError.
+    are the Fibonacci ones (SPREP's is the quantum dimension's), so any
+    other F-symbols or quantum dimensions raise MoveError.
     """
-    if data is not None and not np.array_equal(data.fsym, fibonacci_data().fsym):
-        raise MoveError("gate compilation covers only the Fibonacci F-symbols")
+    fib = fibonacci_data()
+    if data is not None and not (np.array_equal(data.fsym, fib.fsym) and np.array_equal(data.qdim, fib.qdim)):
+        raise MoveError("gate compilation covers only the Fibonacci F-symbols and quantum dimensions")
     layers: list[tuple[Gate, ...]] = []
     perms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     allocated: list[int] = []

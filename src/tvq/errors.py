@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import GateCircuit, compile_schedule
-from .fusion import FusionData, fibonacci_data
+from .fusion import FusionData
 from .gadgets import MoveSchedule, braid_arena, braid_schedule
 from .lattice import MoveError, SurfaceLattice, _disk_coords, _grid_distance, apply_cpi
 
@@ -395,7 +395,7 @@ def braid_error_trial(
     }
 
 
-def _braid_setup(d: int, data: FusionData):
+def _braid_setup(d: int, data: FusionData | None):
     lat, cols, anyon = braid_arena(d)
     sched = braid_schedule(lat, anyon, 0, steps=6, data=data)
     circ = compile_schedule(lat, sched, data)
@@ -427,7 +427,6 @@ def stretch_report(
         raise MoveError("need at least one trial")
     if not lattice_sizes:
         raise MoveError("need at least one distance")
-    data = fibonacci_data() if data is None else data
     rows_out = []
     summary = []
     for d in lattice_sizes:

@@ -15,10 +15,11 @@ nonzero only when all four vertex triples (a,b,e), (e,c,d), (b,c,f),
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +35,9 @@ class FusionData:
     branching: boolean admissibility table delta_abc, shape (N, N, N).
     fsym: real six-index tensor, shape (N,)*6, zero on inadmissible entries.
     total_dim_sq: D**2 = sum of squared quantum dimensions.
+    tables: tables the state kernels derive from the fields above, kept
+        per object (statevec._table); a new object, or a copy made with
+        dataclasses.replace, starts with none.
     """
 
     num_labels: int
@@ -41,6 +45,7 @@ class FusionData:
     branching: np.ndarray
     fsym: np.ndarray
     total_dim_sq: float
+    tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def admissible(self, a: int, b: int, c: int) -> bool:
         return bool(self.branching[a, b, c])
@@ -51,8 +56,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@functools.cache
 def fibonacci_data() -> FusionData:
-    """The Fibonacci category: labels {0, 1}, d_1 = golden ratio."""
+    """The Fibonacci category: labels {0, 1}, d_1 = golden ratio. One
+    shared object, so every default of it shares its tables."""
     n = 2
     qdim = _freeze(np.array([1.0, PHI]))
 
@@ -70,24 +77,9 @@ def fibonacci_data() -> FusionData:
         ]
     )
     fsym = np.zeros((n,) * 6)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    for e in range(n):
-                        for f in range(n):
-                            ok = (
-                                branching[a, b, e]
-                                and branching[e, c, d]
-                                and branching[b, c, f]
-                                and branching[a, f, d]
-                            )
-                            if not ok:
-                                continue
-                            if (a, b, c, d) == (1, 1, 1, 1):
-                                fsym[a, b, c, d, e, f] = golden[e, f]
-                            else:
-                                fsym[a, b, c, d, e, f] = 1.0
+    for a, b, c, d, e, f in itertools.product(range(n), repeat=6):
+        if branching[a, b, e] and branching[e, c, d] and branching[b, c, f] and branching[a, f, d]:
+            fsym[a, b, c, d, e, f] = golden[e, f] if (a, b, c, d) == (1, 1, 1, 1) else 1.0
     fsym = _freeze(fsym)
 
     return FusionData(

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fusion import FusionData, fibonacci_data
+from .fusion import FusionData
 from .lattice import (
     F_MOVE,
     PACHNER_13,
@@ -69,6 +69,7 @@ from .statevec import (
     StringNetState,
     VersionError,
     _defer_permutation,
+    _locate,
     _materialize,
     apply_fmove,
     apply_pachner13,
@@ -265,7 +266,6 @@ def run_schedule(
     leaves this function. The result equals a record-by-record replay
     through the public kernels bit for bit.
     """
-    data = fibonacci_data() if data is None else data
     cur, cur_lat = state, lat
     layout = None  # bit i holds canonical bit i
     for group in schedule.groups:
@@ -849,7 +849,6 @@ def logical_action(
     the resulting matrix fails unitarity at tol (a sign the protocol
     leaks out of the encoded subspace).
     """
-    data = fibonacci_data() if data is None else data
     if basis is None:
         basis = encoded_basis(lat, data=data)
     dim = len(basis)
@@ -869,9 +868,7 @@ def logical_action(
         bound = (out_state.lattice_version, out_state.sig_key)
         if any((bi.lattice_version, bi.sig_key) != bound for bi in basis):
             raise VersionError("basis states must be bound to the protocol's end lattice")
-        at = np.searchsorted(support, out_state.configs)
-        at[at == len(support)] = 0
-        hit = support[at] == out_state.configs
+        at, hit = _locate(support, out_state.configs)
         col = np.zeros(len(support), dtype=np.complex128)
         col[at[hit]] = out_state.amps[hit]
         mat[:, j] = rows @ col

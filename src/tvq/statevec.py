@@ -13,18 +13,17 @@ its many passes run in cache. A block holds both members of every pair
 else, so each output config gets its (at most two) terms from one
 block; their sum does not depend on the order, and the blocked result
 equals the whole-array one bit for bit. The other kernels make
-whole-array passes. The F-move, the 1-3 and 3-1 moves and the plaquette
-projector read their coefficients from small read-only tables built
-once per category. Configs hold one bit per edge, so every kernel that
-indexes F-symbols with config bits rejects data without exactly two
-labels.
+whole-array passes. The kernels read small read-only tables derived
+from a category, each built on first use and kept in that category
+object's own FusionData.tables (_table). Configs hold one bit per edge,
+so _table refuses data without exactly two labels.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,11 +90,29 @@ def bit_positions(lat: SurfaceLattice) -> dict[int, int]:
     return {e: rank[rec.qubit] for e, rec in lat.edges.items() if rec.qubit is not None}
 
 
-def _check_labels(data: FusionData, kernel: str) -> None:
-    """Kernels that index fsym or the branching table with config bits
-    need exactly two labels."""
+def _table(data: FusionData, key: Hashable, build: Callable[[], Any]) -> Any:
+    """The table named key derived from data: build() on first use, then
+    the one kept in data.tables. Kernels index these tables with config
+    bits, one per edge, so this refuses data without exactly two labels."""
     if data.num_labels != 2:
-        raise MoveError(f"{kernel} on states need 2 labels (one bit per edge), got {data.num_labels}")
+        raise MoveError(f"state kernels need 2 labels (one bit per edge), got {data.num_labels}")
+    table = data.tables.get(key)
+    if table is None:
+        table = data.tables[key] = build()
+    return table
+
+
+def _branching(data: FusionData) -> np.ndarray:
+    """The branching table flat over the 3-bit key of a triangle's edges."""
+    return _table(data, "branching", lambda: data.branching.reshape(-1))
+
+
+def _locate(support: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each query in the sorted, non-empty support, and
+    whether it is there; a query past the end reads position 0."""
+    at = np.searchsorted(support, queries)
+    at[at == len(support)] = 0
+    return at, support[at] == queries
 
 
 def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -217,9 +234,7 @@ def _triangle_bits(lat: SurfaceLattice):
 
 def valid_mask(lat: SurfaceLattice, configs: np.ndarray, data: FusionData | None = None) -> np.ndarray:
     """Branching validity of each config at every dual vertex."""
-    data = data or fibonacci_data()
-    _check_labels(data, "branching rules")
-    flat = data.branching.reshape(-1)
+    flat = _branching(data or fibonacci_data())
     ok = np.ones(len(configs), dtype=bool)
     for bits in _triangle_bits(lat):
         ok &= flat[_key(configs, bits)]
@@ -239,12 +254,10 @@ def enumerate_valid_configs(
 ) -> np.ndarray:
     """All branching-valid configs, by constraint propagation over the
     triangle list (builder ordering keeps the frontier small)."""
-    data = data or fibonacci_data()
-    _check_labels(data, "branching rules")
+    flat = _branching(data or fibonacci_data())
     nbits = len(lat.qubit_slots())
     if nbits > max_qubits:
         raise MoveError(f"{nbits} qubit edges exceed the enumeration guard ({max_qubits})")
-    flat = data.branching.reshape(-1)
 
     configs = np.zeros(1, dtype=U64)
     seen: set[int] = set()
@@ -292,20 +305,30 @@ def apply_qv(
 ) -> StringNetState:
     """Diagonal branching projector at one dual vertex (= triangle)."""
     _check_version(state, lat)
-    data = data or fibonacci_data()
-    _check_labels(data, "branching rules")
+    flat = _branching(data or fibonacci_data())
     if dual_vertex_id not in lat.triangles:
         raise MoveError(f"no dual vertex {dual_vertex_id}")
     pos = bit_positions(lat)
     bits = [pos.get(e) for e in reversed(lat.triangles[dual_vertex_id])]
-    keep = data.branching.reshape(-1)[_key(state.configs, bits)]
+    keep = flat[_key(state.configs, bits)]
     return replace(state, configs=state.configs[keep], amps=state.amps[keep])
 
 
-_BP_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+def _bp_fans(data: FusionData) -> tuple[np.ndarray, np.ndarray]:
+    """Where a plaquette fan factor can be nonzero, from the zeros of
+    fsym: pin[leg, in_i, in_{i+1}] and pout[leg, out_{i+1}, out_i]."""
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        nz = data.fsym != 0
+        fans = (nz.any(axis=(2, 3, 5)), nz.any(axis=(1, 2, 4)))
+        for t in fans:
+            t.setflags(write=False)
+        return fans
+
+    return _table(data, "plaquette fans", build)
 
 
-def _bp_table(data: FusionData, n: int, lkey: int, fp: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bp_table(data: FusionData, n: int, lkey: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries of the plaquette operator for one leg pattern.
 
     Entry (out, in) over boundary patterns is sum_s (d_s/D^2) prod_i
@@ -316,20 +339,15 @@ def _bp_table(data: FusionData, n: int, lkey: int, fp: bytes) -> tuple[np.ndarra
     triangle has none.
 
     A pattern can have nonzero entries only if every fan factor can be
-    nonzero, which the per-triangle masks of fsym decide for all 2^n
-    patterns at once. Entries are computed over candidate outputs x
-    candidate inputs only, as ones * F_0 * ... * F_{n-1} * (d_s/D^2)
-    summed over s from zeros. Built once per (category, n, leg pattern);
-    fp is data.fsym.tobytes(), which a caller computes once for all the
-    leg patterns it looks up.
+    nonzero, which the fan masks (_bp_fans) decide for all 2^n patterns
+    at once. Entries are computed over candidate outputs x candidate
+    inputs only, as ones * F_0 * ... * F_{n-1} * (d_s/D^2) summed over s
+    from zeros. Kept in data.tables per (n, leg pattern).
     """
-    key = (fp, n, lkey)
-    table = _BP_TABLES.get(key)
-    if table is None:
+
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         f = data.fsym
-        nz = f != 0
-        pin = nz.any(axis=(2, 3, 5))  # [leg, in_i, in_{i+1}]
-        pout = nz.any(axis=(1, 2, 4))  # [leg, out_{i+1}, out_i]
+        pin, pout = _bp_fans(data)
         pats = np.arange(1 << n)
         bits = [(pats >> i) & 1 for i in range(n)]
         legs = [(lkey >> i) & 1 for i in range(n)]
@@ -357,8 +375,9 @@ def _bp_table(data: FusionData, n: int, lkey: int, fp: bytes) -> tuple[np.ndarra
         table = (ptr, outs[rows], mat[rows, cols].astype(np.complex128))
         for t in table:
             t.setflags(write=False)
-        _BP_TABLES[key] = table
-    return table
+        return table
+
+    return _table(data, ("plaquette", n, lkey), build)
 
 
 def _bp_block(
@@ -386,7 +405,6 @@ def _bp_block(
     (terms x columns) amplitudes twice over, which is what SEED_BLOCK
     bounds.
     """
-    _check_labels(data, "plaquette projectors")
     if plaquette_id in lat.punctures:
         raise MoveError(f"plaquette {plaquette_id} is a puncture")
     plq = lat.plaquette(plaquette_id)
@@ -398,6 +416,7 @@ def _bp_block(
     n = len(bpos)
     if n > 14:
         raise MoveError(f"plaquette {plaquette_id} has {n} boundary edges; table too large")
+    _bp_fans(data)  # before the empty return, so an empty block refuses other categories too
     if len(configs) == 0:
         return configs, amps
 
@@ -406,8 +425,7 @@ def _bp_block(
     mask = spread[-1]
     ekey = _key(configs, bpos)
     uniq, inv = np.unique(_key(configs, lpos), return_inverse=True)
-    fp = data.fsym.tobytes()
-    tables = [_bp_table(data, n, int(u), fp) for u in uniq]
+    tables = [_bp_table(data, n, int(u)) for u in uniq]
     # stack the tables into one CSR over (leg pattern, input pattern)
     base = np.cumsum([0] + [len(t[1]) for t in tables])
     ptr = np.concatenate([t[0][:-1] + b for t, b in zip(tables, base)] + [base[-1:]])
@@ -444,7 +462,6 @@ def ground_project(
     """Project onto the code space: all branching projectors, then every
     non-puncture plaquette projector (they commute). Not normalized."""
     _check_version(state, lat)
-    data = data or fibonacci_data()
     keep = valid_mask(lat, state.configs, data)
     cur = replace(state, configs=state.configs[keep], amps=state.amps[keep])
     for v in lat.plaquette_vertices():
@@ -462,9 +479,8 @@ def inner(a: StringNetState, b: StringNetState) -> complex:
         return 0.0 + 0.0j
     # configs are sorted and unique, so the matched pairs come out in
     # config order, as from a sorted-set intersection
-    at = np.searchsorted(b.configs, a.configs)
-    at[at == len(b.configs)] = 0
-    hit = np.flatnonzero(b.configs[at] == a.configs)
+    at, hit = _locate(b.configs, a.configs)
+    hit = np.flatnonzero(hit)
     return complex(np.sum(np.conj(a.amps[hit]) * b.amps[at[hit]]))
 
 
@@ -475,17 +491,15 @@ def _filter_block(
     append to basis, in column order, each column p whose weight outside
     the basis so far, |p|^2 - sum |<b|p>|^2, is above tol * |p|^2.
 
-    Each basis state is found once on the block's configs (one
-    searchsorted, as inner does), when a column first needs it; an
-    overlap then sums the products over the configs both hold, in config
-    order, as inner does. A kept column has all its overlaps subtracted
-    in one make_state, and the remainder is normalised.
+    Each basis state is found once on the block's configs (_locate, as
+    inner does), when a column first needs it; an overlap then sums the
+    products over the configs both hold, in config order, as inner does.
+    A kept column has all its overlaps subtracted in one make_state, and
+    the remainder is normalised.
     """
 
     def on_block(b: StringNetState) -> tuple[np.ndarray, np.ndarray]:
-        at = np.searchsorted(configs, b.configs)
-        at[at == len(configs)] = 0
-        hit = configs[at] == b.configs
+        at, hit = _locate(configs, b.configs)
         return at[hit], b.amps[hit]
 
     if len(configs) == 0:  # every seed projected to 0
@@ -583,20 +597,16 @@ def code_space_dim(
 # ---- Pachner moves on amplitudes ---------------------------------------------------
 
 
-_FMOVE_TABLES: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
 def _fmove_tables(data: FusionData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficient tables of the F-move over the 5-bit key a b c d e.
 
     stay[key] = F[a, b, c, d, e, e] and flip[key] = F[a, b, c, d, e, 1 - e];
     runs[r, key] says whether a config with that key contributes to run r:
     0 keeps its label (nonzero stay), 1 has its e bit set and 2 cleared
-    (nonzero flip with e = 0 and e = 1). Built once per category.
+    (nonzero flip with e = 0 and e = 1). Kept in data.tables (_table).
     """
-    fp = data.fsym.tobytes()
-    tables = _FMOVE_TABLES.get(fp)
-    if tables is None:
+
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         f = data.fsym.reshape(16, 2, 2)  # (legs a b c d, e, f)
         stay = np.stack([f[:, 0, 0], f[:, 1, 1]], axis=1).reshape(32)
         flip = np.stack([f[:, 0, 1], f[:, 1, 0]], axis=1).reshape(32)
@@ -605,8 +615,9 @@ def _fmove_tables(data: FusionData) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         runs = np.stack([np.abs(stay) > 1e-15, moves & (e == 0), moves & (e == 1)])
         for t in (stay, flip, runs):
             t.setflags(write=False)
-        tables = _FMOVE_TABLES[fp] = (stay, flip, runs)
-    return tables
+        return stay, flip, runs
+
+    return _table(data, "fmove", build)
 
 
 def _fmove_block(
@@ -717,13 +728,11 @@ def apply_fmove(
     """
     _check_version(state, lat)
     _check_width(lat)
-    data = data or fibonacci_data()
-    _check_labels(data, "F-moves")
+    tables = _fmove_tables(data or fibonacci_data())
     out, rec = pachner_22(lat, edge_id)
     pos = bit_positions(lat)
     if layout is not None:
         pos = {e: layout[b] for e, b in pos.items()}
-    tables = _fmove_tables(data)
     ebit = pos[edge_id]
     # key bits e d c b a from bit 0 up
     bits = [ebit, *(pos.get(e) for e in reversed(rec.legs))]
@@ -752,9 +761,6 @@ def apply_fmove(
     return _moved(state, out, configs, np.concatenate([a for _, a in pieces]))
 
 
-_PACHNER13_TABLES: dict[tuple[bytes, bytes], np.ndarray] = {}
-
-
 def _pachner13_table(data: FusionData) -> np.ndarray:
     """Isometry coefficients of the 1-3 move, flat over the 6-bit key
     a b c d e f: legs (a, b, c) above, new labels (d, e, f) below.
@@ -762,12 +768,11 @@ def _pachner13_table(data: FusionData) -> np.ndarray:
     The split leg b is copied, a vacuum loop is prepared with weight
     d_s/D, and two recouplings attach it; the closed form per new labels
     (d, e, f) is (d_d/D) F[b,b,d,d,0,e] F[a,c,d,e,b,f], 0 where either
-    F-symbol is. The 3-1 move reads the same table. Built once per
-    category.
+    F-symbol is. The 3-1 move reads the same table. Kept in data.tables
+    (_table).
     """
-    fp = (data.fsym.tobytes(), data.qdim.tobytes())
-    table = _PACHNER13_TABLES.get(fp)
-    if table is None:
+
+    def build() -> np.ndarray:
         droot = np.sqrt(data.total_dim_sq)
         table = np.zeros(64, dtype=data.fsym.dtype)
         for key in range(64):
@@ -777,8 +782,9 @@ def _pachner13_table(data: FusionData) -> np.ndarray:
             if abs(f1) >= 1e-15 and abs(f2) >= 1e-15:
                 table[key] = data.qdim[d] / droot * f1 * np.conj(f2)
         table.setflags(write=False)
-        _PACHNER13_TABLES[fp] = table
-    return table
+        return table
+
+    return _table(data, "pachner13", build)
 
 
 def apply_pachner13(
@@ -791,8 +797,7 @@ def apply_pachner13(
     are the top ones and were 0, so no two terms share a config.
     """
     _check_version(state, lat)
-    data = data or fibonacci_data()
-    _check_labels(data, "1-3 moves")
+    table = _pachner13_table(data or fibonacci_data())
     out, rec = pachner_13(lat, triangle_id)
     _check_width(out)
     pos_old = bit_positions(lat)
@@ -800,7 +805,7 @@ def apply_pachner13(
     pd, pe, pf = (pos_new[e] for e in rec.new_edges)
     # key bits c b a from bit 0 up, then the 8 new-label patterns f e d
     legs = _key(state.configs, [pos_old.get(e) for e in reversed(rec.legs)])
-    coeff = _pachner13_table(data).reshape(8, 8)[legs]
+    coeff = table.reshape(8, 8)[legs]
     src, pat = np.nonzero(coeff)
     spread = _move_bits(np.arange(8, dtype=U64), [(2, pd), (1, pe), (0, pf)])
     c = state.configs[src] | spread[pat]
@@ -817,15 +822,14 @@ def apply_pachner31(
     qubits are entangled with the rest (relative weight lost above
     PACHNER31_RESIDUAL_TOL)."""
     _check_version(state, lat)
-    data = data or fibonacci_data()
-    _check_labels(data, "3-1 moves")
+    table = _pachner13_table(data or fibonacci_data())
     tris, legs, spokes = pachner_31_roles(lat, vertex_id)
     pos = bit_positions(lat)
     nbits = len(lat.qubit_slots())
     spoke_bits = [pos[e] for e in spokes]
     # key bits f e d (spokes) then c b a (legs) from bit 0 up
     key = _key(state.configs, [pos.get(e) for e in reversed((*legs, *spokes))])
-    coeff = np.conj(_pachner13_table(data)[key])
+    coeff = np.conj(table[key])
     nz = np.flatnonzero(np.abs(coeff) > 1e-15)
     kept = [b for b in range(nbits) if b not in spoke_bits]
     stripped = _move_bits(state.configs[nz], ((b, j) for j, b in enumerate(kept)))

@@ -224,6 +224,17 @@ def test_compile_rejects_non_fibonacci_data():
     assert compile_fmove(lat, 0, fibonacci_data()) == compile_fmove(lat, 0)
 
 
+def test_compile_rejects_fibonacci_fsym_with_other_quantum_dimensions():
+    # SPREP's angle is the Fibonacci quantum dimension's, so matching
+    # F-symbols alone do not make the circuit right
+    lat = build_tetra_sphere()
+    data = fibonacci_data()
+    compile_pachner13(lat, sorted(lat.triangles)[0], data)
+    scaled = dataclasses.replace(data, qdim=data.qdim * np.array([1.0, 0.5]))
+    with pytest.raises(MoveError, match="Fibonacci"):
+        compile_pachner13(lat, sorted(lat.triangles)[0], scaled)
+
+
 # ---- compiled 1-3 and 3-1 ------------------------------------------------------
 
 

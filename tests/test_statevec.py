@@ -322,7 +322,7 @@ MASKED = masked_data()
 def assert_table_matches_reference(n, lkey, data):
     """The sparse table holds exactly the nonzero entries of the block,
     bit for bit, with outputs increasing within each input's entries."""
-    ptr, outs, vals = _bp_table(data, n, lkey, data.fsym.tobytes())
+    ptr, outs, vals = _bp_table(data, n, lkey)
     ref = bp_block_reference(n, lkey, data)
     assert len(ptr) == (1 << n) + 1 and ptr[0] == 0 and ptr[-1] == len(outs) == len(vals)
     ins = np.repeat(np.arange(1 << n), np.diff(ptr))
@@ -1061,14 +1061,30 @@ def test_fmove_rejects_categories_without_two_labels():
 
 @pytest.mark.parametrize(
     "kernel",
-    ["bp", "pachner13", "pachner31", "qv", "valid_mask", "enumerate", "ground_project", "code_space_dim"],
+    [
+        "bp",
+        "bp_empty",
+        "pachner13",
+        "pachner31",
+        "qv",
+        "valid_mask",
+        "enumerate",
+        "ground_project",
+        "ground_project_empty",
+        "code_space_dim",
+    ],
 )
 def test_kernels_reject_categories_without_two_labels(kernel):
+    """One check, in statevec._table, refuses these categories for every
+    kernel, also where an empty state would return before any table is
+    read."""
     theta = build_theta_sphere()
     state = make_delta_state(theta, 7)  # every edge tau
+    empty = replace(state, configs=state.configs[:0], amps=state.amps[:0])
     sub_state, sub = apply_pachner13(state, theta, 0)
     run = {
         "bp": lambda data: apply_bp(state, theta, theta.plaquette_vertices()[0], data),
+        "bp_empty": lambda data: apply_bp(empty, theta, theta.plaquette_vertices()[0], data),
         "pachner13": lambda data: apply_pachner13(state, theta, 0, data),
         "pachner31": lambda data: apply_pachner31(sub_state, sub, max(sub.vertices), data),
         # these read the branching table with config bits
@@ -1076,11 +1092,65 @@ def test_kernels_reject_categories_without_two_labels(kernel):
         "valid_mask": lambda data: valid_mask(theta, state.configs, data),
         "enumerate": lambda data: enumerate_valid_configs(theta, data),
         "ground_project": lambda data: ground_project(state, theta, data),
+        "ground_project_empty": lambda data: ground_project(empty, theta, data),
         "code_space_dim": lambda data: code_space_dim(theta, data),
     }[kernel]
     for data in (trivial_data(), three_label_data()):
         with pytest.raises(MoveError, match="2 labels"):
             run(data)
+
+
+# ---- tables per category -----------------------------------------------------------
+
+# The copies below keep the Fibonacci F-symbols and change the quantum
+# dimensions or D^2. They are no category, but the kernels read those
+# fields, so a table built for the Fibonacci object must not serve them.
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_bp_table_follows_the_quantum_dimensions(n):
+    copy = replace(DATA, qdim=DATA.qdim * np.array([1.0, 0.5]))
+    for lkey in (0, 1, (1 << n) - 1):
+        _bp_table(DATA, n, lkey)  # the Fibonacci tables are warm first
+        assert_table_matches_reference(n, lkey, copy)
+
+
+def test_pachner13_follows_the_total_dimension(theta):
+    copy = replace(DATA, total_dim_sq=2.0 * DATA.total_dim_sq)
+    pos = bit_positions(theta)
+    for cfg in (0, 3, 5, 6, 7):
+        seed = make_delta_state(theta, cfg)
+        fib, lat1 = apply_pachner13(seed, theta, 0)  # warm the Fibonacci table
+        got, _ = apply_pachner13(seed, theta, 0, copy)
+        assert got.configs.tolist() == fib.configs.tolist()
+        assert np.all(np.abs(got.amps - fib.amps) > 1e-3)
+        a, b, c = ((cfg >> pos[e]) & 1 for e in (1, 0, 2))
+        npos = bit_positions(lat1)
+        for cout, amp in zip(got.configs.tolist(), got.amps):
+            d, e, f = ((cout >> npos[k]) & 1 for k in (3, 4, 5))
+            closed = copy.qdim[d] / np.sqrt(copy.total_dim_sq)
+            closed *= copy.fsym[b, b, d, d, 0, e] * copy.fsym[a, c, d, e, b, f]
+            assert abs(amp - closed) <= 1e-15
+
+
+def test_tables_stay_with_their_category():
+    assert fibonacci_data() is DATA  # every default shares one object and its tables
+    state = random_valid_state(TORUS, np.random.default_rng(2), support=30)
+    edge = flippable(TORUS)[0]
+    vertex = TORUS.plaquette_vertices()[0]
+    copies = [DATA, replace(DATA), replace(DATA, qdim=DATA.qdim * np.array([1.0, 0.5])), scrambled_data()]
+    for data in copies:
+        apply_fmove(state, TORUS, edge, data)
+        apply_bp(state, TORUS, vertex, data)
+        apply_pachner13(state, TORUS, 0, data)
+        valid_mask(TORUS, state.configs, data)
+    for i, one in enumerate(copies):
+        assert {"branching", "fmove", "pachner13", "plaquette fans"} <= set(one.tables)
+        for other in copies[i + 1 :]:
+            assert one is not other
+            for key, table in one.tables.items():
+                assert all(table is not t for t in other.tables.values()), key
+    assert not replace(DATA).tables  # a copy starts with none
 
 
 # ---- snapshots and rebinding -------------------------------------------------------
