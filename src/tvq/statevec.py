@@ -13,7 +13,11 @@ its many passes run in cache. A block holds both members of every pair
 else, so each output config gets its (at most two) terms from one
 block; their sum does not depend on the order, and the blocked result
 equals the whole-array one bit for bit. The other kernels make
-whole-array passes. The kernels read small read-only tables derived
+whole-array passes. The plaquette projector runs on a block of states
+that share one support, one amplitude column each: it sorts its terms
+once by output config and sums one column at a time through that
+order, so a block of seeds pays one sort per plaquette and holds no
+(terms x columns) array. The kernels read small read-only tables derived
 from a category, each built on first use and kept in that category
 object's own FusionData.tables (_table). Configs hold one bit per edge,
 so _table refuses data without exactly two labels.
@@ -42,7 +46,8 @@ U64 = np.uint64
 CONFIG_BITS = 64  # one bit per qubit slot in a uint64 config
 PACHNER31_RESIDUAL_TOL = 1e-10  # relative weight a 3-1 move may drop
 FMOVE_BLOCK = 1 << 15  # configs per F-move block: 0.8 MB of configs and amplitudes
-SEED_BLOCK = 1 << 13  # valid configs x seed columns per code_space block: 128 kB of amplitudes
+SEED_BLOCK = 1 << 16  # valid configs x seed columns per code_space block: 1 MB of amplitudes
+BP_TABLE_BATCH = 1 << 16  # leg x boundary patterns per plaquette-table pass: 64 kB of masks
 
 
 class VersionError(ValueError):
@@ -115,35 +120,44 @@ def _locate(support: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.nd
     return at, support[at] == queries
 
 
-def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sort, merge duplicate configs, drop tiny amplitudes.
-
-    amps is parallel to configs, or a block of columns (configs x
-    columns) that share them: then an amplitude below tol is zeroed in
-    its column, and a config is dropped when it is below tol in every
-    column. The stable sort (timsort for uint64) merges inputs made of a
-    few presorted runs in about linear time.
-    """
-    if len(configs) == 0:
-        return configs.astype(U64), amps.astype(np.complex128)
+def _runs(configs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of non-empty configs, the sorted configs, and
+    whether each sorted config starts a run of equal ones. The stable
+    sort (timsort for uint64) merges inputs made of a few presorted runs
+    in about linear time, and keeps each run in input order."""
     order = np.argsort(configs, kind="stable")
     c = configs[order]
-    a = np.take(amps, order, axis=0)
     head = np.empty(len(c), dtype=bool)
     head[0] = True
     np.not_equal(c[1:], c[:-1], out=head[1:])
+    return order, c, head
+
+
+def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort, merge duplicate configs (amps parallel to them), drop tiny
+    amplitudes."""
+    if len(configs) == 0:
+        return configs.astype(U64), amps.astype(np.complex128)
+    order, c, head = _runs(configs)
     starts = np.flatnonzero(head)
-    summed = np.add.reduceat(a, starts, axis=0)
-    uniq = c[starts]
-    keep = np.abs(summed) >= tol
-    if keep.all():
-        return uniq, summed
+    return _drop(c[starts], np.add.reduceat(amps[order], starts), tol)
+
+
+def _drop(uniq: np.ndarray, summed: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the amplitudes below tol of merged configs. summed is parallel
+    to uniq, or a block of states (states x configs) that share them:
+    then an amplitude below tol is zeroed in its state, in place and one
+    state at a time, a config is dropped when it is zero in every state,
+    and the amplitudes come back as (configs x states)."""
     if summed.ndim == 1:
-        return uniq[keep], summed[keep]
-    rows = keep.any(axis=1)
-    summed = np.compress(rows, summed, axis=0)
-    summed[~np.compress(rows, keep, axis=0)] = 0
-    return uniq[rows], summed
+        keep = np.abs(summed) >= tol
+        return (uniq, summed) if keep.all() else (uniq[keep], summed[keep])
+    for row in summed:
+        row[np.abs(row) < tol] = 0
+    keep = summed.any(axis=0)
+    if keep.all():
+        return uniq, summed.T
+    return uniq[keep], np.compress(keep, summed, axis=1).T
 
 
 def _move_bits(configs: np.ndarray, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -329,55 +343,94 @@ def _bp_fans(data: FusionData) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bp_table(data: FusionData, n: int, lkey: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of the plaquette operator for one leg pattern.
+    """Nonzero entries of the plaquette operator for one leg pattern: the
+    batch of one (_bp_tables)."""
+    return _bp_tables(data, n, [lkey])[0]
+
+
+def _bp_tables(
+    data: FusionData, n: int, lkeys: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Nonzero entries of the plaquette operator for each leg pattern in
+    lkeys, in that order.
 
     Entry (out, in) over boundary patterns is sum_s (d_s/D^2) prod_i
     F[leg_i, in_i, s, out_{i+1}, in_{i+1}, out_i], indices cyclic in i.
-    Returns a CSR by input pattern: the entries of input `in` are
+    A table is a CSR by input pattern: the entries of input `in` are
     outs[ptr[in]:ptr[in + 1]] (output patterns, increasing) and the
-    matching complex vals; an input that breaks branching at a fan
-    triangle has none.
+    matching complex vals, whose imaginary parts are 0; an input that
+    breaks branching at a fan triangle has none. Each table is kept in
+    data.tables under ("plaquette", n, leg pattern); the patterns not
+    kept yet are built together (_bp_build), at most
+    BP_TABLE_BATCH >> n of them per pass.
+    """
+    _bp_fans(data)  # refuses other categories before data.tables is read
+    lkeys = [int(k) for k in lkeys]
+    missing = np.array(
+        sorted({k for k in lkeys if ("plaquette", n, k) not in data.tables}), dtype=np.int64
+    )
+    step = max(BP_TABLE_BATCH >> n, 1)
+    built: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for start in range(0, len(missing), step):
+        built.update(_bp_build(data, n, missing[start : start + step]))
+    return [_table(data, ("plaquette", n, k), lambda k=k: built[k]) for k in lkeys]
+
+
+def _bp_build(
+    data: FusionData, n: int, lkeys: np.ndarray
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The tables (_bp_tables) of the leg patterns lkeys, in one pass.
 
     A pattern can have nonzero entries only if every fan factor can be
     nonzero, which the fan masks (_bp_fans) decide for all 2^n patterns
-    at once. Entries are computed over candidate outputs x candidate
-    inputs only, as ones * F_0 * ... * F_{n-1} * (d_s/D^2) summed over s
-    from zeros. Kept in data.tables per (n, leg pattern).
+    at once. Entries are computed over the stacked candidates only, by
+    leg pattern, then input, then output, as ones * F_0 * ... * F_{n-1}
+    * (d_s/D^2) summed over s from zeros: per pattern, the same products
+    in the same order as one pattern alone.
     """
-
-    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        f = data.fsym
-        pin, pout = _bp_fans(data)
-        pats = np.arange(1 << n)
-        bits = [(pats >> i) & 1 for i in range(n)]
-        legs = [(lkey >> i) & 1 for i in range(n)]
-        ok_in = np.ones(1 << n, dtype=bool)
-        ok_out = np.ones(1 << n, dtype=bool)
+    f = data.fsym
+    pin, pout = _bp_fans(data)
+    size = 1 << n
+    pats = np.arange(size)
+    ok_in = np.ones((len(lkeys), size), dtype=bool)
+    ok_out = np.ones_like(ok_in)
+    for i in range(n):
+        j = (i + 1) % n
+        leg = (lkeys[:, None] >> i) & 1
+        ok_in &= pin[leg, (pats >> i) & 1, (pats >> j) & 1]
+        ok_out &= pout[leg, (pats >> j) & 1, (pats >> i) & 1]
+    # candidates: each (pattern k, input p) with every output o of pattern k
+    k, p = np.nonzero(ok_in)
+    n_out = ok_out.sum(axis=1)
+    outs = np.flatnonzero(ok_out) & (size - 1)
+    rep = n_out[k]
+    # candidate t of (k, p) reads outs at t - (first candidate of (k, p)) + (first output of k)
+    first = np.repeat(np.cumsum(n_out)[k] - rep - (np.cumsum(rep) - rep), rep)
+    o = outs[np.arange(rep.sum()) + first]
+    k = np.repeat(k, rep)
+    p = np.repeat(p, rep)
+    legs = lkeys[k]
+    mat = np.zeros(len(p))
+    for s in range(data.num_labels):
+        prod = np.ones_like(mat)
         for i in range(n):
             j = (i + 1) % n
-            ok_in &= pin[legs[i], bits[i], bits[j]]
-            ok_out &= pout[legs[i], bits[j], bits[i]]
-        ins = np.flatnonzero(ok_in)
-        outs = np.flatnonzero(ok_out)
-        o = outs[:, None]
-        p = ins[None, :]
-        mat = np.zeros((len(outs), len(ins)))
-        for s in range(data.num_labels):
-            prod = np.ones_like(mat)
-            for i in range(n):
-                j = (i + 1) % n
-                prod *= f[legs[i], (p >> i) & 1, s, (o >> j) & 1, (p >> j) & 1, (o >> i) & 1]
-            prod *= data.qdim[s] / data.total_dim_sq
-            mat += prod
-        cols, rows = np.nonzero(mat.T)  # by input, then output
-        ptr = np.zeros((1 << n) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ins[cols], minlength=1 << n), out=ptr[1:])
-        table = (ptr, outs[rows], mat[rows, cols].astype(np.complex128))
+            prod *= f[(legs >> i) & 1, (p >> i) & 1, s, (o >> j) & 1, (p >> j) & 1, (o >> i) & 1]
+        prod *= data.qdim[s] / data.total_dim_sq
+        mat += prod
+    nz = np.flatnonzero(mat)
+    counts = np.bincount(k[nz] * size + p[nz], minlength=len(lkeys) * size).reshape(-1, size)
+    ptrs = np.zeros((len(lkeys), size + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=ptrs[:, 1:])
+    ends = np.cumsum(ptrs[:, -1]).tolist()
+    outs, vals = o[nz], mat[nz].astype(np.complex128)
+    built = {}
+    for lkey, ptr, end in zip(lkeys.tolist(), ptrs, ends):
+        table = (ptr, outs[end - ptr[-1] : end], vals[end - ptr[-1] : end])
         for t in table:
             t.setflags(write=False)
-        return table
-
-    return _table(data, ("plaquette", n, lkey), build)
+        built[lkey] = table
+    return built
 
 
 def _bp_block(
@@ -392,18 +445,21 @@ def _bp_block(
     (configs x columns), one column per state.
 
     Each config is keyed by its leg pattern, which picks a sparse table
-    (_bp_table), and its boundary pattern, which picks that table's
-    entries for this input. Every config expands into one term per entry
-    (its non-boundary bits kept, the output pattern spread onto the
-    boundary bits), and its row of amplitudes is scaled by the entry; a
-    config with no entries, branching-invalid at this plaquette,
-    contributes nothing. One `_coalesce` merges the terms, summing each
-    output's terms in input config order, zeroes every amplitude at or
-    below tol in its column and drops the configs zero in every column.
-    A column's result thus equals that of the column alone, up to the
-    rounding of sums that meet zeros from other columns. The terms take
-    (terms x columns) amplitudes twice over, which is what SEED_BLOCK
-    bounds.
+    (_bp_tables), and its boundary pattern, which picks that table's
+    entries for this input. Every config expands into one term per entry:
+    its non-boundary bits kept, the output pattern spread onto the
+    boundary bits, its row and the entry's real coefficient; a config
+    with no entries, branching-invalid at this plaquette, contributes
+    nothing. The terms are sorted once by output config, stably, so each
+    output's terms stay in input config order; each column then gathers
+    its amplitudes through that order, scales them and sums each output's
+    run (reduceat). Amplitudes at or below tol are zeroed in their
+    column, and configs zero in every column are dropped (_drop). A
+    column's result thus equals that of the column alone, up to the
+    rounding of sums that meet zeros from other columns. Beyond the
+    block itself, the kernel holds a few arrays of one entry per term
+    and one column of terms at a time, never (terms x columns)
+    amplitudes.
     """
     if plaquette_id in lat.punctures:
         raise MoveError(f"plaquette {plaquette_id} is a puncture")
@@ -417,29 +473,48 @@ def _bp_block(
     if n > 14:
         raise MoveError(f"plaquette {plaquette_id} has {n} boundary edges; table too large")
     _bp_fans(data)  # before the empty return, so an empty block refuses other categories too
+    empty = configs[:0], amps[:0]
     if len(configs) == 0:
-        return configs, amps
+        return empty
 
     # boundary pattern spread onto the boundary bits; the all-ones one is their mask
     spread = _move_bits(np.arange(1 << n, dtype=U64), enumerate(bpos))
     mask = spread[-1]
     ekey = _key(configs, bpos)
     uniq, inv = np.unique(_key(configs, lpos), return_inverse=True)
-    tables = [_bp_table(data, n, int(u)) for u in uniq]
+    tables = _bp_tables(data, n, uniq.tolist())
     # stack the tables into one CSR over (leg pattern, input pattern)
     base = np.cumsum([0] + [len(t[1]) for t in tables])
     ptr = np.concatenate([t[0][:-1] + b for t, b in zip(tables, base)] + [base[-1:]])
     outs = np.concatenate([t[1] for t in tables])
-    vals = np.concatenate([t[2] for t in tables])
+    vals = np.concatenate([t[2].real for t in tables])
     row = (inv << n) | ekey
     lo = ptr[row]
     count = ptr[row + 1] - lo
-    term = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    c = np.repeat(configs & ~mask, count) | spread[outs[term]]
-    a = np.repeat(amps, count, axis=0)
-    a *= vals[term, None]
+    total = int(count.sum())
+    if total == 0:
+        return empty
+    term = np.arange(total) + np.repeat(lo - (np.cumsum(count) - count), count)
+    c = np.repeat(configs & ~mask, count)
+    c |= spread[outs[term]]
+    coef = vals[term]
+    # free each per-term array once used: millions of configs make tens of millions of terms
+    del term
+    order, c, head = _runs(c)
+    starts = np.flatnonzero(head)
+    coef = coef[order]
+    src = np.repeat(np.arange(len(configs), dtype=np.int32), count)[order]
+    del order
+    summed = np.empty((amps.shape[1], len(starts)), dtype=np.complex128)
+    buf = np.empty(total, dtype=np.complex128)
+    for col, out in zip(amps.T, summed):
+        np.take(col, src, out=buf)
+        buf *= coef
+        np.add.reduceat(buf, starts, out=out)
+    merged = c[starts]
+    del c, coef, src, buf  # the drop may copy the block; free the terms first
     # keep |amplitude| > tol, as the projector always has
-    return _coalesce(c, a, np.nextafter(tol, np.inf))
+    return _drop(merged, summed, np.nextafter(tol, np.inf))
 
 
 def apply_bp(
@@ -539,9 +614,12 @@ def code_space(
     sorted support shared by its seeds and one amplitude column per
     seed, pushed once through every non-puncture plaquette (_bp_block);
     each column is the seed's own ground_project up to the rounding of
-    its sums. A block holds at most max(SEED_BLOCK // valid configs, 1)
-    seeds, so a lattice with more than SEED_BLOCK // 2 valid configs
-    projects one seed at a time.
+    its sums. SEED_BLOCK bounds a block's (configs x seeds) amplitudes,
+    the kernel's per-term arrays do not grow with the seed count: a
+    block holds at most max(SEED_BLOCK // valid configs, 1) seeds, so
+    the 2x2 torus (175 valid configs) and lattices of 2250 valid configs
+    project all their seeds in one block, and a lattice with more than
+    SEED_BLOCK // 2 valid configs projects one seed at a time.
 
     A projected seed p joins the basis unless its weight outside the
     basis so far, |p|^2 - sum |<b|p>|^2, is at most tol * |p|^2;
@@ -636,8 +714,10 @@ def _fmove_block(
     nonzero terms form three runs, each already sorted because it keeps
     input order and treats one bit the same way throughout: configs that
     keep their label, configs whose e bit the move sets, and configs
-    whose e bit it clears. _coalesce merges them with a stable sort of
-    sorted runs.
+    whose e bit it clears. A stable sort of sorted runs merges them
+    (_runs). An output config gets at most two terms, from c and
+    c ^ flag, so one indexed add onto each output's first term sums its
+    second, in input order, as reduceat would.
     """
     stay, flip, run_tables = tables
     # the intp key indexes the tables without a conversion pass
@@ -652,7 +732,15 @@ def _fmove_block(
     a = amps[src]
     a[:n_same] *= stay[src_key[:n_same]]
     a[n_same:] *= flip[src_key[n_same:]]
-    return _coalesce(c, a, tol)
+    if len(c) == 0:
+        return c, a
+    order, c, head = _runs(c)
+    a = a[order]
+    starts = np.flatnonzero(head)
+    second = np.flatnonzero(~head)  # the k-th of these belongs to output second[k] - (k + 1)
+    summed = a[starts]
+    summed[second - np.arange(1, len(second) + 1)] += a[second]
+    return _drop(c[starts], summed, tol)
 
 
 def _pair_blocks(cfg: np.ndarray, ebit: int) -> Iterator[tuple[list[list[slice]], int | None]]:

@@ -31,7 +31,9 @@ from tvq import statevec
 from tvq.statevec import (
     StringNetState,
     VersionError,
+    _bp_block,
     _bp_table,
+    _bp_tables,
     _key,
     _materialize,
     _move_bits,
@@ -345,6 +347,62 @@ def test_bp_table_keeps_entries_of_asymmetric_data():
     for n in range(3, 7):
         for lkey in range(1 << n):
             assert_table_matches_reference(n, lkey, MASKED)
+
+
+def bp_table_reference(n, lkey, data):
+    """The sparse table of one leg pattern, read off the dense reference."""
+    mat = bp_block_reference(n, lkey, data)
+    ins, outs = np.nonzero(mat.T)  # by input, then output
+    ptr = np.zeros((1 << n) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ins, minlength=1 << n), out=ptr[1:])
+    return ptr, outs, mat[outs, ins].astype(np.complex128)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("name", ["fibonacci", "masked"])
+@pytest.mark.parametrize("passes", ["one", "pairs"])
+def test_bp_tables_batch_matches_per_pattern_tables(n, name, passes, monkeypatch):
+    """A batch mixing kept patterns, new ones and repeats returns, in its
+    order, each pattern's table byte for byte, keeps each new one under
+    its own key and leaves the kept ones as they were; also when the new
+    patterns are built two per pass."""
+    if passes == "pairs":
+        monkeypatch.setattr(statevec, "BP_TABLE_BATCH", 2 << n)
+    data = replace(DATA if name == "fibonacci" else MASKED)  # no tables kept yet
+    full = (1 << n) - 1
+    kept = sorted({1, full ^ 2})
+    new = sorted({0, 5 & full, full, 0b0110_1011 & full, 0b1_0101_0101 & full} - set(kept))
+    before = {k: _bp_table(data, n, k) for k in kept}
+    lkeys = [new[-1], kept[0], *new[:-1], kept[-1], new[0]]
+    got = _bp_tables(data, n, lkeys)
+    assert len(got) == len(lkeys)
+    for lkey, table in zip(lkeys, got):
+        assert data.tables[("plaquette", n, lkey)] is table
+        if lkey in before:
+            assert table is before[lkey]
+        for a, b in zip(table, bp_table_reference(n, lkey, data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+    keys = {k for k in data.tables if isinstance(k, tuple) and k[0] == "plaquette"}
+    assert keys == {("plaquette", n, k) for k in kept + new}
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_bp_block_without_terms_returns_empty(columns):
+    """Configs that break branching at a fan triangle have no entries; a
+    block made only of them projects to no configs, in every column."""
+    vertex = TORUS.plaquette_vertices()[0]
+    n_configs = 1 << len(TORUS.qubit_slots())
+    everything = make_state(TORUS, np.arange(n_configs, dtype=np.uint64), np.ones(n_configs))
+    fan_valid = everything
+    for t in TORUS.plaquette(vertex).fan_triangles:
+        fan_valid = apply_qv(fan_valid, TORUS, t)
+    broken = np.setdiff1d(everything.configs, fan_valid.configs)[:40]
+    assert len(broken) == 40
+    amps = np.random.default_rng(2).normal(size=(len(broken), columns)).astype(np.complex128)
+    configs, out = _bp_block(TORUS, vertex, broken, amps, DATA, 1e-14)
+    assert configs.dtype == np.uint64 and configs.shape == (0,)
+    assert out.dtype == np.complex128 and out.shape == (0, columns)
 
 
 def test_ground_project_rank_one_on_sphere(theta):
@@ -1362,8 +1420,8 @@ def test_code_space_matches_per_seed_reference(name, max_seeds, cap):
     width = cap or max(statevec.SEED_BLOCK // n_valid, 1)
     assert sum(widths) == n_seeds and max(widths) == min(width, n_seeds)
     if cap is None and name in ("torus", "walked"):
-        # 175 and 2250 valid configs: the default blocks hold several seeds
-        assert max(widths) > 1
+        # 175 and 2250 valid configs: the default block holds every seed
+        assert widths == [n_seeds]
     assert len(got) == len(want)
     assert span_gap(got, want) <= 1e-12
     gram = np.array([[inner(a, b) for b in got] for a in got])

@@ -14,6 +14,10 @@ current directory; other workloads already in that file are kept.
 Metric directions, units and bounds are read from the parent's
 BENCHMARK.json. A run that prints no result is kept with its exit status
 and the tail of its stderr, and its pair is a win for neither side.
+
+Bytecode would make one side import faster than the other: before the
+series, every __pycache__ directory under each checkout's src/ is
+deleted, and the runs do not write new ones (PYTHONDONTWRITEBYTECODE).
 """
 
 from __future__ import annotations
@@ -22,20 +26,29 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 from importlib import metadata
 from pathlib import Path
 
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def clean_bytecode(checkout: Path) -> None:
+    for cache in sorted((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+        print(f"deleted {cache}", file=sys.stderr)
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -90,6 +103,8 @@ def main() -> int:
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in bench["end_to_end"]}
+    for checkout in (args.parent, args.change):
+        clean_bytecode(checkout.resolve())
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -6,6 +6,12 @@ For each checkout, runs every command below as `python -m tvq.cli ...`
 with PYTHONPATH set to that checkout's src, and prints the sha256 prefix
 of its stdout (and its exit status when that is not 0). Given two
 checkouts, it exits 1 when any stdout or exit status differs.
+
+A command runs in a new empty working directory. One made of several
+CLI calls joined by " ; " (a `lattice build --out` and the `ground-dim`
+that reads the file) runs them there in order, and stops at the first
+that fails; its hash covers all their stdout. The lattice file's path
+is relative, so the reports name it the same way in every checkout.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 COMMANDS = [
@@ -24,19 +31,32 @@ COMMANDS = [
     "compile --distance 8",
     "errors --distances 4,8 --trials 100 --seed 17",
     "errors --distances 8 --trials 40 --seed 1 --format csv",
+    # 175 valid configs, every one a seed, in one block
+    "lattice build torus --lx 2 --ly 2 --out lat.json ; ground-dim lat.json",
+    # 2250 valid configs: a spread of 24 seeds, in one block
+    "lattice build patch --rows 3 --cols 3 --punctures 0,0 --out lat.json ; ground-dim lat.json",
+    # 29375 valid configs: 24 seeds in blocks of 2
+    "lattice build patch --rows 3 --cols 4 --punctures 0,0;2,0 --out lat.json ; ground-dim lat.json",
 ]
 
 
 def digest(checkout: Path, command: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "tvq.cli", *command.split()],
-        cwd=checkout,
-        env=env,
-        capture_output=True,
-    )
-    out = hashlib.sha256(proc.stdout).hexdigest()[:16]
-    return out if proc.returncode == 0 else f"{out} (exit {proc.returncode})"
+    stdout, status = b"", 0
+    with tempfile.TemporaryDirectory() as cwd:
+        for call in command.split(" ; "):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tvq.cli", *call.split()],
+                cwd=cwd,
+                env=env,
+                capture_output=True,
+            )
+            stdout += proc.stdout
+            status = proc.returncode
+            if status:
+                break
+    out = hashlib.sha256(stdout).hexdigest()[:16]
+    return out if status == 0 else f"{out} (exit {status})"
 
 
 def main(argv: list[str]) -> int:
@@ -45,12 +65,13 @@ def main(argv: list[str]) -> int:
         return 2
     checkouts = [Path(a).resolve() for a in argv]
     differ = False
+    width = max(len(c) for c in COMMANDS)
     for command in COMMANDS:
         got = [digest(c, command) for c in checkouts]
         same = len(set(got)) == 1
         differ |= not same
         mark = "" if len(got) == 1 else ("  same" if same else "  DIFFERS")
-        print(f"{command:<56} {'  '.join(got)}{mark}")
+        print(f"{command:<{width}}  {'  '.join(got)}{mark}")
     return 1 if differ else 0
 
 
