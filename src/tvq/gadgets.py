@@ -54,6 +54,7 @@ from .lattice import (
     _eid_spoke,
     _flip,
     _grid_distance,
+    _patch_layout,
     _tid_lower,
     apply_cpi,
     build_planar_patch,
@@ -211,16 +212,22 @@ def depth_report_to_json(report: DepthReport) -> str:
 # All builders below run on lattices with the complex of a
 # build_planar_patch output, whose ids the layout helpers in tvq.lattice
 # give arithmetically, so move targets need no search. _canonical_disk
-# checks that complex once per schedule build and raises MoveError when
-# it does not hold, e.g. after a split that has not been merged back.
-# Quad corners come from lattice._corner.
+# checks that complex once per schedule build against the layout
+# arithmetic itself (lattice._patch_layout), building no second patch,
+# and raises MoveError when it does not hold, e.g. after a split that has
+# not been merged back. Quad corners come from lattice._corner.
 
 
 def _canonical_disk(lat: SurfaceLattice) -> tuple[int, int, SurfaceLattice]:
-    """(rows, cols, build_planar_patch(rows, cols)) for a lattice with
-    that build's complex: its topology, its edges (endpoints, qubit
-    slots and pinning) and its triangles (ids and edge sets). Vertex
-    positions and punctures are not compared. Raises MoveError otherwise.
+    """(rows, cols, patch) for a lattice with build_planar_patch(rows,
+    cols)'s complex: its topology, its edges (endpoints, qubit slots and
+    pinning) and its triangles (ids and edge sets), compared with the
+    layout arithmetic. Vertex positions and punctures are not compared.
+    Raises MoveError otherwise.
+
+    patch is lat itself without punctures, at version 0: the complex of
+    that build, with lat's vertex positions and the edge order of lat's
+    triangles. The shear steps target it.
     """
     bad = MoveError("lattice does not have the canonical patch layout")
     if lat.topology != "disk" or 0 not in lat.vertices:
@@ -231,12 +238,22 @@ def _canonical_disk(lat: SurfaceLattice) -> tuple[int, int, SurfaceLattice]:
     rows = (len(lat.vertices) - 1) // cols
     if rows < 2:
         raise bad
-    patch = build_planar_patch(rows, cols)
-    if lat.edges != patch.edges or lat.triangles.keys() != patch.triangles.keys():
+    edges, triangles = _patch_layout(rows, cols)
+    if len(lat.edges) != len(edges) or len(lat.triangles) != len(triangles):
         raise bad
-    if any(sorted(es) != sorted(patch.triangles[t]) for t, es in lat.triangles.items()):
+    try:
+        got_edges = [lat.edges[e] for e in range(len(edges))]
+        got_triangles = [lat.triangles[t] for t in range(len(triangles))]
+    except KeyError:
+        raise bad from None
+    if [(rec.v1, rec.v2, rec.qubit) for rec in got_edges] != edges:
         raise bad
-    return rows, cols, patch
+    # edge order within a triangle is free; equal tuples settle most at once
+    if got_triangles != triangles and any(
+        sorted(es) != sorted(want) for es, want in zip(got_triangles, triangles)
+    ):
+        raise bad
+    return rows, cols, replace_lattice(lat, punctures=frozenset(), version=0)
 
 
 # -- schedule execution ------------------------------------------------------
@@ -447,8 +464,16 @@ def braid_arena(d: int) -> tuple[SurfaceLattice, int, int]:
     """The patch of the distance-d braid: d // 2 + 4 rings of 3d sectors,
     one puncture at the center and one at ring 2, sector 0.
 
-    Returns (lattice, cols, the moving puncture).
+    Returns (lattice, cols, the moving puncture). Raises MoveError
+    unless d is a positive even integer: the braid's six equal shears
+    need a sector count divisible by 6.
     """
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise MoveError(f"braid distance must be a positive even integer, got {d!r}") from None
+    if d < 2 or d % 2:
+        raise MoveError(f"braid distance must be a positive even integer, got {d}")
     rows, cols = d // 2 + 4, 3 * d
     lat = build_planar_patch(rows, cols, punctures=[(0, 0), (2, 0)])
     return lat, cols, polar_vertex_id(cols, 2, 0)

@@ -452,6 +452,51 @@ def _tid_lower(rows: int, cols: int, r: int, s: int) -> int:
     return cols + 2 * ((r - 1) * cols + (s % cols))
 
 
+def _patch_layout(
+    rows: int, cols: int
+) -> tuple[list[tuple[int, int, Optional[int]]], list[tuple[int, int, int]]]:
+    """build_planar_patch's edges and triangles, listed by id.
+
+    Edge i is (v1, v2, qubit slot), v1 <= v2 as Edge keeps them and the
+    slot None on the pinned outer ring; slots count up with edge ids.
+    Triangle i is its edge ids in the order the build stores them.
+    """
+    m, n = rows, cols
+
+    def turned(ids):
+        """Sector s holds what sector s + 1 held."""
+        return ids[1:] + ids[:1]
+
+    def family(eid, r):
+        """Ids of one ring's edges of a family, by sector."""
+        first = eid(m, n, r, 0)
+        return list(range(first, first + n))
+
+    # vertices by ring and sector; ring 0 is the center, n times over
+    vid = [[polar_vertex_id(n, r, s) for s in range(n)] for r in range(m + 1)]
+    ends = list(zip(vid[0], vid[1]))
+    for r in range(1, m + 1):
+        ends += zip(vid[r], turned(vid[r]))
+    for r in range(1, m):
+        ends += zip(vid[r], vid[r + 1])
+    for r in range(1, m):
+        ends += zip(vid[r], turned(vid[r + 1]))
+    pinned = family(_eid_ring, m)
+    slots = [*range(pinned[0]), *[None] * n, *range(pinned[0], len(ends) - n)]
+    edges = [(u, v, q) if u <= v else (v, u, q) for (u, v), q in zip(ends, slots)]
+
+    spokes = family(_eid_spoke, 0)
+    triangles = list(zip(spokes, turned(spokes), family(_eid_ring, 1)))
+    for r in range(1, m):
+        # lower (r,s) (r+1,s) (r+1,s+1), then upper (r,s) (r,s+1) (r+1,s+1)
+        spokes, diags = family(_eid_spoke, r), family(_eid_diag, r)
+        lower = zip(spokes, family(_eid_ring, r + 1), diags)
+        upper = zip(family(_eid_ring, r), diags, turned(spokes))
+        for cell in zip(lower, upper):
+            triangles += cell
+    return edges, triangles
+
+
 def build_planar_patch(
     rows: int, cols: int, punctures: Iterable[tuple[int, int]] = ()
 ) -> SurfaceLattice:
@@ -473,37 +518,9 @@ def build_planar_patch(
     for r in range(1, m + 1):
         for s in range(n):
             vertices[polar_vertex_id(n, r, s)] = polar_position(n, r, s)
-
-    # inserted in id order, so qubit slots count up with edge ids
-    edges: dict[int, Edge] = {}
-    slot = 0
-
-    def add(eid, r, s, r2, s2, pinned=False):
-        nonlocal slot
-        edges[eid] = Edge(polar_vertex_id(n, r, s), polar_vertex_id(n, r2, s2), None if pinned else slot)
-        slot += not pinned
-
-    for s in range(n):
-        add(_eid_spoke(m, n, 0, s), 0, 0, 1, s)
-    for r in range(1, m + 1):  # outermost ring pinned
-        for s in range(n):
-            add(_eid_ring(m, n, r, s), r, s, r, s + 1, pinned=(r == m))
-    for r in range(1, m):
-        for s in range(n):
-            add(_eid_spoke(m, n, r, s), r, s, r + 1, s)
-    for r in range(1, m):
-        for s in range(n):
-            add(_eid_diag(m, n, r, s), r, s, r + 1, s + 1)
-
-    triangles: dict[int, tuple[int, int, int]] = {}
-    for s in range(n):  # center fan
-        triangles[s] = (_eid_spoke(m, n, 0, s), _eid_spoke(m, n, 0, s + 1), _eid_ring(m, n, 1, s))
-    for r in range(1, m):
-        for s in range(n):
-            t, diag = _tid_lower(m, n, r, s), _eid_diag(m, n, r, s)
-            # lower: (r,s) (r+1,s) (r+1,s+1); upper: (r,s) (r,s+1) (r+1,s+1)
-            triangles[t] = (_eid_spoke(m, n, r, s), _eid_ring(m, n, r + 1, s), diag)
-            triangles[t + 1] = (_eid_ring(m, n, r, s), diag, _eid_spoke(m, n, r, s + 1))
+    layout_edges, layout_triangles = _patch_layout(m, n)
+    edges = {e: Edge(*ends) for e, ends in enumerate(layout_edges)}
+    triangles = dict(enumerate(layout_triangles))
 
     marked: set[int] = set()
     for ring, sector in punctures:
@@ -573,30 +590,27 @@ def _flip_roles(lat: SurfaceLattice, edge_id: int):
     return t1, t2, u, v, w1, w2, a, b, c, d
 
 
-def _refresh_incidence(
-    lat: SurfaceLattice, vertices: Iterable[int], edges: Iterable[int], tris: Iterable[int]
-) -> None:
-    """Bring the kept maps up to date after an in-place local rewrite.
+def _update_incidence(lat: SurfaceLattice, edge_tris, vertex_edges) -> None:
+    """Apply the incidence changes a local rewrite names to the kept maps.
 
-    The rewrite changed only the touched triangles and the endpoints of
-    the touched edges, so a touched entry keeps its untouched ids and
-    rechecks the touched ones. Entries are tuples, shared between versions.
+    edge_tris and vertex_edges each list (key, removed, added) for one
+    entry of the edge -> triangles or vertex -> edges map: the entry
+    drops the ids in removed, which it must hold, gains those in added,
+    and stays an ascending tuple, shared between versions. added None
+    deletes the entry, for an edge or vertex the rewrite removed.
     """
-    et, ve = lat._edge_tris, lat._vertex_edges
-    edges, tris = tuple(edges), tuple(tris)
-    for e in edges:
-        if e not in lat.edges:
-            del et[e]
-            continue
-        kept = [t for t in et.get(e, ()) if t not in tris]
-        et[e] = tuple(sorted(kept + [t for t in tris if e in lat.triangles.get(t, ())]))
-    for v in vertices:
-        if v not in lat.vertices:
-            del ve[v]
-            continue
-        kept = [e for e in ve.get(v, ()) if e not in edges]
-        got = [e for e in edges if e in lat.edges and v in (lat.edges[e].v1, lat.edges[e].v2)]
-        ve[v] = tuple(sorted(kept + got))
+    for kept, changes in ((lat._edge_tris, edge_tris), (lat._vertex_edges, vertex_edges)):
+        for key, removed, added in changes:
+            if added is None:
+                del kept[key]
+                continue
+            ids = list(kept.get(key, ()))
+            for i in removed:
+                ids.remove(i)
+            if added:
+                ids += added
+                ids.sort()
+            kept[key] = tuple(ids)
 
 
 def _slots(lat: SurfaceLattice, edge_ids: Iterable[int]) -> tuple[int, ...]:
@@ -611,13 +625,17 @@ def _flip(lat: SurfaceLattice, edge_id: int) -> MoveRecord:
     lat.edges[edge_id] = Edge(min(w1, w2), max(w1, w2), lat.edges[edge_id].qubit)
     # id handoff: the face at the lower old endpoint inherits the id of the
     # old face with the lower apex, so flipping the same edge twice is the
-    # identity on triangle ids, not just up to isomorphism
+    # identity on triangle ids, not just up to isomorphism. The edge keeps
+    # t1 and t2; one leg of each old face crosses to the other face.
     face_u, face_v = (edge_id, b, c), (edge_id, a, d)
     if w1 < w2:
         lat.triangles[t1], lat.triangles[t2] = face_u, face_v
+        crossing = ((a, (t1,), (t2,)), (c, (t2,), (t1,)))
     else:
         lat.triangles[t1], lat.triangles[t2] = face_v, face_u
-    _refresh_incidence(lat, (u, v, w1, w2), (edge_id, a, b, c, d), (t1, t2))
+        crossing = ((b, (t1,), (t2,)), (d, (t2,), (t1,)))
+    moved = (edge_id,)
+    _update_incidence(lat, crossing, ((u, moved, ()), (v, moved, ()), (w1, (), moved), (w2, (), moved)))
     lat.version += 1
     return MoveRecord(kind=F_MOVE, edge=edge_id, legs=(a, b, c, d), triangles=(t1, t2), qubits=qubits)
 
@@ -661,8 +679,11 @@ def _subdivide(lat: SurfaceLattice, triangle_id: int) -> MoveRecord:
     lat.triangles[next_tri + 1] = (c_e, d_e, f_e)
 
     lat.vertices[w] = (px, py)
-    _refresh_incidence(
-        lat, (p, q, r, w), (a_e, b_e, c_e, d_e, e_e, f_e), (triangle_id, next_tri, next_tri + 1)
+    t, n1, n2 = triangle_id, next_tri, next_tri + 1
+    _update_incidence(
+        lat,
+        ((b_e, (t,), (n1,)), (c_e, (t,), (n2,)), (d_e, (), (n1, n2)), (e_e, (), (t, n1)), (f_e, (), (t, n2))),
+        ((w, (), (d_e, e_e, f_e)), (p, (), (d_e,)), (r, (), (e_e,)), (q, (), (f_e,))),
     )
     lat.version += 1
     return MoveRecord(
@@ -726,7 +747,9 @@ def _unsubdivide(lat: SurfaceLattice, vertex_id: int) -> MoveRecord:
     released = tuple(lat.edges[e].qubit for e in (d_e, e_e, f_e))
     if any(s is None for s in released):
         raise MoveError(f"vertex {vertex_id}: spokes include a pinned edge")
-    corners = {x for e in (d_e, e_e, f_e) for x in lat.edges[e].endpoints()}
+    spokes = tuple((e, lat.edges[e].v1 + lat.edges[e].v2 - vertex_id) for e in (d_e, e_e, f_e))
+    # each outer edge leaves its old triangle for tris[0], the one kept
+    old_tri = {e: t for t in tris for e in lat.triangles[t] if e in (a_e, b_e, c_e)}
     qubits = _slots(lat, (a_e, b_e, c_e))
     for e in (d_e, e_e, f_e):
         del lat.edges[e]
@@ -734,7 +757,12 @@ def _unsubdivide(lat: SurfaceLattice, vertex_id: int) -> MoveRecord:
         del lat.triangles[t]
     lat.triangles[tris[0]] = (a_e, b_e, c_e)
     del lat.vertices[vertex_id]
-    _refresh_incidence(lat, corners, (a_e, b_e, c_e, d_e, e_e, f_e), tris)
+    _update_incidence(
+        lat,
+        [(e, (t,), (tris[0],)) for e, t in old_tri.items() if t != tris[0]]
+        + [(e, (), None) for e, _ in spokes],
+        [(corner, (e,), ()) for e, corner in spokes] + [(vertex_id, (), None)],
+    )
     lat.version += 1
     return MoveRecord(
         kind=PACHNER_31,

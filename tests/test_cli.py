@@ -126,6 +126,11 @@ def test_errors_rejects_empty_distance_list(capsys):
     assert_input_error(["errors", "--distances", ","], capsys, "at least one distance")
 
 
+@pytest.mark.parametrize("argv, d", [(["--distances", "5"], 5), (["--distances", "0"], 0), (["--distances=-4"], -4)])
+def test_errors_rejects_distances_without_a_braid_arena(capsys, argv, d):
+    assert_input_error(["errors", *argv], capsys, f"braid distance must be a positive even integer, got {d}")
+
+
 @pytest.mark.parametrize("text, match", [("", "JSONDecodeError"), ("{}", "KeyError")])
 def test_ground_dim_rejects_non_lattice_file(tmp_path, capsys, text, match):
     path = tmp_path / "lat.json"

@@ -98,6 +98,24 @@ def ground_state(lat, seed_cfg=None):
     return normalized(lat, ground_project(make_delta_state(lat, cfg), lat, DATA))
 
 
+# ---- the braid arena ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 0, -2, 4.0])
+def test_braid_arena_refuses_distances_that_are_not_positive_even_integers(d):
+    with pytest.raises(MoveError, match=re.escape(f"braid distance must be a positive even integer, got {d!r}")):
+        braid_arena(d)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_braid_arena_builds_even_distances(d):
+    lat, cols, anyon = braid_arena(d)
+    want = build_planar_patch(d // 2 + 4, 3 * d, punctures=[(0, 0), (2, 0)])
+    assert (lat.signature(), lat.version) == (want.signature(), want.version)
+    assert (cols, anyon) == (3 * d, polar_vertex_id(3 * d, 2, 0))
+    assert braid_schedule(lat, anyon, 0, steps=6).depth_report().total_steps == 12
+
+
 # ---- constant-depth scaling ---------------------------------------------------
 
 

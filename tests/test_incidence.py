@@ -4,7 +4,9 @@ Every lattice keeps its edge -> triangles and vertex -> edges maps, and
 each rewrite updates a copy at the entries it touched; plaquettes are
 kept as they are first asked for, and a relabeling onto a target shares
 the target's. These tests walk random rewrites and compare the kept
-maps and plaquettes with a from-scratch rebuild after every step, check that no earlier version changes, and check that
+maps and plaquettes with a from-scratch rebuild after every step, and
+after every flip of a braid's build and of its replay, check that no
+earlier version changes, and check that
 replaying local moves on one private copy equals replaying them one
 move at a time.
 """
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvq import gadgets, lattice
 from tvq.gadgets import (
     LOCAL,
     baseline_schedule,
+    braid_arena,
     braid_schedule,
     merge_rows,
     run_schedule,
@@ -160,6 +164,28 @@ def test_kept_maps_match_a_rebuild(name, moves):
     for old, sig, version in history:
         assert old.signature() == sig and old.version == version
         assert_maps_current(old)
+
+
+def test_kept_maps_match_a_rebuild_after_every_flip_of_a_braid(monkeypatch):
+    lat, _, anyon = braid_arena(8)
+    flips = []
+
+    def checked_flip(cur, edge_id):
+        rec = real_flip(cur, edge_id)
+        # checked on a fork, so that the rewritten copy keeps no plaquettes
+        assert_maps_current(cur._fork())
+        flips.append(rec)
+        return rec
+
+    real_flip = lattice._flip
+    monkeypatch.setattr(gadgets, "_flip", checked_flip)
+    monkeypatch.setattr(lattice, "_flip", checked_flip)
+    sched = braid_schedule(lat, anyon, 0, steps=6)
+    assert len(flips) == 96  # one shear step of stride 4 over 24 sectors, built once
+    end = run_schedule(None, lat, sched)[1]
+    assert len(flips) == 96 + sched.move_count() - 6
+    assert end.signature() == lat.signature()
+    assert_maps_current(end)
 
 
 def test_replace_lattice_keeps_plaquettes_only_for_the_same_complex():

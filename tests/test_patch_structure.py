@@ -1,14 +1,16 @@
 """Patch layout and quad corners against the algorithms they replaced.
 
 The patch ids are derived by the layout helpers in tvq.lattice, the
-canonical-layout check compares a lattice with one build, and quad
-corners come from one corner helper. This module keeps the replaced
-code as references: the dict-keyed patch builder, the per-edge layout
-check, the frozenset-based flip and 3-1 role assignments, the corner
-search of the 1-3 move and the whole-lattice quad scan of the row
-merger. Random Pachner walks compare roles (or refusal messages) at
-every step; split and merge schedules are compared with those the
-reference scan resolves.
+canonical-layout check compares a lattice with the layout arithmetic,
+and quad corners come from one corner helper. This module keeps the
+replaced code as references: the dict-keyed patch builder, the per-edge
+layout check, the layout check that compared with a second build, the
+frozenset-based flip and 3-1 role assignments, the corner search of the
+1-3 move and the whole-lattice quad scan of the row merger. Random
+Pachner walks compare roles (or refusal messages) at every step; split
+and merge schedules are compared with those the reference scan
+resolves, and braid and baseline schedules with those built through the
+second-build check.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from tvq.lattice import (
     _eid_ring,
     _eid_spoke,
     _flip_roles,
+    _tid_lower,
     build_honeycomb_torus,
     build_planar_patch,
     build_tetra_sphere,
@@ -122,6 +125,26 @@ def ref_canonical_disk(lat):
             expect(_eid_spoke(rows, cols, r, s), polar_vertex_id(cols, r, s), polar_vertex_id(cols, r + 1, s), False)
             expect(_eid_diag(rows, cols, r, s), polar_vertex_id(cols, r, s), polar_vertex_id(cols, r + 1, s + 1), False)
     return rows, cols
+
+
+def ref_disk_by_build(lat):
+    """(rows, cols, build_planar_patch(rows, cols)) after comparing every
+    edge and every triangle's edge set with that build."""
+    bad = MoveError("lattice does not have the canonical patch layout")
+    if lat.topology != "disk" or 0 not in lat.vertices:
+        raise bad
+    cols = len(lat.vertex_edges()[0])
+    if cols < 2 or (len(lat.vertices) - 1) % cols:
+        raise bad
+    rows = (len(lat.vertices) - 1) // cols
+    if rows < 2:
+        raise bad
+    patch = build_planar_patch(rows, cols)
+    if lat.edges != patch.edges or lat.triangles.keys() != patch.triangles.keys():
+        raise bad
+    if any(sorted(es) != sorted(patch.triangles[t]) for t, es in lat.triangles.items()):
+        raise bad
+    return rows, cols, patch
 
 
 def ref_flip_roles(lat, edge_id):
@@ -310,6 +333,103 @@ def test_layout_check_accepts_what_the_edge_check_accepts_up_to_slots_and_triang
     once = pachner_22(lat, _eid_diag(4, 6, 2, 3))[0]
     for refused in (once, build_tetra_sphere(), build_honeycomb_torus(2, 2)):
         assert outcome(_canonical_disk, refused) == outcome(ref_canonical_disk, refused)
+
+
+def unchecked(lat, edges=None, triangles=None):
+    """A copy of lat with its edge or triangle table replaced, not checked."""
+    edges = dict(lat.edges) if edges is None else edges
+    triangles = dict(lat.triangles) if triangles is None else triangles
+    return SurfaceLattice(lat.topology, dict(lat.vertices), edges, triangles, lat.punctures, lat.version)
+
+
+def perturbations(lat, rows, cols):
+    """(what, copy of lat) per way of breaking the patch complex."""
+    E, T = lat.edges, lat.triangles
+    diag, spoke = _eid_diag(rows, cols, 1, 0), _eid_spoke(rows, cols, 1, 1)
+    outer = _eid_ring(rows, cols, rows, 0)
+    lower = _tid_lower(rows, cols, 1, 0)  # its edges: spoke (1, 0), ring (2, 0), diag
+    d, s = E[diag], E[spoke]
+    far = polar_vertex_id(cols, 2, 3)  # not a neighbour of (1, 0)
+    fresh_slot = max(lat.qubit_slots()) + 1
+    yield "edge endpoint moved", unchecked(lat, edges={**E, diag: Edge(d.v1, far, d.qubit)})
+    yield "qubit slots swapped", unchecked(
+        lat, edges={**E, diag: Edge(d.v1, d.v2, s.qubit), spoke: Edge(s.v1, s.v2, d.qubit)}
+    )
+    yield "edge pinned", unchecked(lat, edges={**E, diag: Edge(d.v1, d.v2, None)})
+    yield "edge unpinned", unchecked(lat, edges={**E, outer: Edge(E[outer].v1, E[outer].v2, fresh_slot)})
+    ring = _eid_ring(rows, cols, 1, 0)
+    yield "triangle edge set changed", unchecked(lat, triangles={**T, lower: (*T[lower][:2], ring)})
+    yield "edge removed", unchecked(lat, edges={e: rec for e, rec in E.items() if e != diag})
+    yield "edge added", unchecked(lat, edges={**E, max(E) + 1: Edge(d.v1, far, fresh_slot)})
+    yield "triangle added", unchecked(lat, triangles={**T, max(T) + 1: T[lower]})
+    for a, b in ((lower, lower + 1), (0, lower)):
+        yield f"triangle ids {a} and {b} swapped", unchecked(lat, triangles={**T, a: T[b], b: T[a]})
+
+
+@pytest.mark.parametrize("rows,cols,punctures", [(3, 4, []), (4, 6, [(0, 0), (2, 1)]), (5, 12, [(2, 0)])])
+def test_layout_check_refuses_what_the_build_comparison_refuses(rows, cols, punctures):
+    lat = build_planar_patch(rows, cols, punctures=punctures)
+    for base in (lat, lattice_from_json(lattice_to_json(lat))):
+        for what, bad in perturbations(base, rows, cols):
+            refused = "MoveError: lattice does not have the canonical patch layout"
+            assert outcome(_canonical_disk, bad) == outcome(ref_disk_by_build, bad) == refused, what
+
+
+def assert_same_disk(lat):
+    """Both layout checks accept lat alike; the new one returns lat's own
+    complex and positions, without punctures, at version 0."""
+    rows, cols, patch = _canonical_disk(lat)
+    ref_rows, ref_cols, ref_patch = ref_disk_by_build(lat)
+    assert (rows, cols) == (ref_rows, ref_cols)
+    assert (patch.signature(), patch.version) == (ref_patch.signature(), ref_patch.version)
+    assert patch.version == 0
+    assert (patch.vertices, patch.edges, patch.triangles) == (lat.vertices, lat.edges, lat.triangles)
+    assert patch.punctures == frozenset()
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("cols", range(4, 13))
+def test_layout_check_accepts_fresh_builds_like_the_build_comparison(rows, cols):
+    assert_same_disk(build_planar_patch(rows, cols))
+    punctures = [(0, 0), (rows - 1, 1)] if rows > 2 else [(1, 0)]
+    assert_same_disk(build_planar_patch(rows, cols, punctures=punctures))
+
+
+def test_layout_check_accepts_rewritten_patches_like_the_build_comparison():
+    lat, cols, anyon = gadgets.braid_arena(4)
+    rows = _canonical_disk(lat)[0]
+    edge = _eid_diag(rows, cols, rows - 1, cols // 2)
+    twice = pachner_22(pachner_22(lat, edge)[0], edge)[0]
+    end = run_schedule(None, lat, gadgets.braid_schedule(lat, anyon, 0, steps=6))[1]
+    assert end.version > 0 and twice.triangles != lat.triangles
+    for same in (lat, lattice_from_json(lattice_to_json(lat)), twice, end):
+        assert_same_disk(same)
+
+
+def test_braid_and_baseline_match_those_built_through_the_second_build(monkeypatch):
+    lat, cols, anyon = gadgets.braid_arena(4)
+    rows = _canonical_disk(lat)[0]
+    edge = _eid_diag(rows, cols, rows - 1, cols // 2)
+    twice = pachner_22(pachner_22(lat, edge)[0], edge)[0]
+    path = [polar_vertex_id(cols, 2, s) for s in (-1, -2, -1, 0, 1)]
+
+    def builds(start):
+        return (
+            gadgets.braid_schedule(start, anyon, 0, steps=6),
+            gadgets.baseline_schedule(start, anyon, path),
+        )
+
+    def targets(sched):
+        return [(g.target.signature(), g.target.version) for g in sched.groups if g.target is not None]
+
+    for start in (lat, lattice_from_json(lattice_to_json(lat)), twice):
+        got = builds(start)
+        with monkeypatch.context() as m:
+            m.setattr(gadgets, "_canonical_disk", ref_disk_by_build)
+            want = builds(start)
+        for sched, ref in zip(got, want):
+            assert gadgets.schedule_to_json(sched) == gadgets.schedule_to_json(ref)
+            assert targets(sched) == targets(ref)
 
 
 # ---- roles on random Pachner walks -------------------------------------------------

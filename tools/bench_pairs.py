@@ -15,6 +15,12 @@ Metric directions, units and bounds are read from the parent's
 BENCHMARK.json. A run that prints no result is kept with its exit status
 and the tail of its stderr, and its pair is a win for neither side.
 
+Each checkout's commit (`git rev-parse HEAD`) and whether its src/ has
+uncommitted changes (`git status --porcelain -- src` not empty) go under
+the workload's checkouts.parent and checkouts.change, both null when
+the checkout is not the top of a git work tree, so the file can be
+traced to the code it measured.
+
 Bytecode would make one side import faster than the other: before the
 series, every __pycache__ directory under each checkout's src/ is
 deleted, and the runs do not write new ones (PYTHONDONTWRITEBYTECODE).
@@ -54,6 +60,20 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"exit": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
+
+
+def git_state(checkout: Path) -> dict:
+    """The checkout's commit and whether src/ differs from it, or nulls
+    when the checkout is not the top of a git work tree."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode or Path(top.stdout.strip()).resolve() != checkout.resolve():
+        return {"head": None, "src_dirty": None}
+    head = git("rev-parse", "HEAD").stdout.strip() or None
+    return {"head": head, "src_dirty": bool(git("status", "--porcelain", "--", "src").stdout.strip())}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -103,6 +123,7 @@ def main() -> int:
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in bench["end_to_end"]}
+    checkouts = {"parent": git_state(args.parent), "change": git_state(args.change)}
     for checkout in (args.parent, args.change):
         clean_bytecode(checkout.resolve())
     pairs = []
@@ -128,6 +149,7 @@ def main() -> int:
     })
     doc.setdefault("workloads", {})[args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED",
+        "checkouts": checkouts,
         "seeds": args.seeds,
         "quartiles": "statistics.quantiles(values, n=4, method='inclusive') over each side's runs",
         "failed": {s: sum(p[s].get("failed", 0) for p in pairs) for s in ("parent", "change")},
