@@ -55,15 +55,14 @@ from .lattice import (
     _flip,
     _grid_distance,
     _patch_layout,
+    _relabeled,
+    _subdivide,
     _tid_lower,
+    _unsubdivide,
     apply_cpi,
     build_planar_patch,
-    pachner_13,
-    pachner_22,
-    pachner_31,
     polar_vertex_id,
     replace_lattice,
-    replay_move,
     replay_moves,
 )
 from .statevec import (
@@ -274,10 +273,12 @@ def run_schedule(
     copy. With assert_code_space the state is re-projected after every
     LOCAL group and must be left unchanged within CODE_TOL (relative).
 
-    On a state, relabelings are deferred: a PERMUTATION record rewrites
-    the lattice and drops amplitudes below the tolerance, but only
-    composes a layout, the config bit that holds each canonical bit, and
-    F-moves read their bits through it. The bits move home in one pass
+    A PERMUTATION group is one step with or without a state: apply_cpi
+    checks its vertex map against the group's target and derives the
+    end lattice and the slot map. A state only composes a layout from
+    that slot map, the config bit that holds each canonical bit, and
+    drops amplitudes below the tolerance (_defer_permutation); F-moves
+    read their bits through the layout. The bits move home in one pass
     and one sort (materialization) before a 1-3 or 3-1 move, before each
     code-space check and before returning, so no state in another layout
     leaves this function. The result equals a record-by-record replay
@@ -286,28 +287,29 @@ def run_schedule(
     cur, cur_lat = state, lat
     layout = None  # bit i holds canonical bit i
     for group in schedule.groups:
+        if group.kind == PERMUTATION:
+            (rec,) = group.records()
+            out_lat, derived = apply_cpi(cur_lat, rec.vmap, target=group.target)
+            if cur is not None:
+                cur, layout = _defer_permutation(cur, cur_lat, out_lat, derived.sigma, layout)
+            cur_lat = out_lat
+            continue
         if cur is None:
-            if group.kind == LOCAL:
-                for layer in group.layers:
-                    cur_lat = replay_moves(cur_lat, layer)
-            else:
-                (rec,) = group.records()
-                cur_lat = replay_move(cur_lat, rec, group.target)
+            for layer in group.layers:
+                cur_lat = replay_moves(cur_lat, layer)
             continue
         for rec in group.records():
             if rec.kind == F_MOVE:
                 cur, cur_lat = apply_fmove(cur, cur_lat, rec.edge, data, layout=layout)
-            elif rec.kind == PERMUTATION:
-                cur, cur_lat, layout = _defer_permutation(cur, cur_lat, rec.vmap, layout, group.target)
+                continue
+            cur, layout = _materialize(cur, layout), None
+            if rec.kind == PACHNER_13:
+                cur, cur_lat = apply_pachner13(cur, cur_lat, rec.triangles[0], data)
+            elif rec.kind == PACHNER_31:
+                cur, cur_lat = apply_pachner31(cur, cur_lat, rec.vertex, data)
             else:
-                cur, layout = _materialize(cur, layout), None
-                if rec.kind == PACHNER_13:
-                    cur, cur_lat = apply_pachner13(cur, cur_lat, rec.triangles[0], data)
-                elif rec.kind == PACHNER_31:
-                    cur, cur_lat = apply_pachner31(cur, cur_lat, rec.vertex, data)
-                else:
-                    raise MoveError(f"unknown move kind {rec.kind!r}")
-        if assert_code_space and group.kind == LOCAL:
+                raise MoveError(f"unknown move kind {rec.kind!r}")
+        if assert_code_space:
             cur, layout = _materialize(cur, layout), None
             proj = ground_project(cur, cur_lat, data)
             if diff_norm(cur_lat, proj, cur) > CODE_TOL * max(cur.norm(), 1.0):
@@ -412,14 +414,13 @@ def _shear_reusing(
     groups = built.get((direction, k, base))
     if groups is None:
         groups = built[direction, k, base] = _build_shear(disk, direction, k, base)
-    # the step ends on its target with lat's punctures moved by the vertex
-    # map, at the version apply_cpi gives after the step's flips; no
-    # puncture the checks allow touches a flip, so the records hold for lat
+    # the step ends where apply_cpi's relabeling would after the step's
+    # flips (lattice._relabeled); no puncture the checks allow touches a
+    # flip, so the records hold for lat
     flips, rotation = groups
     (perm,) = rotation.records()
-    end = replace_lattice(patch, punctures=frozenset(perm.vmap[p] for p in lat.punctures))
-    end.version = max(lat.version + sum(len(layer) for layer in flips.layers), patch.version) + 1
-    return groups, end
+    flipped = lat.version + sum(len(layer) for layer in flips.layers)
+    return groups, _relabeled(patch, perm.vmap, lat.punctures, flipped)
 
 
 def _build_shear(
@@ -607,26 +608,17 @@ def split_row(
             if polar_vertex_id(cols, rr, s) in lat.punctures:
                 raise MoveError("cannot split a row that touches a puncture")
 
-    cur = lat
-    lay1: list[MoveRecord] = []
-    for s in range(cols):
-        cur, rec = pachner_13(cur, _tid_lower(rows, cols, r, s))
-        lay1.append(rec)
-
-    lay2: list[MoveRecord] = []
-    for s in range(cols):
-        cur, rec = pachner_22(cur, _eid_diag(rows, cols, r, s))
-        lay2.append(rec)
-    lay3: list[MoveRecord] = []
-    for s in range(cols):
-        cur, rec = pachner_22(cur, _eid_spoke(rows, cols, r, s))
-        lay3.append(rec)
+    # dry-run the moves on one private copy; ids are stable so targets
+    # come from arithmetic
+    cur = lat._fork()
+    lay1 = tuple(_subdivide(cur, _tid_lower(rows, cols, r, s)) for s in range(cols))
+    lay2 = tuple(_flip(cur, _eid_diag(rows, cols, r, s)) for s in range(cols))
+    lay3 = tuple(_flip(cur, _eid_spoke(rows, cols, r, s)) for s in range(cols))
     lay4: dict[int, list[MoveRecord]] = {0: [], 1: []}
     for s in range(cols):
-        cur, rec = pachner_22(cur, _eid_diag(rows, cols, r, s))
-        lay4[s % 2].append(rec)
+        lay4[s % 2].append(_flip(cur, _eid_diag(rows, cols, r, s)))
 
-    layers = (tuple(lay1), tuple(lay2), tuple(lay3), tuple(lay4[0]), tuple(lay4[1]))
+    layers = (lay1, lay2, lay3, tuple(lay4[0]), tuple(lay4[1]))
     return MoveSchedule((MoveGroup(LOCAL, layers, tag="split row"),))
 
 
@@ -762,16 +754,17 @@ def merge_rows(
             raise MoveError("cannot merge rows that touch a puncture")
 
     # resolve every edge of a layer against the pre-layer lattice, then
-    # flip; in-layer flips can create parallel edges with identical quads
-    # (n == 2), so resolving mid-layer would be ambiguous
-    cur = lat
+    # flip, all on one private copy; in-layer flips can create parallel
+    # edges with identical quads (n == 2), so resolving mid-layer would
+    # be ambiguous
+    cur = lat._fork()
     diag_ids = [
         _resolve_edge(cur, side[s], mids[(s + 1) % n], {mids[s], side[(s + 1) % n]})
         for s in range(n)
     ]
     lay1: dict[int, list[MoveRecord]] = {0: [], 1: []}
     for s in range(n):
-        cur, rec = pachner_22(cur, diag_ids[s])
+        rec = _flip(cur, diag_ids[s])
         if cur.edges[diag_ids[s]].endpoints() != frozenset(
             (mids[s], side[(s + 1) % n])
         ):
@@ -800,7 +793,7 @@ def merge_rows(
         raise MoveError("rows are not mergeable: ambiguous or missing quad")
     lay2: list[MoveRecord] = []
     for s in range(n):
-        cur, rec = pachner_22(cur, ring_ids[s])
+        rec = _flip(cur, ring_ids[s])
         want = frozenset((side[(s + 1) % n], far[(s + 1) % n]))
         if cur.edges[ring_ids[s]].endpoints() != want:
             raise MoveError("rows are not mergeable: unexpected flip result")
@@ -808,23 +801,14 @@ def merge_rows(
     lay3: list[MoveRecord] = []
     for s in range(n):
         eid = diag_ids[s]
-        cur, rec = pachner_22(cur, eid)
+        rec = _flip(cur, eid)
         want = frozenset((side[s], far[(s + 1) % n]))
         if cur.edges[eid].endpoints() != want:
             raise MoveError("rows are not mergeable: unexpected flip result")
         lay3.append(rec)
-    lay4: list[MoveRecord] = []
-    for s in range(n):
-        cur, rec = pachner_31(cur, mids[s])
-        lay4.append(rec)
+    lay4 = tuple(_unsubdivide(cur, v) for v in mids)
 
-    layers = (
-        tuple(lay1[0]),
-        tuple(lay1[1]),
-        tuple(lay2),
-        tuple(lay3),
-        tuple(lay4),
-    )
+    layers = (tuple(lay1[0]), tuple(lay1[1]), tuple(lay2), tuple(lay3), lay4)
     return MoveSchedule((MoveGroup(LOCAL, layers, tag="merge rows"),))
 
 

@@ -14,7 +14,8 @@ Rewrites (2-2 flip, 1-3 subdivision, 3-1 removal, qubit permutations) are
 value-semantic: they return a new lattice with a bumped version counter
 plus a MoveRecord that can replay the rewrite deterministically. Each
 local rewrite is one in-place step on a private copy; ``pachner_22`` and
-friends copy once per move, ``replay_moves`` once per run of moves.
+friends copy once per move, ``replay_moves`` and the schedule builders
+once per run of moves.
 
 A qubit permutation is the relabeling induced by a map of the surface's
 vertices: ``apply_cpi`` takes that vertex map and derives the slot map
@@ -796,8 +797,9 @@ def _rewrite(lat: SurfaceLattice, record: MoveRecord) -> MoveRecord:
 def replay_moves(lat: SurfaceLattice, records: Iterable[MoveRecord]) -> SurfaceLattice:
     """Lattice after local records in order, rewritten on one private copy.
 
-    Equal, version included, to chaining replay_move over the records,
-    but the lattice dicts are copied once instead of once per move.
+    Equal, version included, to chaining pachner_22, pachner_13 and
+    pachner_31 over the records, but the lattice dicts are copied once
+    instead of once per move.
     """
     out = lat._fork()
     for rec in records:
@@ -873,15 +875,20 @@ def apply_cpi(
     sigma = {
         lat.edges[e].qubit: tgt.edges[img].qubit for e, img in emap.items() if not lat.edges[e].pinned
     }
-    out = replace_lattice(tgt, punctures=frozenset(full[p] for p in lat.punctures))
-    out.version = max(lat.version, tgt.version) + 1
+    out = _relabeled(tgt, full, lat.punctures, lat.version)
     return out, MoveRecord(kind=PERMUTATION, sigma=sigma, vmap=full)
 
 
-def replay_move(lat: SurfaceLattice, record: MoveRecord, target: Optional[SurfaceLattice] = None):
-    if record.kind == PERMUTATION:
-        return apply_cpi(lat, record.vmap, target=target)[0]
-    return replay_moves(lat, (record,))
+def _relabeled(
+    target: SurfaceLattice, vmap: dict[int, int], punctures: Iterable[int], version: int
+) -> SurfaceLattice:
+    """End lattice of a relabeling onto target by the full vertex map
+    vmap, from a lattice at `version` with these punctures: target's
+    complex, the punctures moved by vmap, version max(version,
+    target.version) + 1."""
+    out = replace_lattice(target, punctures=frozenset(vmap[p] for p in punctures))
+    out.version = max(version, target.version) + 1
+    return out
 
 
 # ---- isomorphism ---------------------------------------------------------------

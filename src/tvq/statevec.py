@@ -39,7 +39,6 @@ from .lattice import (
     pachner_13,
     pachner_22,
     pachner_31,
-    pachner_31_roles,
 )
 
 U64 = np.uint64
@@ -911,19 +910,17 @@ def apply_pachner31(
     PACHNER31_RESIDUAL_TOL)."""
     _check_version(state, lat)
     table = _pachner13_table(data or fibonacci_data())
-    tris, legs, spokes = pachner_31_roles(lat, vertex_id)
+    out, rec = pachner_31(lat, vertex_id)
     pos = bit_positions(lat)
     nbits = len(lat.qubit_slots())
-    spoke_bits = [pos[e] for e in spokes]
+    spoke_bits = [pos[e] for e in rec.new_edges]
     # key bits f e d (spokes) then c b a (legs) from bit 0 up
-    key = _key(state.configs, [pos.get(e) for e in reversed((*legs, *spokes))])
+    key = _key(state.configs, [pos.get(e) for e in reversed((*rec.legs, *rec.new_edges))])
     coeff = np.conj(table[key])
     nz = np.flatnonzero(np.abs(coeff) > 1e-15)
     kept = [b for b in range(nbits) if b not in spoke_bits]
     stripped = _move_bits(state.configs[nz], ((b, j) for j, b in enumerate(kept)))
     c, a = _coalesce(stripped, state.amps[nz] * coeff[nz], state.tolerance)
-
-    out, _rec = pachner_31(lat, vertex_id)
     in_norm2 = float(np.sum(np.abs(state.amps) ** 2))
     out_norm2 = float(np.sum(np.abs(a) ** 2))
     if in_norm2 - out_norm2 > PACHNER31_RESIDUAL_TOL * max(in_norm2, 1.0):
@@ -934,19 +931,6 @@ def apply_pachner31(
     return _moved(state, out, c, a)
 
 
-def _relabel(
-    state: StringNetState, lat: SurfaceLattice, vmap: dict[int, int], target: SurfaceLattice | None
-) -> tuple[SurfaceLattice, list[int]]:
-    """apply_cpi's lattice, and dest: canonical bit i of lat becomes
-    canonical bit dest[i] of the target."""
-    _check_version(state, lat)
-    _check_width(lat)
-    out, rec = apply_cpi(lat, vmap, target=target)
-    tgt = target if target is not None else lat
-    tgt_rank = {s: i for i, s in enumerate(tgt.qubit_slots())}
-    return out, [tgt_rank[rec.sigma[s]] for s in lat.qubit_slots()]
-
-
 def apply_state_permutation(
     state: StringNetState,
     lat: SurfaceLattice,
@@ -955,45 +939,49 @@ def apply_state_permutation(
 ):
     """Relabel configuration bits by the relabeling of a vertex map.
 
-    apply_cpi checks the vertex map and derives the slot map sigma; the
-    bits move by one mask-and-shift per distinct shift (_move_bits).
-    sigma is a bijection of qubit slots, so the relabeled configs are
-    distinct: one sort orders them and nothing is merged. Amplitudes
-    below the tolerance are dropped.
+    apply_cpi checks the vertex map and derives the slot map sigma;
+    _defer_permutation turns sigma into a bit layout and drops the
+    amplitudes below the tolerance, and _materialize moves the bits by
+    one mask-and-shift per distinct shift (_move_bits). sigma is a
+    bijection of qubit slots, so the relabeled configs are distinct: one
+    sort orders them and nothing is merged.
     """
-    out, dest = _relabel(state, lat, vmap, target)
-    moved = _move_bits(state.configs, enumerate(dest))
-    order = np.argsort(moved)
-    keep = np.abs(state.amps[order]) >= state.tolerance
-    if not keep.all():
-        order = order[keep]
-    return _moved(state, out, moved[order], state.amps[order])
+    _check_version(state, lat)
+    _check_width(lat)
+    out, rec = apply_cpi(lat, vmap, target=target)
+    moved, layout = _defer_permutation(state, lat, out, rec.sigma, None)
+    return _materialize(moved, layout), out
 
 
 def _defer_permutation(
     state: StringNetState,
     lat: SurfaceLattice,
-    vmap: dict[int, int],
+    out: SurfaceLattice,
+    sigma: dict[int, int],
     layout: Sequence[int] | None,
-    target: SurfaceLattice | None = None,
-) -> tuple[StringNetState, SurfaceLattice, tuple[int, ...]]:
-    """apply_state_permutation with the bit moves deferred.
+) -> tuple[StringNetState, tuple[int, ...]]:
+    """A relabeling of the state with the bit moves deferred.
 
-    layout gives the config bit that holds each canonical bit of lat
-    (None: bit i holds bit i). The configs stay where they are, and the
-    returned layout gives the bit that holds each canonical bit of the
-    target; _materialize moves them home. Amplitudes below the tolerance
-    are dropped here, as apply_state_permutation drops them.
+    out and sigma are what apply_cpi returned for the relabeling of lat:
+    the end lattice and the slot map. layout gives the config bit that
+    holds each canonical bit of lat (None: bit i holds bit i). The
+    configs stay where they are, bound to out, and the returned layout
+    gives the bit that holds each canonical bit of out; _materialize
+    moves them home. Amplitudes below the tolerance are dropped here.
+    The state must be bound to lat, which must fit the config width.
     """
-    out, dest = _relabel(state, lat, vmap, target)
-    held = range(len(dest)) if layout is None else layout
-    new = [0] * len(dest)
-    for i, j in enumerate(dest):
-        new[j] = held[i]
+    _check_version(state, lat)
+    _check_width(lat)
+    rank = {s: i for i, s in enumerate(out.qubit_slots())}
+    slots = lat.qubit_slots()
+    held = range(len(slots)) if layout is None else layout
+    new = [0] * len(slots)
+    for i, s in enumerate(slots):
+        new[rank[sigma[s]]] = held[i]
     keep = np.abs(state.amps) >= state.tolerance
     if keep.all():
-        return *_moved(state, out, state.configs, state.amps), tuple(new)
-    return *_moved(state, out, state.configs[keep], state.amps[keep]), tuple(new)
+        return _moved(state, out, state.configs, state.amps)[0], tuple(new)
+    return _moved(state, out, state.configs[keep], state.amps[keep])[0], tuple(new)
 
 
 def _materialize(state: StringNetState, layout: Sequence[int] | None) -> StringNetState:

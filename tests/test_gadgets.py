@@ -8,6 +8,7 @@ acceptance suite because of its runtime.
 """
 
 import functools
+import hashlib
 import json
 import re
 import time
@@ -219,6 +220,50 @@ def test_merge_canonical_middle_ring():
     _, out = run_schedule(None, lat, sched)
     out.check()
     assert isomorphism_check(out, build_planar_patch(2, 4))
+
+
+def schedule_sha256(sched):
+    return hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
+
+
+# sha256 of schedule_to_json of each split and of the merge that undoes
+# it, pinned when every builder move still copied the lattice
+SPLIT_MERGE_SHA256 = {
+    (2, 2, 1): (
+        "b31a76d0eb7a69f325f09af0fb3b49c1e984f870efdc317c76b1502a5a77d27c",
+        "3ede9b159b6ce1dc6a4e1f63c22015b16a6a8408b0ce2daebab14dce8b51ae48",
+    ),
+    (2, 4, 1): (
+        "d1ebea6a89ea932f3dfc88b81ab35e615c8d09f31cfb8d76fc9335d2744dc5c0",
+        "1e59232800cae1eb46651edc72b020b2ccda5553d3e95c4434b0bdb4c3ac3988",
+    ),
+    (3, 4, 2): (
+        "2f521ab7729d12b16265cbdab5eaea88eed7e52c759ed9e4a182d43f29cdccc4",
+        "3e8564f7b3420138c0c15cc1fdb1fe828be2504bdeca41a937da231076ffd42b",
+    ),
+    (3, 6, 1): (
+        "3d6c6938a852d469bb236ea6f908c5981c34d0d8c8a2d80fabafa2e794c8c12d",
+        "29411738ef98d87fc2cca076a3e79d07606dcba95430ff3300be31a70c4b9228",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SPLIT_MERGE_SHA256), ids=lambda s: "%dx%d-row%d" % s)
+def test_split_and_merge_schedules_keep_their_bytes(shape):
+    rows, cols, row = shape
+    lat = build_planar_patch(rows, cols)
+    split = split_row(lat, row)
+    _, mid = run_schedule(None, lat, split)
+    merge = merge_rows(mid, sorted(set(mid.vertices) - set(lat.vertices)))
+    assert (schedule_sha256(split), schedule_sha256(merge)) == SPLIT_MERGE_SHA256[shape]
+
+
+def test_merge_of_a_canonical_ring_and_a_long_split_keep_their_bytes():
+    lat = build_planar_patch(3, 4)
+    merge = merge_rows(lat, [polar_vertex_id(4, 2, s) for s in range(4)])
+    assert schedule_sha256(merge) == "1b06e74ef1b38cabbb983377f56458615aedb402a034e2d0e6b928ef8dc470d9"
+    split = split_row(build_planar_patch(20, 64), 10)
+    assert schedule_sha256(split) == "4c387c60c97a3735c1f34ce2e152c8060fb1871a13e0455abd7c9e7c632bcba0"
 
 
 # ---- error paths --------------------------------------------------------------
@@ -724,6 +769,57 @@ def test_braid_then_baseline_back_from_a_large_star_state():
     """The same loop from more than 3e4 configs (about 1.6e5 mid-loop),
     so the sorted-run merges and grouped shifts run at scale."""
     braid_then_baseline_back(40000, 30000)
+
+
+# ---- relabelings with and without a state -------------------------------------------
+
+
+def star_loop(rows, cols, steps):
+    """The two-puncture patch, a star state on it, and its braid at steps."""
+    lat = build_planar_patch(rows, cols, punctures=[(0, 0), (2, 0)])
+    sched = braid_schedule(lat, polar_vertex_id(cols, 2, 0), 0, steps=steps)
+    return lat, star_state(lat, np.random.default_rng(13), 200), sched
+
+
+def relabeling_case(name):
+    """(lattice, state, schedule). The braid of `braid --distance 4
+    --compare-baseline` (4x4 patch, steps 4), the braid at steps 6 on
+    the 4x6 patch (60 qubits, the widest six-sector patch a state fits),
+    the 4x4 baseline loop, and a split followed by a merge. The d = 4
+    arena itself has 192 qubit slots, past the 64-bit configs."""
+    if name == "braid steps 4":
+        return star_loop(4, 4, 4)
+    if name == "braid steps 6":
+        return star_loop(4, 6, 6)
+    if name == "baseline loop":
+        lat, state, _ = star_loop(4, 4, 4)
+        return lat, state, baseline_schedule(lat, polar_vertex_id(4, 2, 0), ring_path(4, 4))
+    lat = build_planar_patch(3, 4)
+    split = split_row(lat, 1)
+    _, mid = run_schedule(None, lat, split)
+    merge = merge_rows(mid, sorted(set(mid.vertices) - set(lat.vertices)))
+    return lat, star_state(lat, np.random.default_rng(17), 200), split.then(merge)
+
+
+@pytest.mark.parametrize("name", ["braid steps 4", "braid steps 6", "baseline loop", "split then merge"])
+def test_replay_ends_alike_with_and_without_a_state(name):
+    lat, state, sched = relabeling_case(name)
+    _, bare = run_schedule(None, lat, sched)
+    got, with_state = run_schedule(state, lat, sched, data=DATA)
+    assert bare.signature() == with_state.signature()
+    assert bare.version == with_state.version == lat.version + sched.move_count()
+    assert bare.punctures == with_state.punctures
+    assert (got.lattice_version, got.sig_key) == (with_state.version, hash(with_state.signature()))
+    assert moves_bits(sched) == (name != "split then merge")
+
+
+def test_replay_refuses_a_state_of_another_version_at_a_relabeling():
+    lat, _, shear = sheared_patch()
+    flips, rotation = shear.groups
+    _, cur = run_schedule(None, lat, MoveSchedule((flips,)))
+    stale = make_delta_state(replace_lattice(cur, version=cur.version + 1), 0)
+    with pytest.raises(VersionError):
+        run_schedule(stale, cur, MoveSchedule((rotation,)))
 
 
 # ---- deferred relabelings ---------------------------------------------------------

@@ -43,7 +43,6 @@ from tvq.lattice import (
     pachner_31,
     polar_vertex_id,
     replace_lattice,
-    replay_move,
     replay_moves,
 )
 
@@ -202,7 +201,10 @@ def replay_per_move(lat, schedule):
     cur = lat
     for group in schedule.groups:
         for rec in group.records():
-            cur = replay_move(cur, rec, None if group.kind == LOCAL else group.target)
+            if group.kind == LOCAL:
+                cur = replay_moves(cur, (rec,))
+            else:
+                cur = apply_cpi(cur, rec.vmap, target=group.target)[0]
     return cur
 
 
@@ -233,6 +235,32 @@ def test_layer_replay_equals_per_move_replay_on_split_and_merge():
     merge = merge_rows(mid, fresh)
     assert_same_end(mid, merge)
     assert run_schedule(None, mid, merge)[1].signature() == lat.signature()
+
+
+def builder_input(name):
+    """(lattice, build) for split_row, the merge that undoes it and the
+    merge of a canonical ring."""
+    lat = build_planar_patch(3, 4)
+    if name == "split":
+        return lat, lambda cur: split_row(cur, 1)
+    if name == "merge split":
+        mid = run_schedule(None, lat, split_row(lat, 1))[1]
+        fresh = sorted(set(mid.vertices) - set(lat.vertices))
+        return mid, lambda cur: merge_rows(cur, fresh)
+    return lat, lambda cur: merge_rows(cur, [polar_vertex_id(4, 2, s) for s in range(4)])
+
+
+@pytest.mark.parametrize("name", ["split", "merge split", "merge ring"])
+def test_row_builders_leave_their_input_unchanged(name):
+    """split_row and merge_rows rewrite one private copy: the input keeps
+    its signature, version and vertices, and its kept maps still equal a
+    rebuild."""
+    lat, build = builder_input(name)
+    sig, version, vertices = lat.signature(), lat.version, dict(lat.vertices)
+    sched = build(lat)
+    assert sched.move_count() > 0
+    assert lat.signature() == sig and lat.version == version and lat.vertices == vertices
+    assert_maps_current(lat)
 
 
 def test_failed_layer_replay_leaves_the_input_untouched():

@@ -18,7 +18,7 @@ from tvq.lattice import (
     pachner_31,
     polar_vertex_id,
     replace_lattice,
-    replay_move,
+    replay_moves,
 )
 
 
@@ -251,9 +251,9 @@ def test_cpi_refuses_edges_that_change_kind():
 def test_replay_reproduces_rewrites():
     lat = build_tetra_sphere()
     out, rec = pachner_13(lat, 1)
-    assert replay_move(lat, rec).signature() == out.signature()
+    assert replay_moves(lat, (rec,)).signature() == out.signature()
     out2, rec2 = pachner_22(out, 0)
-    assert replay_move(out, rec2).signature() == out2.signature()
+    assert replay_moves(out, (rec2,)).signature() == out2.signature()
 
 
 def test_isomorphism_self_identity():

@@ -12,8 +12,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tvq
 import tvq.cli  # noqa: F401  (loads every module a layer names)
@@ -79,3 +84,28 @@ def test_benchmark_calls_bind():
             inspect.signature(obj).bind(*node.args, **{k.arg: k.value for k in node.keywords})
         except TypeError as exc:
             raise AssertionError(f"{where}: {exc}") from None
+
+
+@pytest.mark.parametrize("workload", ["braid_compile", "error_stretch", "state_loop", "code_space"])
+def test_one_traced_round_passes_every_check(workload, tmp_path):
+    """One traced round of the workload in its own worker process, with
+    this checkout's src and one BLAS thread, writing no bytecode: no
+    check fails, so the traced call counts equal the workload's
+    EXPECTED_CALLS, which untraced rounds do not compare."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(PERFBENCH.parent / "src"),
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    trace = tmp_path / f"{workload}.jsonl"
+    argv = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload, "--seed", "1"]
+    proc = subprocess.run(
+        [*argv, "--trace", str(trace)], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failures"] == []
+    for name, want in load("workloads").WORKLOADS[workload].EXPECTED_CALLS.items():
+        assert result["layers"][f"{name}.calls"] == want, name
+    assert trace.stat().st_size > 0

@@ -17,6 +17,7 @@ from hypothesis import strategies as st_
 from tvq.fusion import FusionData, fibonacci_data, trivial_data
 from tvq.gadgets import PERMUTATION, MoveSchedule, baseline_schedule, braid_schedule, run_schedule
 from tvq.lattice import (
+    Edge,
     MoveError,
     apply_cpi,
     build_honeycomb_torus,
@@ -26,6 +27,7 @@ from tvq.lattice import (
     pachner_13,
     pachner_22,
     polar_vertex_id,
+    replace_lattice,
 )
 from tvq import statevec
 from tvq.statevec import (
@@ -596,6 +598,17 @@ def test_merge_rejects_entangled_interior(tetra):
         apply_pachner31(bad, lat1, max(lat1.vertices))
 
 
+def test_merge_refuses_a_pinned_spoke(tetra):
+    """The 3-1 move reads its legs and spokes from the lattice rewrite's
+    record, so a pinned spoke raises the rewrite's MoveError, not a
+    missing config bit."""
+    assert tetra.edges[2].endpoints() == {0, 3}  # a spoke of vertex 3
+    bad = replace_lattice(tetra, edges={**tetra.edges, 2: Edge(0, 3, None)})
+    bad.check()
+    with pytest.raises(MoveError, match="spokes include a pinned edge"):
+        apply_pachner31(make_delta_state(bad, 0), bad, 3)
+
+
 # ---- permutations ------------------------------------------------------------------
 
 
@@ -875,6 +888,57 @@ def test_state_permutation_matches_per_config_reference(data):
     state = draw_state(data.draw, lat)
     out, _ = apply_state_permutation(state, lat, vmap, target=target)
     assert_bit_equal(out, permutation_reference(state, lat, sigma, target))
+
+
+def eager_permutation(state, lat, vmap, target=None):
+    """The eager body apply_state_permutation had before relabelings went
+    through _defer_permutation, kept as the reference: every bit moved at
+    once, one sort, then the drop."""
+    out, rec = apply_cpi(lat, vmap, target=target)
+    tgt = target if target is not None else lat
+    tgt_rank = {s: i for i, s in enumerate(tgt.qubit_slots())}
+    dest = [tgt_rank[rec.sigma[s]] for s in lat.qubit_slots()]
+    moved = _move_bits(state.configs, enumerate(dest))
+    order = np.argsort(moved)
+    keep = np.abs(state.amps[order]) >= state.tolerance
+    if not keep.all():
+        order = order[keep]
+    return moved[order], state.amps[order], out
+
+
+# the relabeling pool, the identity on the torus and on the braid patch too
+EAGER_RELABELINGS = [(lat, vmap, target) for lat, vmap, target, _ in RELABELINGS] + [
+    (TORUS, {}, None),
+    (PATCH, {}, None),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st_.data())
+def test_state_permutation_equals_the_eager_relabeling(data):
+    """Bit for bit, bound to the same lattice, with some amplitudes
+    scaled below the tolerance."""
+    lat, vmap, target = data.draw(st_.sampled_from(EAGER_RELABELINGS))
+    state = draw_state(data.draw, lat)
+    tiny = data.draw(st_.lists(st_.booleans(), min_size=state.nnz(), max_size=state.nnz()))
+    amps = np.where(tiny, state.amps * 1e-20, state.amps)
+    state = replace(state, amps=amps, tolerance=data.draw(st_.sampled_from([0.0, 1e-14, 1e-3])))
+    got, got_lat = apply_state_permutation(state, lat, vmap, target=target)
+    configs, amps, want_lat = eager_permutation(state, lat, vmap, target)
+    assert_bit_equal(got, (configs, amps))
+    assert (got_lat.signature(), got_lat.version) == (want_lat.signature(), want_lat.version)
+    assert (got.lattice_version, got.sig_key, got.tolerance) == (
+        want_lat.version,
+        hash(want_lat.signature()),
+        state.tolerance,
+    )
+
+
+def test_state_permutation_refuses_a_state_of_another_version():
+    lat, vmap, target, _ = RELABELINGS[-1]
+    state = make_delta_state(lat, 0)
+    with pytest.raises(VersionError):
+        apply_state_permutation(state, replace_lattice(lat, version=lat.version + 1), vmap, target=target)
 
 
 def test_state_permutation_drops_amplitudes_below_the_tolerance():
