@@ -319,9 +319,7 @@ def _record_layers(
 ) -> tuple[list[list[Gate]], tuple[int, ...], tuple[int, ...]]:
     """Gate layers plus (allocated, released) slots for one move, read
     from the slots its record holds."""
-    want = _RECORD_SLOTS.get(rec.kind)
-    if want is None:
-        raise MoveError(f"cannot compile move kind {rec.kind!r}")
+    want = _RECORD_SLOTS[rec.kind]  # MoveGroup admits no other kind in a LOCAL group
     if len(rec.qubits) != want:
         raise MoveError(f"{rec.kind} record carries {len(rec.qubits)} qubit slots, need {want}")
     if rec.kind == F_MOVE:

@@ -20,7 +20,8 @@ Builders:
   group count grows linearly with the path. This is the correctness
   oracle the braid is compared against.
 * ``logical_action`` returns the matrix a closed protocol induces on an
-  orthonormal basis of the encoded subspace.
+  orthonormal basis of the encoded subspace; ``statevec.code_space``
+  builds that basis, by default with its own limits.
 
 Depth accounting: ``local_depth`` is the most layers in any LOCAL group,
 ``permutation_range`` the largest qubit displacement of any PERMUTATION
@@ -71,6 +72,7 @@ from .statevec import (
     _defer_permutation,
     _locate,
     _materialize,
+    _sig_key,
     apply_fmove,
     apply_pachner13,
     apply_pachner31,
@@ -95,7 +97,6 @@ __all__ = [
     "baseline_schedule",
     "split_row",
     "merge_rows",
-    "encoded_basis",
     "logical_action",
     "schedule_to_json",
     "depth_report_to_json",
@@ -120,8 +121,10 @@ class MoveGroup:
     tuple of records per parallel layer, whose moves must touch pairwise
     disjoint qubit slots. PERMUTATION groups hold exactly one PERMUTATION
     record plus the prebuilt target lattice and the grid-metric
-    displacement of the relabeling. The kind, the record count and the
-    disjointness are checked once, on construction (MoveError).
+    displacement of the relabeling. The kind, the record kinds (a LOCAL
+    group holds only F_MOVE, PACHNER_13 and PACHNER_31 records), the
+    record count and the disjointness are checked once, on construction
+    (MoveError).
     """
 
     kind: str
@@ -136,6 +139,10 @@ class MoveGroup:
         if self.kind == PERMUTATION and [r.kind for r in self.records()] != [PERMUTATION]:
             raise MoveError("permutation group must hold exactly one PERMUTATION record")
         for layer in self.layers:
+            if self.kind == LOCAL:
+                for rec in layer:
+                    if rec.kind not in (F_MOVE, PACHNER_13, PACHNER_31):
+                        raise MoveError(f"local group cannot hold a {rec.kind!r} record")
             _check_disjoint(layer)
 
     def records(self) -> Iterable[MoveRecord]:
@@ -305,10 +312,8 @@ def run_schedule(
             cur, layout = _materialize(cur, layout), None
             if rec.kind == PACHNER_13:
                 cur, cur_lat = apply_pachner13(cur, cur_lat, rec.triangles[0], data)
-            elif rec.kind == PACHNER_31:
-                cur, cur_lat = apply_pachner31(cur, cur_lat, rec.vertex, data)
             else:
-                raise MoveError(f"unknown move kind {rec.kind!r}")
+                cur, cur_lat = apply_pachner31(cur, cur_lat, rec.vertex, data)
         if assert_code_space:
             cur, layout = _materialize(cur, layout), None
             proj = ground_project(cur, cur_lat, data)
@@ -815,25 +820,6 @@ def merge_rows(
 # -- logical action -----------------------------------------------------------
 
 
-def encoded_basis(
-    lat: SurfaceLattice,
-    data: FusionData | None = None,
-    max_seeds: int = 24,
-    max_edges: int = 30,
-) -> list[StringNetState]:
-    """Orthonormal basis of the encoded subspace: statevec.code_space's
-    basis, seeded and filtered as there. Raises MoveError when the
-    lattice has more than max_edges qubits or the basis is empty. The
-    seed spread can miss a sector on lattices with more than 1024 valid
-    configs; raise max_seeds if a protocol reports a smaller dimension
-    than expected.
-    """
-    basis = code_space(lat, data, max_edges=max_edges, max_seeds=max_seeds)
-    if not basis:
-        raise MoveError("encoded dimension is 0")
-    return basis
-
-
 def logical_action(
     protocol: MoveSchedule | Callable,
     lat: SurfaceLattice,
@@ -845,21 +831,27 @@ def logical_action(
 
     protocol is a MoveSchedule, or a callable taking (state, lattice)
     and returning at least (state, lattice); it must end on a lattice
-    with the same signature it started from. The basis defaults to
-    encoded_basis(lat, data) with its default limits; build one with
-    encoded_basis to set them, and pass it to amortize its cost across
-    several protocols on the same lattice. Entry [i, j] is the overlap
-    of basis state i with the protocol applied to basis state j. The
-    basis is aligned once on the union of its supports, so each protocol
-    output is found there with one searchsorted and its column of
-    overlaps is one product. Raises VersionError when a basis state is
-    not bound to the protocol's end lattice, MoveError when
-    encoded_basis does (above its qubit limit, or dimension 0), or when
-    the resulting matrix fails unitarity at tol (a sign the protocol
-    leaks out of the encoded subspace).
+    with the same signature it started from, and each output is bound to
+    lat (rebind_state). The basis defaults to code_space(lat, data) with
+    its default limits; build one with code_space to set them, and pass
+    it to amortize its cost across several protocols on the same
+    lattice. Entry [i, j] is the overlap of basis state i with the
+    protocol applied to basis state j. The basis is aligned once on the
+    union of its supports, so each protocol output is found there with
+    one searchsorted and its column of overlaps is one product. Raises
+    MoveError when the basis, given or built, is empty ("encoded
+    dimension is 0") or code_space refuses the lattice; VersionError,
+    before any replay, when a basis state is not bound to lat; and
+    MoveError when the resulting matrix fails unitarity at tol (a sign
+    the protocol leaks out of the encoded subspace).
     """
     if basis is None:
-        basis = encoded_basis(lat, data=data)
+        basis = code_space(lat, data)
+    if not basis:
+        raise MoveError("encoded dimension is 0")
+    bound = (lat.version, _sig_key(lat))
+    if any((b.lattice_version, b.sig_key) != bound for b in basis):
+        raise VersionError("basis states must be bound to the protocol's lattice")
     dim = len(basis)
     support, where = np.unique(np.concatenate([b.configs for b in basis]), return_inverse=True)
     # row i: basis state i conjugated, on the union support
@@ -874,9 +866,6 @@ def logical_action(
         else:
             out = protocol(b, lat)
         out_state = rebind_state(out[0], lat)
-        bound = (out_state.lattice_version, out_state.sig_key)
-        if any((bi.lattice_version, bi.sig_key) != bound for bi in basis):
-            raise VersionError("basis states must be bound to the protocol's end lattice")
         at, hit = _locate(support, out_state.configs)
         col = np.zeros(len(support), dtype=np.complex128)
         col[at[hit]] = out_state.amps[hit]

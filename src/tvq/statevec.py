@@ -17,10 +17,13 @@ whole-array passes. The plaquette projector runs on a block of states
 that share one support, one amplitude column each: it sorts its terms
 once by output config and sums one column at a time through that
 order, so a block of seeds pays one sort per plaquette and holds no
-(terms x columns) array. The kernels read small read-only tables derived
-from a category, each built on first use and kept in that category
-object's own FusionData.tables (_table). Configs hold one bit per edge,
-so _table refuses data without exactly two labels.
+(terms x columns) array. Every projection onto the code space runs one
+plaquette loop (_project): ground_project on one column, and
+code_space, the only builder of a code-space basis, on blocks of
+seeds. The kernels read small read-only tables derived from a
+category, each built on first use and kept in that category object's
+own FusionData.tables (_table). Configs hold one bit per edge, so
+_table refuses data without exactly two labels.
 """
 
 from __future__ import annotations
@@ -341,12 +344,6 @@ def _bp_fans(data: FusionData) -> tuple[np.ndarray, np.ndarray]:
     return _table(data, "plaquette fans", build)
 
 
-def _bp_table(data: FusionData, n: int, lkey: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of the plaquette operator for one leg pattern: the
-    batch of one (_bp_tables)."""
-    return _bp_tables(data, n, [lkey])[0]
-
-
 def _bp_tables(
     data: FusionData, n: int, lkeys: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -534,15 +531,26 @@ def ground_project(
     state: StringNetState, lat: SurfaceLattice, data: FusionData | None = None
 ) -> StringNetState:
     """Project onto the code space: all branching projectors, then every
-    non-puncture plaquette projector (they commute). Not normalized."""
+    non-puncture plaquette projector (they commute). The plaquettes run
+    through the loop code_space projects its seeds with (_project), on
+    one column at the state's tolerance, so each drops the amplitudes at
+    or below it, as apply_bp does. Not normalized."""
     _check_version(state, lat)
+    data = data or fibonacci_data()
     keep = valid_mask(lat, state.configs, data)
-    cur = replace(state, configs=state.configs[keep], amps=state.amps[keep])
+    c, a = _project(lat, state.configs[keep], state.amps[keep, None], data, state.tolerance)
+    return replace(state, configs=c, amps=a[:, 0])
+
+
+def _project(
+    lat: SurfaceLattice, configs: np.ndarray, amps: np.ndarray, data: FusionData, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block of states (configs x columns, one sorted support) pushed
+    through every non-puncture plaquette projector, each once (_bp_block)."""
     for v in lat.plaquette_vertices():
-        if v in lat.punctures:
-            continue
-        cur = apply_bp(cur, lat, v, data)
-    return cur
+        if v not in lat.punctures:
+            configs, amps = _bp_block(lat, v, configs, amps, data, tol)
+    return configs, amps
 
 
 def inner(a: StringNetState, b: StringNetState) -> complex:
@@ -605,27 +613,31 @@ def code_space(
     max_edges: int = 30,
     max_seeds: int = 24,
 ) -> list[StringNetState]:
-    """Orthonormal basis of the code space, by seeded projection.
+    """Orthonormal basis of the code space, by seeded projection: the one
+    basis builder (gadgets.logical_action's default basis is this one).
 
     The seeds are delta states on every valid config (when there are at
     most 1024) or on a deterministic spread of max_seeds of them, in
     config order. They are ground-projected in blocks: a block is a
     sorted support shared by its seeds and one amplitude column per
-    seed, pushed once through every non-puncture plaquette (_bp_block);
-    each column is the seed's own ground_project up to the rounding of
-    its sums. SEED_BLOCK bounds a block's (configs x seeds) amplitudes,
-    the kernel's per-term arrays do not grow with the seed count: a
-    block holds at most max(SEED_BLOCK // valid configs, 1) seeds, so
-    the 2x2 torus (175 valid configs) and lattices of 2250 valid configs
-    project all their seeds in one block, and a lattice with more than
-    SEED_BLOCK // 2 valid configs projects one seed at a time.
+    seed. Valid seeds pass every branching projector, so a block only
+    goes once through the plaquette loop ground_project runs (_project),
+    at the tolerance of a delta state; each column is the seed's own
+    ground_project up to the rounding of its sums. SEED_BLOCK bounds a
+    block's (configs x seeds) amplitudes, the kernel's per-term arrays
+    do not grow with the seed count: a block holds at most
+    max(SEED_BLOCK // valid configs, 1) seeds, so the 2x2 torus (175
+    valid configs) and lattices of 2250 valid configs project all their
+    seeds in one block, and a lattice with more than SEED_BLOCK // 2
+    valid configs projects one seed at a time.
 
     A projected seed p joins the basis unless its weight outside the
     basis so far, |p|^2 - sum |<b|p>|^2, is at most tol * |p|^2;
     otherwise all its overlaps are subtracted in one make_state and the
     remainder is normalised (_filter_block). The spread can miss a
     sector, so on large lattices the basis may be smaller than the code
-    space; raise max_seeds to check.
+    space; raise max_seeds to check. Raises MoveError when the lattice
+    has more than max_edges qubits.
     """
     data = data or fibonacci_data()
     nq = len(lat.qubit_slots())
@@ -634,30 +646,14 @@ def code_space(
     _check_width(lat)
     valid = enumerate_valid_configs(lat, data, max_qubits=max(nq, 40))
     seeds = valid if len(valid) <= 1024 else valid[:: max(len(valid) // max_seeds, 1)][:max_seeds]
+    width = max(SEED_BLOCK // len(valid), 1)
     basis: list[StringNetState] = []
-    for configs, amps in _projected_blocks(lat, seeds, max(SEED_BLOCK // len(valid), 1), data):
+    for start in range(0, len(seeds), width):
+        block = seeds[start : start + width]
+        eye = np.eye(len(block), dtype=np.complex128)
+        configs, amps = _project(lat, block, eye, data, StringNetState.tolerance)
         _filter_block(lat, basis, configs, amps, tol)
     return basis
-
-
-def _projected_blocks(
-    lat: SurfaceLattice, seeds: np.ndarray, width: int, data: FusionData
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Delta states on the sorted, branching-valid seeds, ground-projected
-    in blocks of at most width: each block's configs and (configs x
-    columns) amplitudes, one column per seed, in seed order.
-
-    Valid seeds pass every branching projector, so a block only goes
-    through the non-puncture plaquettes, each once (_bp_block), at the
-    tolerance of a delta state.
-    """
-    plaquettes = [v for v in lat.plaquette_vertices() if v not in lat.punctures]
-    for start in range(0, len(seeds), width):
-        configs = seeds[start : start + width]
-        amps = np.eye(len(configs), dtype=np.complex128)
-        for v in plaquettes:
-            configs, amps = _bp_block(lat, v, configs, amps, data, StringNetState.tolerance)
-        yield configs, amps
 
 
 def code_space_dim(

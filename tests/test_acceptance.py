@@ -33,7 +33,6 @@ from tvq.gadgets import (
     baseline_schedule,
     braid_arena,
     braid_schedule,
-    encoded_basis,
     logical_action,
     split_row,
 )
@@ -55,6 +54,7 @@ from tvq.statevec import (
     apply_pachner31,
     apply_qv,
     bit_positions,
+    code_space,
     code_space_dim,
     diff_norm,
     ground_project,
@@ -386,7 +386,7 @@ def test_ac6_constant_depth():
 def test_ac7_braid_equals_baseline():
     lat = build_planar_patch(4, 4, punctures=[(0, 0), (2, 0)])
     anyon = polar_vertex_id(4, 2, 0)
-    basis = encoded_basis(lat, data=DATA, max_seeds=8, max_edges=40)
+    basis = code_space(lat, DATA, max_edges=40, max_seeds=8)
     braid = braid_schedule(lat, anyon, 0, steps=4, data=DATA)
     path = [polar_vertex_id(4, 2, -(i + 1) % 4) for i in range(4)]
     base = baseline_schedule(lat, anyon, path, data=DATA)

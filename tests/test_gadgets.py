@@ -25,6 +25,7 @@ from tvq.lattice import (
     PERMUTATION,
     Edge,
     MoveError,
+    MoveRecord,
     SurfaceLattice,
     apply_cpi,
     build_honeycomb_torus,
@@ -42,6 +43,7 @@ from tvq.statevec import (
     apply_pachner31,
     apply_state_permutation,
     bit_positions,
+    code_space,
     code_space_dim,
     diff_norm,
     enumerate_valid_configs,
@@ -62,7 +64,6 @@ from tvq.gadgets import (
     braid_arena,
     braid_schedule,
     depth_report_to_json,
-    encoded_basis,
     logical_action,
     merge_rows,
     run_schedule,
@@ -469,6 +470,20 @@ def test_run_schedule_rejects_malformed_groups():
         run_schedule(None, lat, MoveSchedule((MoveGroup("GLOBAL", ((rec,),)),)))
 
 
+@pytest.mark.parametrize(
+    "kind", [PERMUTATION, "T_MOVE"], ids=["permutation-record", "made-up-kind"]
+)
+def test_local_group_refuses_records_it_cannot_replay(kind):
+    """A LOCAL group holds only F-move, 1-3 and 3-1 records; any other is
+    refused when the group is built, alone or beside an F-move."""
+    lat = build_planar_patch(3, 4)
+    rec = apply_cpi(lat, {})[1] if kind == PERMUTATION else MoveRecord(kind, edge=12)
+    flip = pachner_22(build_planar_patch(2, 4), 12)[1]
+    for layers in (((rec,),), ((flip,), (rec,))):
+        with pytest.raises(MoveError, match=f"local group cannot hold a '{kind}' record"):
+            MoveGroup(LOCAL, layers)
+
+
 @pytest.mark.parametrize("d", [4, 8])
 def test_permutation_records_replay_from_their_vertex_maps(d):
     """Each relabeling of a braid and of a full-loop baseline, fed its
@@ -582,10 +597,17 @@ def test_split_then_merge_on_smallest_row():
     assert abs(inner(st, back_state) - 1.0) < 1e-10
 
 
+def matrix_sha(u):
+    """sha256 of a logical action's bytes; the pins in the shear tests
+    were taken before logical_action built its basis with code_space."""
+    assert u.dtype == np.complex128 and u.flags.c_contiguous
+    return hashlib.sha256(u.tobytes()).hexdigest()
+
+
 def test_fused_stride_matches_sequential_strides():
     """One stride-2 shear equals two stride-1 shears on the logical level."""
     lat = build_planar_patch(3, 4, punctures=[(0, 0)])
-    basis = encoded_basis(lat, data=DATA, max_seeds=6)
+    basis = code_space(lat, DATA, max_seeds=6)
     assert len(basis) == 2
     fused = shear_step(lat, 0, direction=-1, stride=2)
     one = shear_step(lat, 0, direction=-1, stride=1)
@@ -594,21 +616,24 @@ def test_fused_stride_matches_sequential_strides():
     u_fused = logical_action(fused, lat, data=DATA, basis=basis)
     u_pair = logical_action(pair, lat, data=DATA, basis=basis)
     assert np.max(np.abs(u_fused - u_pair)) < 1e-8
+    assert matrix_sha(u_fused) == "96a99f5f6743790bef1120db890f0d4854ed34204219270b678bbdea2d428bc6"
+    assert matrix_sha(u_pair) == "308136c78d3987f89651ba2b83583d23cfa3bfa815298295ad93aab3f10528f0"
 
 
 def test_there_and_back_shear_acts_trivially():
     lat = build_planar_patch(3, 4, punctures=[(0, 0)])
-    basis = encoded_basis(lat, data=DATA, max_seeds=6)
+    basis = code_space(lat, DATA, max_seeds=6)
     fwd = shear_step(lat, 0, direction=1, stride=1)
     _, mid = run_schedule(None, lat, fwd)
     loop = fwd.then(shear_step(mid, 0, direction=-1, stride=1))
     u = logical_action(loop, lat, data=DATA, basis=basis)
     assert np.max(np.abs(u - np.eye(2))) < 1e-8
+    assert matrix_sha(u) == "71eba3a9ab05a7a6bbb624033cdf20e5de462cb8991e3dd1affe198f4851783e"
 
 
 def test_logical_action_identity_and_unitarity_guard():
     lat = build_planar_patch(3, 4, punctures=[(0, 0)])
-    basis = encoded_basis(lat, data=DATA, max_seeds=6)
+    basis = code_space(lat, DATA, max_seeds=6)
     u = logical_action(MoveSchedule(()), lat, data=DATA, basis=basis)
     assert np.max(np.abs(u - np.eye(len(basis)))) < 1e-12
 
@@ -623,7 +648,7 @@ def test_logical_action_matches_pairwise_overlaps():
     """The aligned product gives inner(basis[i], output j) for every pair,
     and a basis bound to another lattice version is refused."""
     lat = build_planar_patch(3, 4, punctures=[(0, 0)])
-    b0, b1 = encoded_basis(lat, data=DATA, max_seeds=6)
+    b0, b1 = code_space(lat, DATA, max_seeds=6)
     basis = [b0, replace(b1, amps=b1.amps * np.exp(0.7j))]  # complex, so a missing conjugate shows
     rot = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
 
@@ -642,15 +667,39 @@ def test_logical_action_matches_pairwise_overlaps():
         logical_action(lambda st, dlat: (rebind_state(st, dlat), dlat), moved, data=DATA, basis=basis)
 
 
-def test_encoded_basis_above_dimension_eight():
+def test_code_space_basis_above_dimension_eight():
     # 28 qubits, 29 375 valid configs: the seeded path; the default 24
     # seeds find only 14 of the 15 states (CHANGES.md), so use 48
     lat = build_planar_patch(3, 4, punctures=[(0, 0), (2, 0), (2, 2)])
     assert code_space_dim(lat, DATA, max_seeds=48) == 15
-    basis = encoded_basis(lat, data=DATA, max_seeds=48)
+    basis = code_space(lat, DATA, max_seeds=48)
     gram = np.array([[inner(a, b) for b in basis] for a in basis])
     assert len(basis) == 15
     assert np.max(np.abs(gram - np.eye(15))) < 1e-12
+
+
+def test_logical_action_refuses_an_empty_basis():
+    lat = build_planar_patch(3, 4, punctures=[(0, 0)])
+    with pytest.raises(MoveError, match="encoded dimension is 0"):
+        logical_action(MoveSchedule(()), lat, data=DATA, basis=[])
+
+
+def test_logical_action_checks_the_basis_before_any_replay():
+    """A basis bound to another version is refused before the protocol
+    runs once."""
+    lat = build_planar_patch(3, 4, punctures=[(0, 0)])
+    basis = code_space(lat, DATA, max_seeds=6)
+    calls = []
+
+    def spy(state, dlat):
+        calls.append(state)
+        return state, dlat
+
+    moved = replace_lattice(lat, version=lat.version + 1)
+    with pytest.raises(VersionError, match="bound to the protocol's lattice"):
+        logical_action(spy, moved, data=DATA, basis=basis)
+    assert calls == []
+    assert logical_action(spy, lat, data=DATA, basis=basis).shape == (2, 2) and len(calls) == 2
 
 
 def test_logical_action_guards_lattice_size():
@@ -662,7 +711,7 @@ def test_logical_action_guards_lattice_size():
 def test_logical_action_rejects_open_protocols():
     # a bare split does not return to the starting lattice
     lat = build_planar_patch(2, 4)
-    basis = encoded_basis(lat, data=DATA, max_seeds=4)
+    basis = code_space(lat, DATA, max_seeds=4)
     with pytest.raises(Exception):
         logical_action(split_row(lat, 1), lat, data=DATA, basis=basis)
 

@@ -6,6 +6,7 @@ two implementations share no code beyond the F-symbol table itself.
 """
 
 import functools
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -34,7 +35,6 @@ from tvq.statevec import (
     StringNetState,
     VersionError,
     _bp_block,
-    _bp_table,
     _bp_tables,
     _key,
     _materialize,
@@ -326,7 +326,7 @@ MASKED = masked_data()
 def assert_table_matches_reference(n, lkey, data):
     """The sparse table holds exactly the nonzero entries of the block,
     bit for bit, with outputs increasing within each input's entries."""
-    ptr, outs, vals = _bp_table(data, n, lkey)
+    ptr, outs, vals = _bp_tables(data, n, [lkey])[0]
     ref = bp_block_reference(n, lkey, data)
     assert len(ptr) == (1 << n) + 1 and ptr[0] == 0 and ptr[-1] == len(outs) == len(vals)
     ins = np.repeat(np.arange(1 << n), np.diff(ptr))
@@ -374,7 +374,7 @@ def test_bp_tables_batch_matches_per_pattern_tables(n, name, passes, monkeypatch
     full = (1 << n) - 1
     kept = sorted({1, full ^ 2})
     new = sorted({0, 5 & full, full, 0b0110_1011 & full, 0b1_0101_0101 & full} - set(kept))
-    before = {k: _bp_table(data, n, k) for k in kept}
+    before = {k: _bp_tables(data, n, [k])[0] for k in kept}
     lkeys = [new[-1], kept[0], *new[:-1], kept[-1], new[0]]
     got = _bp_tables(data, n, lkeys)
     assert len(got) == len(lkeys)
@@ -1233,7 +1233,7 @@ def test_kernels_reject_categories_without_two_labels(kernel):
 def test_bp_table_follows_the_quantum_dimensions(n):
     copy = replace(DATA, qdim=DATA.qdim * np.array([1.0, 0.5]))
     for lkey in (0, 1, (1 << n) - 1):
-        _bp_table(DATA, n, lkey)  # the Fibonacci tables are warm first
+        _bp_tables(DATA, n, [lkey])[0]  # the Fibonacci tables are warm first
         assert_table_matches_reference(n, lkey, copy)
 
 
@@ -1432,11 +1432,12 @@ def test_projected_blocks_match_per_seed_ground_project(data):
     picks = data.draw(st_.lists(st_.integers(0, len(valid) - 1), min_size=1, max_size=5, unique=True))
     seeds = np.sort(valid[picks])
     width = data.draw(st_.sampled_from([1, 2, 3, max(statevec.SEED_BLOCK // len(valid), 1)]))
-    blocks = list(statevec._projected_blocks(lat, seeds, width, DATA))
-    widths = [amps.shape[1] for _, amps in blocks]
-    assert widths == [min(width, len(seeds) - k) for k in range(0, len(seeds), width)]
     columns = []
-    for configs, amps in blocks:
+    for start in range(0, len(seeds), width):
+        block = seeds[start : start + width]
+        eye = np.eye(len(block), dtype=np.complex128)
+        configs, amps = statevec._project(lat, block, eye, DATA, StringNetState.tolerance)
+        assert amps.shape == (len(configs), min(width, len(seeds) - start))
         assert configs.dtype == np.uint64 and np.all(configs[1:] > configs[:-1])
         # no config is zero in every column, and no kept amplitude is tiny
         assert np.all(np.any(amps != 0, axis=1))
@@ -1447,6 +1448,102 @@ def test_projected_blocks_match_per_seed_ground_project(data):
         got = make_state(lat, configs[rows], col[rows], tolerance=0.0)
         want = ground_project(make_delta_state(lat, seed), lat)
         assert amp_diff(got, want) <= 1e-14
+
+
+# sha256 of the configs and amplitude bytes of code_space's bases and of
+# ground_project's outputs, taken when ground_project still chained
+# apply_bp and code_space had a plaquette loop of its own; each output
+# must keep them now that both run one loop (statevec._project).
+PINNED_LATTICES = {
+    "torus": TORUS,
+    "patch3x3": build_planar_patch(3, 3, punctures=[(0, 0)]),
+    "patch3x4": build_planar_patch(3, 4, punctures=[(0, 0), (2, 0)]),
+    "walked_tetra": WALKED,  # 7-edge plaquettes
+    "walked_torus": walked(build_honeycomb_torus(2, 2), 3, subdivisions=2, flips=3),  # 8-edge plaquettes
+}
+BASIS_SHA = {  # dimension, configs, amplitudes
+    "torus": (4, "52be8d99c734fe86", "ac78474996caa57a"),
+    "patch3x3": (2, "30372ca0b598a74c", "97a9ec5f83d0ff46"),
+    "patch3x4": (5, "e8bc79716ca97313", "988fdad2ed770463"),
+    "walked_tetra": (1, "5d9c709e2d972869", "4b4e1d913d88a9ee"),
+    "walked_torus": (4, "4558184d5a1f3abb", "d58b0cedb9b4c96b"),
+}
+GROUND_SHA = {  # nnz, configs, amplitudes
+    ("torus", "valid"): (175, "1d1c4e256044b67f", "a1be050b5d564640"),
+    ("torus", "mixed"): (175, "1d1c4e256044b67f", "6876e54e7e1b835b"),
+    ("patch3x3", "valid"): (2070, "5cff63a400339e6a", "bfb8ae7d29c19b4b"),
+    ("patch3x3", "mixed"): (2070, "5cff63a400339e6a", "919a93c5ed341db8"),
+    ("patch3x4", "valid"): (26403, "0e727d363cd1800a", "6a1af85683fcf9f0"),
+    ("patch3x4", "mixed"): (26403, "0e727d363cd1800a", "6a1af85683fcf9f0"),
+    ("walked_tetra", "valid"): (1123, "5d9c709e2d972869", "6a5084d22984c5d3"),
+    ("walked_tetra", "mixed"): (1123, "5d9c709e2d972869", "6a5084d22984c5d3"),
+    ("walked_torus", "valid"): (1965, "6018cdf508df1f5e", "bd6b3f1ccdf0ca0a"),
+    ("walked_torus", "mixed"): (1965, "6018cdf508df1f5e", "ec529e396dc76d06"),
+}
+
+
+def sha256_prefix(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def pinned_states(lat):
+    """A random valid state on 300 configs, and the same state with 40
+    random configs added, most of them branching-invalid."""
+    rng = np.random.default_rng(11)
+    valid = random_valid_state(lat, rng, support=300)
+    raw = rng.integers(0, 1 << len(lat.qubit_slots()), size=40, dtype=np.uint64)
+    amps = np.concatenate([valid.amps, rng.normal(size=40) + 0j])
+    return {"valid": valid, "mixed": make_state(lat, np.concatenate([valid.configs, raw]), amps)}
+
+
+def ground_project_reference(state, lat):
+    """The branching mask, then apply_bp at every non-puncture plaquette."""
+    keep = valid_mask(lat, state.configs)
+    cur = replace(state, configs=state.configs[keep], amps=state.amps[keep])
+    for v in lat.plaquette_vertices():
+        if v not in lat.punctures:
+            cur = apply_bp(cur, lat, v)
+    return cur
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LATTICES))
+def test_code_space_bases_keep_their_bytes(name):
+    basis = statevec.code_space(PINNED_LATTICES[name], DATA)
+    got = (len(basis), sha256_prefix(b.configs for b in basis), sha256_prefix(b.amps for b in basis))
+    assert got == BASIS_SHA[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LATTICES))
+def test_ground_project_keeps_its_bytes(name):
+    """Equal bytes to the reference loop and to the pinned hashes, with
+    the state's version, structure hash and tolerance."""
+    lat = PINNED_LATTICES[name]
+    for kind, state in pinned_states(lat).items():
+        got = ground_project(state, lat, DATA)
+        want = ground_project_reference(state, lat)
+        assert got.configs.tobytes() == want.configs.tobytes()
+        assert got.amps.tobytes() == want.amps.tobytes()
+        assert got.amps.shape == got.configs.shape
+        assert (got.lattice_version, got.sig_key, got.tolerance) == (
+            state.lattice_version,
+            state.sig_key,
+            state.tolerance,
+        )
+        pin = (got.nnz(), sha256_prefix([got.configs]), sha256_prefix([got.amps]))
+        assert pin == GROUND_SHA[name, kind]
+
+
+def test_ground_project_runs_the_plaquette_loop_not_apply_bp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply_bp called")
+
+    monkeypatch.setattr(statevec, "apply_bp", refuse)
+    state = pinned_states(TORUS)["valid"]
+    got = ground_project(state, TORUS, DATA)
+    assert got.nnz() == GROUND_SHA["torus", "valid"][0]
 
 
 @functools.lru_cache(maxsize=None)

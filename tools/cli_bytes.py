@@ -33,6 +33,8 @@ COMMANDS = [
     "errors --distances 8 --trials 40 --seed 1 --format csv",
     # 175 valid configs, every one a seed, in one block
     "lattice build torus --lx 2 --ly 2 --out lat.json ; ground-dim lat.json",
+    # 106250 valid configs: 24 seeds, one per block
+    "lattice build torus --lx 3 --ly 3 --out lat.json ; ground-dim lat.json",
     # 2250 valid configs: a spread of 24 seeds, in one block
     "lattice build patch --rows 3 --cols 3 --punctures 0,0 --out lat.json ; ground-dim lat.json",
     # 29375 valid configs: 24 seeds in blocks of 2
