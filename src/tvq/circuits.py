@@ -28,6 +28,7 @@ but never add depth, mirroring how the depth reports count move groups.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -46,7 +47,7 @@ from .lattice import (
     pachner_13,
     pachner_22,
 )
-from .gadgets import LOCAL, MoveGroup, MoveSchedule
+from .gadgets import LOCAL, MoveGroup, MoveSchedule, _gc_paused
 from .statevec import _key, _move_bits
 
 # angles are rounded to 15 significant digits once, here, so that the
@@ -236,18 +237,38 @@ def _controlled_x(target: int, ctrl: dict[int, int]) -> Gate:
     )
 
 
-def _fmove_layers(target: int, legs: Sequence[int]) -> list[list[Gate]]:
-    layers: list[list[Gate]] = []
-    sandwich = _fold_controls(legs, (1, 1, 1, 1))
+@functools.cache
+def _fmove_template(shape: tuple[int, ...]) -> tuple[Gate, ...]:
+    """The gates of one flip, one per layer, on target -1, for legs that
+    hold the rank of their slot among the flip's distinct leg slots, or
+    -1 when pinned.
+
+    The shape fixes the pinned legs, the repeated slots and the rank
+    order that _controlled_x sorts controls by, so mapping ranks back to
+    slots in increasing order gives the gates of every flip of that
+    shape.
+    """
+    gates: list[Gate] = []
+    sandwich = _fold_controls(shape, (1, 1, 1, 1))
     if sandwich is not None:
-        layers.append([Gate("RY", (target,), params=(THETA,))])
-        layers.append([_controlled_x(target, sandwich)])
-        layers.append([Gate("RY", (target,), params=(-THETA,))])
+        gates.append(Gate("RY", (-1,), params=(THETA,)))
+        gates.append(_controlled_x(-1, sandwich))
+        gates.append(Gate("RY", (-1,), params=(-THETA,)))
     for pattern in FLIP_PATTERNS:
-        ctrl = _fold_controls(legs, pattern)
+        ctrl = _fold_controls(shape, pattern)
         if ctrl is not None:
-            layers.append([_controlled_x(target, ctrl)])
-    return layers
+            gates.append(_controlled_x(-1, ctrl))
+    return tuple(gates)
+
+
+def _fmove_layers(target: int, legs: Sequence[int]) -> list[list[Gate]]:
+    """One flip's gate layers: its shape's template, ranks mapped to slots."""
+    slots = sorted({s for s in legs if s >= 0})
+    rank = {s: i for i, s in enumerate(slots)}
+    return [
+        [Gate(g.kind, (target,), tuple(slots[c] for c in g.controls), g.polarities, g.params)]
+        for g in _fmove_template(tuple(rank.get(s, -1) for s in legs))
+    ]
 
 
 def _one_move(lat: SurfaceLattice, rec: MoveRecord, data: FusionData | None) -> GateCircuit:
@@ -331,6 +352,7 @@ def _record_layers(
     return _inverted_layers(fwd), (), tuple(rec.released_slots)
 
 
+@_gc_paused
 def compile_schedule(
     lat: SurfaceLattice,
     schedule: MoveSchedule,

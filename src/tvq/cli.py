@@ -269,8 +269,8 @@ def cmd_ground_dim(cfg: RunConfig) -> tuple[dict, int]:
 
 def _distance_braid(d: int, data):
     """The distance-d braid's (lattice, cols, schedule, circuit)."""
-    if d not in (4, 6, 8):
-        raise MoveError("distance must be one of 4, 6, 8 (desk-scale guard)")
+    if d % 2 or not 4 <= d <= 128:
+        raise MoveError(f"distance must be an even integer from 4 to 128, got {d}")
     return _braid_setup(d, data)
 
 
@@ -448,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("lattice_file")
 
     b = sub.add_parser("braid", help="constant-depth braid reports", parents=[common])
-    b.add_argument("--distance", type=int, required=True)
+    b.add_argument("--distance", type=int, required=True, help="even, 4 to 128")
     b.add_argument("--compare-baseline", action="store_true")
     b.add_argument("--export-circuit", default=None)
 
@@ -457,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--trials", type=int, default=100)
 
     c = sub.add_parser("compile", help="compile the braid circuit to JSON", parents=[common])
-    c.add_argument("--distance", type=int, required=True)
+    c.add_argument("--distance", type=int, required=True, help="even, 4 to 128")
     return p
 
 

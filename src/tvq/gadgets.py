@@ -29,10 +29,16 @@ group measured combinatorially (ring steps plus circular sector steps on
 the patch grid), and ``total_steps`` the number of groups; the grid
 metric is the one that stays proportional to the stride when the patch
 is rescaled.
+
+``shear_step``, ``braid_schedule``, ``baseline_schedule`` and
+``run_schedule``, like ``circuits.compile_schedule``, pause Python's
+cyclic garbage collector while they run (``_gc_paused``).
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import operator
 from dataclasses import dataclass
@@ -101,6 +107,31 @@ __all__ = [
     "schedule_to_json",
     "depth_report_to_json",
 ]
+
+
+def _gc_paused(fn):
+    """Run fn with Python's cyclic garbage collector paused.
+
+    A schedule build, compile or replay allocates per-move records and
+    gates that stay alive until it returns, so a collection during the
+    call would only re-walk that growing heap: with the collector on,
+    the cost per move would rise with the code distance. The pause is
+    process-wide (gc.disable), not per thread. On exit the caller's
+    setting is restored exactly, also when fn raises: a call made with
+    the collector already off, such as a nested one, leaves it off.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 def _check_disjoint(layer: Iterable[MoveRecord]) -> None:
@@ -265,6 +296,7 @@ def _canonical_disk(lat: SurfaceLattice) -> tuple[int, int, SurfaceLattice]:
 # -- schedule execution ------------------------------------------------------
 
 
+@_gc_paused
 def run_schedule(
     state: StringNetState | None,
     lat: SurfaceLattice,
@@ -332,6 +364,7 @@ def _cpi_grid_range(lat: SurfaceLattice, vmap: dict[int, int], cols: int) -> flo
     return float(max((_grid_distance(v, vmap[v], cols) for v in ends), default=0))
 
 
+@_gc_paused
 def shear_step(
     lat: SurfaceLattice,
     anyon_id: int,
@@ -485,6 +518,7 @@ def braid_arena(d: int) -> tuple[SurfaceLattice, int, int]:
     return lat, cols, polar_vertex_id(cols, 2, 0)
 
 
+@_gc_paused
 def braid_schedule(
     lat: SurfaceLattice,
     anyon_a: int,
@@ -534,6 +568,7 @@ def braid_schedule(
     return MoveSchedule(tuple(groups))
 
 
+@_gc_paused
 def baseline_schedule(
     lat: SurfaceLattice,
     anyon_id: int,

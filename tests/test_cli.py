@@ -163,7 +163,28 @@ def test_braid_distance_guard(capsys):
     status = main(["braid", "--distance", "3"])
     captured = capsys.readouterr()
     assert status == 2
-    assert "distance must be one of" in captured.err
+    assert "distance must be an even integer from 4 to 128" in captured.err
+
+
+@pytest.mark.parametrize("command", ["braid", "compile"])
+@pytest.mark.parametrize("d", [2, 5, 130])
+def test_distance_guard_refuses_odd_and_out_of_range(command, d, capsys):
+    assert_input_error([command, "--distance", str(d)], capsys, "distance must be an even integer from 4 to 128")
+
+
+def test_braid_at_distance_10(capsys):
+    status, rep = run_json(["braid", "--distance", "10"], capsys)
+    assert status == 0
+    assert rep["braid"]["gate_depth"] == 168
+    assert rep["braid"]["moves"] == 9 * 10**2 + 6
+
+
+def test_compile_at_distance_16_keeps_the_depth(capsys):
+    status, rep = run_json(["compile", "--distance", "16"], capsys)
+    assert status == 0
+    assert rep["gate_depth"] == 168
+    # 9d^2 flips, none with a pinned leg, seven gates each
+    assert rep["gates"] == 7 * 9 * 16**2
 
 
 def test_braid_compare_baseline_closes_loop(capsys):

@@ -1,7 +1,7 @@
 """CPU time per stage of the braid, per move, in two checkouts.
 
     python3 tools/layer_times.py --parent DIR --change DIR \
-        --distances 16,32,64,128 --repeats 3 --name NAME
+        --distances 16,32,64,128,256 --repeats 3 --name NAME
 
 For each distance d, each garbage-collector mode (on, and off under
 gc.disable()) and each repeat, runs one new process per checkout, the
@@ -11,8 +11,18 @@ OpenBLAS worker spins for a while after numpy's first call, and its
 CPU time would land in whichever stage runs then. The process builds
 `braid_arena(d)` and times, with time.process_time, the three stages
 of the braid: `braid_schedule`, `compile_schedule` and
-`run_schedule(None, ...)` (the lattice-only replay). Per stage, side and mode it keeps the median over the
-repeats, in seconds and in µs per move (9d² + 6 moves). The table goes
+`run_schedule(None, ...)` (the lattice-only replay). Per stage it also
+counts the garbage collections that started (a gc.callbacks hook).
+After the stages it times one gc.collect(), so that collection work a
+stage defers past its return shows, and it reads its own peak RSS
+(ru_maxrss). Collections that start between the stages are counted and
+timed apart: a stage that pauses the collector leaves a young
+collection due at the first allocation after it returns. Per stage,
+side and mode the table keeps the median CPU time over the repeats, in
+seconds and in µs per move (9d² + 6 moves), and the most collections
+any repeat started; per side and mode, the most collections started
+between the stages and the median CPU time they took, the median
+gc.collect() time and the highest peak RSS. The table goes
 under "layers" of BENCH_<name>.json in the current directory; the rest
 of that file is kept.
 """
@@ -30,24 +40,53 @@ from pathlib import Path
 STAGES = ("braid_schedule", "compile_schedule", "run_schedule")
 
 CHILD = """
-import gc, json, sys, time
+import gc, json, resource, sys, time
 from tvq.circuits import compile_schedule
 from tvq.gadgets import braid_arena, braid_schedule, run_schedule
 d, gc_on = int(sys.argv[1]), sys.argv[2] == "on"
 lat, _, anyon = braid_arena(d)
 if not gc_on:
     gc.disable()
+# collections started since the arena was built, and their CPU time
+gcs = {"started": 0, "cpu_s": 0.0, "since": 0.0}
+
+def count(phase, info):
+    now = time.process_time()
+    if phase == "start":
+        gcs["started"] += 1
+        gcs["since"] = now
+    else:
+        gcs["cpu_s"] += now - gcs["since"]
+
+gc.callbacks.append(count)
 out = {}
-t = time.process_time()
-sched = braid_schedule(lat, anyon, 0, steps=6)
-out["braid_schedule"] = time.process_time() - t
-t = time.process_time()
-compile_schedule(lat, sched)
-out["compile_schedule"] = time.process_time() - t
-t = time.process_time()
-run_schedule(None, lat, sched)
-out["run_schedule"] = time.process_time() - t
+inside = {"started": 0, "cpu_s": 0.0}
+
+def stage(name, call):
+    # no tracked allocation between the call and these reads, so a
+    # collection the call leaves due runs after them
+    started, cpu_s = gcs["started"], gcs["cpu_s"]
+    t = time.process_time()
+    result = call()
+    out[name] = time.process_time() - t
+    out[name + "_collections"] = gcs["started"] - started
+    inside["started"] += gcs["started"] - started
+    inside["cpu_s"] += gcs["cpu_s"] - cpu_s
+    return result
+
+sched = stage("braid_schedule", lambda: braid_schedule(lat, anyon, 0, steps=6))
+stage("compile_schedule", lambda: compile_schedule(lat, sched))
+stage("run_schedule", lambda: run_schedule(None, lat, sched))
+# a stage that pauses the collector leaves a young collection due at the
+# first allocation after it returns, outside every timed stage; counting
+# the moves allocates, so the last stage's has run by the reads below
 out["moves"] = sched.move_count()
+out["between_collections"] = gcs["started"] - inside["started"]
+out["between_collect"] = gcs["cpu_s"] - inside["cpu_s"]
+t = time.process_time()
+gc.collect()
+out["final_collect"] = time.process_time() - t
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
 
@@ -91,7 +130,18 @@ def main() -> int:
                 row[stage] = {}
                 for side, got in runs.items():
                     cpu = statistics.median(r[stage] for r in got)
-                    row[stage][side] = {"cpu_s": round(cpu, 4), "us_per_move": round(cpu / moves * 1e6, 2)}
+                    row[stage][side] = {
+                        "cpu_s": round(cpu, 4),
+                        "us_per_move": round(cpu / moves * 1e6, 2),
+                        "collections": max(r[stage + "_collections"] for r in got),
+                    }
+            for side, got in runs.items():
+                row[side] = {
+                    "between_collections": max(r["between_collections"] for r in got),
+                    "between_collect_s": round(statistics.median(r["between_collect"] for r in got), 4),
+                    "final_collect_s": round(statistics.median(r["final_collect"] for r in got), 4),
+                    "peak_rss_mb": round(max(r["peak_rss_mb"] for r in got), 1),
+                }
             print(json.dumps(row), file=sys.stderr)
             rows.append(row)
 
@@ -100,7 +150,12 @@ def main() -> int:
     doc["layers"] = {
         "command": f"python3 tools/layer_times.py --distances {args.distances} --repeats {args.repeats}",
         "what": "median CPU seconds per stage over the repeats, one new process per run with one "
-        "BLAS thread; gc off means gc.disable() after the arena is built",
+        "BLAS thread; gc off means gc.disable() after the arena is built; collections is the most "
+        "garbage collections any repeat started during the stage; per side, between_collections and "
+        "between_collect_s are the collections started outside the timed stages (most over the "
+        "repeats) and their median CPU time (gc.callbacks start to stop), final_collect_s is the "
+        "median CPU time of one gc.collect() after the three stages and peak_rss_mb the highest "
+        "ru_maxrss of the runs",
         "rows": rows,
     }
     path.write_text(json.dumps(doc, indent=1) + "\n")
