@@ -306,11 +306,9 @@ def _pachner13_layers(legs: Sequence[int], fresh: Sequence[int]) -> list[list[Ga
     return layers
 
 
-def _inverted_layers(layers: list[list[Gate]]) -> list[list[Gate]]:
-    out = []
-    for layer in reversed(layers):
-        out.append([_invert_gate(g) for g in layer])
-    return out
+def _inverted_layers(layers: Sequence[Sequence[Gate]]) -> list[list[Gate]]:
+    """The layers in reverse order, each gate inverted."""
+    return [[_invert_gate(g) for g in layer] for layer in reversed(layers)]
 
 
 def _invert_gate(gate: Gate) -> Gate:
@@ -432,9 +430,7 @@ def compile_schedule(
 def inverse_circuit(circuit: GateCircuit) -> GateCircuit:
     """Reverse the circuit; relabelings invert, alloc and release swap."""
     n_layers = len(circuit.layers)
-    layers = tuple(
-        tuple(_invert_gate(g) for g in layer) for layer in reversed(circuit.layers)
-    )
+    layers = tuple(map(tuple, _inverted_layers(circuit.layers)))
     perms = tuple(
         (n_layers - after, tuple(sorted((d, s) for s, d in pairs)))
         for after, pairs in reversed(circuit.permutation_layers)

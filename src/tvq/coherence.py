@@ -8,15 +8,27 @@ triangulation must induce identical amplitude maps. Closed fixtures are
 unsuitable here: on a sphere two paths meeting at the same labeled
 triangulation can differ by a braid of the vertices, which acts
 nontrivially outside the string-net subspace.
+
+The walk keeps no move code of its own: each flip's map is read from
+the F-move tables every state replay reads (statevec._fmove_tables),
+and a relabeled copy is aligned through the slot map of apply_cpi, which
+derives every other relabeling in the package.
 """
 
 import math
-from itertools import permutations
 
 import numpy as np
 
-from .lattice import Edge, MoveError, SurfaceLattice, pachner_22
-from .statevec import _key, _move_bits, bit_positions, enumerate_valid_configs
+from .lattice import Edge, MoveError, SurfaceLattice, apply_cpi, pachner_22
+from .statevec import (
+    _fmove_bits,
+    _fmove_tables,
+    _key,
+    _locate,
+    _move_bits,
+    bit_positions,
+    enumerate_valid_configs,
+)
 
 
 def _fan_polygon(n: int) -> SurfaceLattice:
@@ -25,27 +37,11 @@ def _fan_polygon(n: int) -> SurfaceLattice:
     vertices = {
         i: (float(np.cos(2 * np.pi * i / n)), float(np.sin(2 * np.pi * i / n))) for i in range(n)
     }
-    edges: dict[int, Edge] = {}
-    eid: dict[frozenset, int] = {}
-    k = 0
-    for i in range(n):
-        edges[k] = Edge(i, (i + 1) % n, k)
-        eid[frozenset((i, (i + 1) % n))] = k
-        k += 1
-    for j in range(2, n - 1):
-        edges[k] = Edge(0, j, k)
-        eid[frozenset((0, j))] = k
-        k += 1
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, j) for j in range(2, n - 1)]
+    edges = {k: Edge(a, b, k) for k, (a, b) in enumerate(pairs)}
+    eid = {frozenset(p): k for k, p in enumerate(pairs)}
     triangles = {
-        t: tuple(
-            sorted(
-                (
-                    eid[frozenset((0, t + 1))] if t > 0 else eid[frozenset((0, 1))],
-                    eid[frozenset((t + 1, t + 2))],
-                    eid[frozenset((0, t + 2))] if t < n - 3 else eid[frozenset((0, n - 1))],
-                )
-            )
-        )
+        t: tuple(sorted(eid[frozenset(p)] for p in ((0, t + 1), (t + 1, t + 2), (0, t + 2))))
         for t in range(n - 2)
     }
     lat = SurfaceLattice("disk", vertices, edges, triangles)
@@ -55,22 +51,23 @@ def _fan_polygon(n: int) -> SurfaceLattice:
 
 def _flip_map(lat: SurfaceLattice, edge_id: int, data, in_cfgs: np.ndarray):
     """One rewrite as a dense matrix from the valid span of lat onto the
-    valid span of the rewritten complex."""
+    valid span of the rewritten complex, read from the state kernel's
+    F-move tables: stay[key] on the config itself, flip[key] on the
+    config with the switched edge's bit toggled. None when a nonzero
+    coefficient lands on an invalid config."""
     out, rec = pachner_22(lat, edge_id)
     out_cfgs = enumerate_valid_configs(out, data)
     pos = bit_positions(lat)
-    eb = pos[edge_id]
-    key = _key(in_cfgs, [eb, *(pos[x] for x in reversed(rec.legs))])  # e d c b a from bit 0
-    fsym = data.fsym.reshape(-1, data.num_labels)
+    key = _key(in_cfgs, _fmove_bits(pos, edge_id, rec.legs))
+    stay, flip, _runs = _fmove_tables(data)
     mat = np.zeros((len(out_cfgs), len(in_cfgs)))
-    cols = np.arange(len(in_cfgs))
-    for f in range(data.num_labels):
-        coeff = fsym[key, f]
-        nz = np.flatnonzero(np.abs(coeff) > 0)
-        outc = (in_cfgs[nz] & ~np.uint64(1 << eb)) | np.uint64(f << eb)
-        rows = np.searchsorted(out_cfgs, outc)
-        assert np.array_equal(out_cfgs[rows], outc)  # rewrites preserve validity
-        mat[rows, cols[nz]] += coeff[nz]
+    for table, outc in ((stay, in_cfgs), (flip, in_cfgs ^ np.uint64(1 << pos[edge_id]))):
+        coeff = table[key]
+        nz = np.flatnonzero(coeff)
+        rows, hit = _locate(out_cfgs, outc[nz])
+        if not hit.all():
+            return out, out_cfgs, None
+        mat[rows, nz] = coeff[nz]
     return out, out_cfgs, mat
 
 
@@ -83,47 +80,22 @@ def _structure_key(lat: SurfaceLattice):
     return tuple(edges), tuple(tris)
 
 
-def _slot_matchings(lat_a: SurfaceLattice, lat_b: SurfaceLattice):
-    """Bit permutations, as (source bit, destination bit) pairs, sending
-    qubit edges of a onto same-endpoint qubit edges of b; parallel edges
-    branch the matching."""
-    pos_a, pos_b = bit_positions(lat_a), bit_positions(lat_b)
-    by_pair: dict[frozenset, list[int]] = {}
-    for e, rec in lat_b.edges.items():
-        if rec.qubit is not None:
-            by_pair.setdefault(rec.endpoints(), []).append(e)
-    groups = []
-    for pair, targets in sorted(by_pair.items(), key=lambda kv: sorted(kv[1])):
-        sources = sorted(
-            e for e, rec in lat_a.edges.items() if rec.endpoints() == pair and rec.qubit is not None
-        )
-        if len(sources) != len(targets):
-            return
-        groups.append((sources, sorted(targets)))
-
-    def walk(i, acc):
-        if i == len(groups):
-            yield [(pos_a[src], pos_b[tgt]) for src, tgt in acc.items()]
-            return
-        srcs, tgts = groups[i]
-        for choice in permutations(tgts):
-            acc2 = dict(acc)
-            acc2.update(zip(srcs, choice))
-            yield from walk(i + 1, acc2)
-
-    yield from walk(0, {})
-
-
 def _match_residual(cfgs_a, map_a, lat_a, cfgs_b, map_b, lat_b) -> float:
-    """Smallest deviation between the two maps over the endpoint-preserving
-    relabelings that align their configs; inf when none aligns them."""
-    best = math.inf
-    for pi in _slot_matchings(lat_a, lat_b):
-        mapped = _move_bits(cfgs_a, pi)
-        order = np.argsort(mapped)
-        if np.array_equal(mapped[order], cfgs_b):
-            best = min(best, float(np.max(np.abs(map_a[order] - map_b))))
-    return best
+    """Deviation between the two maps once lat_a's qubit slots are carried
+    onto lat_b's by the slot map of apply_cpi (vertices fixed), each slot
+    standing for the config bit of its rank; inf when apply_cpi refuses
+    the pair or the carried configs are not those of b."""
+    try:
+        _out, rec = apply_cpi(lat_a, {}, target=lat_b)
+    except MoveError:
+        return math.inf
+    rank_a = {s: i for i, s in enumerate(lat_a.qubit_slots())}
+    rank_b = {s: i for i, s in enumerate(lat_b.qubit_slots())}
+    mapped = _move_bits(cfgs_a, [(rank_a[s], rank_b[t]) for s, t in rec.sigma.items()])
+    order = np.argsort(mapped)
+    if not np.array_equal(mapped[order], cfgs_b):
+        return math.inf
+    return float(np.max(np.abs(map_a[order] - map_b)))
 
 
 def _walk_polygon(n: int, data, depth: int) -> float:
@@ -142,6 +114,8 @@ def _walk_polygon(n: int, data, depth: int) -> float:
                     out, out_cfgs, mat = _flip_map(lat, e, data, cfgs)
                 except MoveError:
                     continue
+                if mat is None:
+                    return math.inf
                 comp = mat @ acc
                 osig = out.signature()
                 if osig in nodes:
@@ -163,8 +137,9 @@ def pentagon_residual(data, depth: int = 5) -> float:
     """Largest deviation between the amplitude maps of two rewrite paths
     (length <= depth) that meet at the same polygon triangulation, or at
     a relabeled copy of it. Polygons with 4, 5 and 6 sides exercise the
-    square and pentagon relations in every label sector. One-label data
-    has no rewrite to walk: its residual is |F - 1|."""
+    square and pentagon relations in every label sector; a rewrite that
+    leaves the valid span makes it inf. One-label data has no rewrite
+    to walk: its residual is |F - 1|."""
     if data.num_labels == 1:
         return abs(float(data.fsym[(0,) * 6]) - 1.0)
     return max(_walk_polygon(n, data, depth) for n in (4, 5, 6))

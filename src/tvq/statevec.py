@@ -75,19 +75,26 @@ def _sig_key(lat: SurfaceLattice) -> int:
     return hash(lat.signature())
 
 
-def _check_version(state: StringNetState, lat: SurfaceLattice) -> None:
-    if state.lattice_version != lat.version:
-        raise VersionError(
-            f"state bound to lattice version {state.lattice_version}, got {lat.version}"
-        )
-
-
 def _check_width(lat: SurfaceLattice) -> None:
     """Configs hold one bit per qubit slot; numpy reads shifts of 64 or
     more as 0, so wider lattices would silently drop labels."""
     n = sum(1 for rec in lat.edges.values() if rec.qubit is not None)
     if n > CONFIG_BITS:
         raise MoveError(f"{n} qubit slots exceed the {CONFIG_BITS}-bit config width")
+
+
+def _check_bound(state: StringNetState, lat: SurfaceLattice) -> None:
+    """Refuse a state that is not bound to lat: lat must fit the config
+    width (MoveError), then the state must carry lat's version and
+    structural key (VersionError). Every fresh build is version 0, so
+    the version alone does not tell two lattices apart."""
+    _check_width(lat)
+    if state.lattice_version != lat.version:
+        raise VersionError(
+            f"state bound to lattice version {state.lattice_version}, got {lat.version}"
+        )
+    if state.sig_key != _sig_key(lat):
+        raise VersionError("state bound to a lattice of another structure")
 
 
 def bit_positions(lat: SurfaceLattice) -> dict[int, int]:
@@ -320,7 +327,7 @@ def apply_qv(
     state: StringNetState, lat: SurfaceLattice, dual_vertex_id: int, data: FusionData | None = None
 ) -> StringNetState:
     """Diagonal branching projector at one dual vertex (= triangle)."""
-    _check_version(state, lat)
+    _check_bound(state, lat)
     flat = _branching(data or fibonacci_data())
     if dual_vertex_id not in lat.triangles:
         raise MoveError(f"no dual vertex {dual_vertex_id}")
@@ -521,7 +528,7 @@ def apply_bp(
     legs as controls. This is the block kernel _bp_block on one column:
     amplitudes at or below the state's tolerance are dropped.
     """
-    _check_version(state, lat)
+    _check_bound(state, lat)
     data = data or fibonacci_data()
     c, a = _bp_block(lat, plaquette_id, state.configs, state.amps[:, None], data, state.tolerance)
     return replace(state, configs=c, amps=a[:, 0])
@@ -535,7 +542,7 @@ def ground_project(
     through the loop code_space projects its seeds with (_project), on
     one column at the state's tolerance, so each drops the amplitudes at
     or below it, as apply_bp does. Not normalized."""
-    _check_version(state, lat)
+    _check_bound(state, lat)
     data = data or fibonacci_data()
     keep = valid_mask(lat, state.configs, data)
     c, a = _project(lat, state.configs[keep], state.amps[keep, None], data, state.tolerance)
@@ -693,6 +700,13 @@ def _fmove_tables(data: FusionData) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return _table(data, "fmove", build)
 
 
+def _fmove_bits(pos: dict[int, int], edge_id: int, legs: Sequence[int]) -> list[int | None]:
+    """Key bits of the F-move tables (_fmove_tables) for the flip of
+    edge_id with legs (a, b, c, d), pos giving each edge's config bit:
+    e d c b a from bit 0 up, a pinned leg (no bit) read as 0."""
+    return [pos[edge_id], *(pos.get(e) for e in reversed(legs))]
+
+
 def _fmove_block(
     cfg: np.ndarray,
     amps: np.ndarray,
@@ -702,7 +716,7 @@ def _fmove_block(
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The F-move on sorted configs that hold both members of every pair
-    (c, c ^ flag) they touch; bits are the key bits e d c b a.
+    (c, c ^ flag) they touch; bits are the key bits (_fmove_bits).
 
     Each config is keyed by its legs (a, b, c, d) and edge label e, and
     its two coefficients are read from the stay and flip tables. The
@@ -809,16 +823,14 @@ def apply_fmove(
     are deferred; the state's configs are then sorted in that layout,
     and so is the result.
     """
-    _check_version(state, lat)
-    _check_width(lat)
+    _check_bound(state, lat)
     tables = _fmove_tables(data or fibonacci_data())
     out, rec = pachner_22(lat, edge_id)
     pos = bit_positions(lat)
     if layout is not None:
         pos = {e: layout[b] for e, b in pos.items()}
     ebit = pos[edge_id]
-    # key bits e d c b a from bit 0 up
-    bits = [ebit, *(pos.get(e) for e in reversed(rec.legs))]
+    bits = _fmove_bits(pos, edge_id, rec.legs)
     flag = U64(1) << U64(ebit)
     cfg, amps = state.configs, state.amps
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
@@ -879,7 +891,7 @@ def apply_pachner13(
     pattern, the new labels spread onto the fresh bits. The fresh bits
     are the top ones and were 0, so no two terms share a config.
     """
-    _check_version(state, lat)
+    _check_bound(state, lat)
     table = _pachner13_table(data or fibonacci_data())
     out, rec = pachner_13(lat, triangle_id)
     _check_width(out)
@@ -904,7 +916,7 @@ def apply_pachner31(
     """3-1 move: adjoint of the 1-3 isometry. Fails when the released
     qubits are entangled with the rest (relative weight lost above
     PACHNER31_RESIDUAL_TOL)."""
-    _check_version(state, lat)
+    _check_bound(state, lat)
     table = _pachner13_table(data or fibonacci_data())
     out, rec = pachner_31(lat, vertex_id)
     pos = bit_positions(lat)
@@ -942,8 +954,7 @@ def apply_state_permutation(
     bijection of qubit slots, so the relabeled configs are distinct: one
     sort orders them and nothing is merged.
     """
-    _check_version(state, lat)
-    _check_width(lat)
+    _check_bound(state, lat)
     out, rec = apply_cpi(lat, vmap, target=target)
     moved, layout = _defer_permutation(state, lat, out, rec.sigma, None)
     return _materialize(moved, layout), out
@@ -966,8 +977,7 @@ def _defer_permutation(
     moves them home. Amplitudes below the tolerance are dropped here.
     The state must be bound to lat, which must fit the config width.
     """
-    _check_version(state, lat)
-    _check_width(lat)
+    _check_bound(state, lat)
     rank = {s: i for i, s in enumerate(out.qubit_slots())}
     slots = lat.qubit_slots()
     held = range(len(slots)) if layout is None else layout
@@ -1011,14 +1021,17 @@ def state_to_jsonlines(state: StringNetState, lat: SurfaceLattice) -> str:
 
 
 def state_from_jsonlines(text: str, lat: SurfaceLattice) -> StringNetState:
+    """The state a state_to_jsonlines snapshot holds, bound to lat.
+    Raises MoveError when the snapshot's edge_count is not lat's qubit
+    count or a config sets a bit at or above it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = json.loads(lines[0])
-    configs = np.array([int(json.loads(ln)["config"], 16) for ln in lines[1:]], dtype=U64)
-    amps = np.array(
-        [complex(json.loads(ln)["re"], json.loads(ln)["im"]) for ln in lines[1:]],
-        dtype=np.complex128,
-    )
-    st = make_state(lat, configs, amps, tolerance=float(header["tolerance"]))
-    if header["lattice_version"] != lat.version:
-        st = replace(st, lattice_version=int(header["lattice_version"]))
-    return st
+    nq = len(lat.qubit_slots())
+    if header["edge_count"] != nq:
+        raise MoveError(f"snapshot has {header['edge_count']} qubit edges, the lattice {nq}")
+    rows = [json.loads(ln) for ln in lines[1:]]
+    configs = np.array([int(r["config"], 16) for r in rows], dtype=U64)
+    if nq < CONFIG_BITS and np.any(configs >> U64(nq)):
+        raise MoveError(f"snapshot config sets a bit at or above the lattice's {nq} qubit edges")
+    amps = np.array([complex(r["re"], r["im"]) for r in rows], dtype=np.complex128)
+    return make_state(lat, configs, amps, tolerance=float(header["tolerance"]))

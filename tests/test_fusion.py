@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from tvq.fusion import (
     verify_f_unitarity,
     verify_pentagon_coherence,
 )
-from tvq.lattice import Edge, SurfaceLattice
-from tvq.statevec import bit_positions, enumerate_valid_configs
+from tvq.lattice import Edge, SurfaceLattice, pachner_22
+from tvq.statevec import _fmove_tables, bit_positions, enumerate_valid_configs
 
 INV_PHI = 0.6180339887498949
 INV_SQRT_PHI = 0.7861513777574233
@@ -313,6 +314,28 @@ def test_match_residual_aligns_relabeled_copies(fib):
     assert _match_residual(cfgs, amps, lat, cfgs_copy, shifted, copy) == pytest.approx(1e-3)
     # no matching aligns a config set that lost a config
     assert _match_residual(cfgs, amps, lat, cfgs_copy[1:], shifted[1:], copy) == math.inf
+
+
+def test_match_residual_refuses_different_complexes(fib):
+    # the same pentagon with one diagonal flipped: apply_cpi finds no
+    # image for the flipped edge, so no relabeling aligns the two
+    lat = _fan_polygon(5)
+    diagonal = max(lat.edges)
+    flipped, _ = pachner_22(lat, diagonal)
+    cfgs, cfgs_flipped = enumerate_valid_configs(lat, fib), enumerate_valid_configs(flipped, fib)
+    assert len(cfgs) == len(cfgs_flipped)
+    eye = np.eye(len(cfgs))
+    assert _match_residual(cfgs, eye, lat, cfgs_flipped, eye, flipped) == math.inf
+
+
+def test_pentagon_walk_reads_the_kernel_fmove_tables(fib):
+    # a copy of the Fibonacci data whose kept F-move tables have stay and
+    # flip swapped: the walk must see the tables the state kernels read
+    stay, flip, runs = _fmove_tables(fib)
+    swapped = replace(fib)
+    swapped.tables["fmove"] = (flip, stay, runs)
+    assert np.array_equal(swapped.fsym, fib.fsym)
+    assert pentagon_residual(swapped) > 1e-3
 
 
 def test_pentagon_walk_compares_relabeled_copies(fib, monkeypatch):

@@ -8,6 +8,7 @@ two implementations share no code beyond the F-symbol table itself.
 import functools
 import hashlib
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -1287,6 +1288,32 @@ def test_state_jsonlines_round_trip(torus):
     assert state_to_jsonlines(back, torus) == text
 
 
+def test_state_from_jsonlines_binds_to_the_given_lattice(torus):
+    st = random_valid_state(torus, np.random.default_rng(31))
+    text = state_to_jsonlines(st, torus)
+    # a structurally equal lattice at another version
+    lat1, _ = pachner_22(torus, 0)
+    lat2, _ = pachner_22(lat1, 0)
+    back = state_from_jsonlines(text, lat2)
+    assert back.lattice_version == lat2.version == 2
+    assert np.array_equal(back.configs, st.configs) and np.array_equal(back.amps, st.amps)
+    assert apply_bp(back, lat2, 0).nnz() > 0
+
+
+def test_state_from_jsonlines_refuses_a_snapshot_of_another_width(torus, tetra):
+    text = state_to_jsonlines(random_valid_state(torus, np.random.default_rng(31)), torus)
+    # 12 qubit edges onto the 6 of the tetra sphere
+    with pytest.raises(MoveError, match="12 qubit edges"):
+        state_from_jsonlines(text, tetra)
+    # the right edge_count, but a config with bit 12 set
+    header, first, *rest = text.splitlines()
+    row = json.loads(first)
+    row["config"] = format(int(row["config"], 16) | 1 << 12, "x")
+    forged = "\n".join([header, json.dumps(row, sort_keys=True), *rest])
+    with pytest.raises(MoveError, match="at or above"):
+        state_from_jsonlines(forged, torus)
+
+
 def test_rebind_requires_matching_signature(torus, tetra):
     st = make_delta_state(torus, 0)
     lat1, _ = pachner_22(torus, 0)
@@ -1341,6 +1368,26 @@ def test_inner_rejects_mismatched_versions(torus):
     moved, _ = pachner_22(torus, 0)
     with pytest.raises(VersionError):
         inner(make_delta_state(torus, 0), make_delta_state(moved, 0))
+
+
+BOUND_KERNELS = {
+    "apply_qv": lambda st, lat: apply_qv(st, lat, 0),
+    "apply_bp": lambda st, lat: apply_bp(st, lat, 0),
+    "ground_project": ground_project,
+    "apply_fmove": lambda st, lat: apply_fmove(st, lat, 0),
+    "apply_pachner13": lambda st, lat: apply_pachner13(st, lat, 0),
+    "apply_pachner31": lambda st, lat: apply_pachner31(st, lat, 0),
+    "apply_state_permutation": lambda st, lat: apply_state_permutation(st, lat, {}),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BOUND_KERNELS))
+def test_kernels_refuse_a_state_bound_to_another_lattice(kernel, torus, tetra):
+    # both fresh builds are version 0: only the structural key tells them apart
+    st = random_valid_state(torus, np.random.default_rng(5))
+    assert st.lattice_version == tetra.version == 0
+    with pytest.raises(VersionError, match="another structure"):
+        BOUND_KERNELS[kernel](st, tetra)
 
 
 # ---- config width ----------------------------------------------------------------
