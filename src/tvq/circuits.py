@@ -31,8 +31,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -158,18 +159,23 @@ class GateCircuit:
             checked.add(id(layer))
             seen: set[int] = set()
             for gate in layer:
-                sup = gate.support()
-                if not sup <= known:
+                sup = gate.targets + gate.controls
+                if not known.issuperset(sup):
                     raise MoveError("gate touches a qubit outside the circuit")
-                if seen & sup:
+                if not seen.isdisjoint(sup):
                     raise MoveError("layer has overlapping gate supports")
-                seen |= sup
+                seen.update(sup)
         afters = [after for after, _ in self.permutation_layers]
         if afters != sorted(afters):
             raise MoveError("permutation layers are out of order")
+        # a recurring slot-pair tuple, as compile_schedule's are, too
+        checked_pairs: set[int] = set()
         for after, pairs in self.permutation_layers:
             if not 0 <= after <= len(self.layers):
                 raise MoveError("permutation layer placed outside the circuit")
+            if id(pairs) in checked_pairs:
+                continue
+            checked_pairs.add(id(pairs))
             src = [s for s, _ in pairs]
             dst = [d for _, d in pairs]
             if len(set(src)) != len(src) or set(src) != set(dst):
@@ -364,7 +370,8 @@ def compile_schedule(
     PERMUTATION groups become free relabelings pinned between layers.
     A LOCAL group object that recurs, as the shears of a braid do, is
     lowered once per call when it allocates and releases no slot, and
-    its recurrences share the same layer objects.
+    its recurrences share the same layer objects; every recurrence of a
+    PERMUTATION group object shares one slot-pair tuple.
     Each move is lowered from the qubit slots its record holds; lat
     gives only the starting register and the version. The gate angles
     are the Fibonacci ones (SPREP's is the quantum dimension's), so any
@@ -382,6 +389,8 @@ def compile_schedule(
     # for groups that allocate and release nothing, so that the slot
     # checks still run on every occurrence of the others
     lowered: dict[int, list[tuple[Gate, ...]]] = {}
+    # slot pairs of each PERMUTATION group object already lowered
+    relabelings: dict[int, tuple[tuple[int, int], ...]] = {}
 
     for group in schedule.groups:
         if group.kind == LOCAL:
@@ -412,8 +421,11 @@ def compile_schedule(
             if len(allocated) + len(released) == slots_moved:
                 lowered[id(group)] = layers[first:]
         else:
-            (rec,) = group.records()
-            perms.append((len(layers), tuple(sorted((rec.sigma or {}).items()))))
+            pairs = relabelings.get(id(group))
+            if pairs is None:
+                (rec,) = group.records()
+                pairs = relabelings[id(group)] = tuple(sorted((rec.sigma or {}).items()))
+            perms.append((len(layers), pairs))
 
     circ = GateCircuit(
         qubits=tuple(sorted(qubits)),
@@ -516,62 +528,195 @@ def circuit_to_jsonable(circuit: GateCircuit) -> dict:
     return circuit.to_jsonable()
 
 
-def circuit_from_jsonable(doc: dict) -> GateCircuit:
-    layers = tuple(
-        tuple(
-            Gate(
-                kind=g["kind"],
-                targets=tuple(g["targets"]),
-                controls=tuple(g.get("controls", ())),
-                polarities=tuple(g.get("polarities", ())),
-                params=tuple(float(p) for p in g.get("params", ())),
-            )
-            for g in layer
+def _validated(gate: Gate) -> Gate:
+    """The gate, if simulate_circuit applies it as its fields say."""
+    if len(gate.targets) != 1:
+        raise MoveError(f"{gate.kind} gate needs exactly one target, got {len(gate.targets)}")
+    if len(set(gate.controls)) != len(gate.controls) or gate.targets[0] in gate.controls:
+        raise MoveError(f"{gate.kind} gate controls must be distinct and differ from its target")
+    if any(not isinstance(p, numbers.Integral) or p not in (0, 1) for p in gate.polarities):
+        raise MoveError(f"{gate.kind} gate polarities must be 0 or 1, got {list(gate.polarities)}")
+    if gate.kind in ("RY", "SPREP") and gate.controls:
+        raise MoveError(f"{gate.kind} gate takes no controls")
+    want = 1 if gate.kind == "RY" else 0
+    if len(gate.params) != want:
+        raise MoveError(f"{gate.kind} gate takes {want} params, got {len(gate.params)}")
+    return gate
+
+
+class _Reader:
+    """Gate dicts to Gates, for circuit_from_jsonable and as the import
+    decoder's object_hook.
+
+    Each distinct gate is built and validated once; equal gates, equal
+    layers and equal slot-pair lists come out as one shared object, so
+    recurring layers are checked once, as compile_schedule's are. Params
+    are keyed by their text, so -0.0 and 0.0 stay apart and a circuit
+    re-exports byte for byte.
+    """
+
+    def __init__(self):
+        self.gates: dict[tuple, Gate] = {}
+        self.layers: dict[tuple[int, ...], tuple[Gate, ...]] = {}
+        self.pairs: dict[tuple, tuple[tuple[int, int], ...]] = {}
+
+    def gate(self, g: dict) -> Gate:
+        params = g.get("params", ())
+        fields = (
+            g.get("kind"),
+            tuple(g.get("targets", ())),
+            tuple(g.get("controls", ())),
+            tuple(g.get("polarities", ())),
         )
-        for layer in doc["layers"]
-    )
-    perms = tuple(
-        (int(p["after_layer"]), tuple((int(s), int(d)) for s, d in p["sigma"]))
-        for p in doc.get("permutations", ())
-    )
-    circ = GateCircuit(
-        qubits=tuple(doc["qubits"]),
-        layers=layers,
-        permutation_layers=perms,
-        allocated=tuple(doc.get("allocated", ())),
-        released=tuple(doc.get("released", ())),
-        lattice_version=int(doc.get("version", 0)),
-    )
-    circ.check()
-    return circ
+        key = (*fields, repr(params))
+        gate = self.gates.get(key)
+        if gate is None:
+            gate = self.gates[key] = _validated(Gate(*fields, tuple(float(p) for p in params)))
+        return gate
+
+    def hook(self, obj: dict):
+        return self.gate(obj) if "kind" in obj else obj
+
+    def circuit(self, doc: dict) -> GateCircuit:
+        layers = []
+        for layer in doc["layers"]:
+            gates = tuple(g if type(g) is Gate else self.gate(g) for g in layer)
+            # gates are interned, so equal layers hold the same objects
+            layers.append(self.layers.setdefault(tuple(map(id, gates)), gates))
+        perms = []
+        for p in doc.get("permutations", ()):
+            sigma = tuple(map(tuple, p["sigma"]))
+            pairs = self.pairs.get(sigma)
+            if pairs is None:
+                pairs = self.pairs[sigma] = tuple((int(s), int(d)) for s, d in sigma)
+            perms.append((int(p["after_layer"]), pairs))
+        circ = GateCircuit(
+            qubits=tuple(doc["qubits"]),
+            layers=tuple(layers),
+            permutation_layers=tuple(perms),
+            allocated=tuple(doc.get("allocated", ())),
+            released=tuple(doc.get("released", ())),
+            lattice_version=int(doc.get("version", 0)),
+        )
+        circ.check()
+        return circ
 
 
+def circuit_from_jsonable(doc: dict) -> GateCircuit:
+    """The circuit of a document like circuit_to_jsonable's; malformed
+    gates raise MoveError."""
+    return _Reader().circuit(doc)
+
+
+def _indented(value, depth: int) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) as it reads nested
+    depth levels deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _json_list(items: Iterable[str], depth: int) -> Iterator[str]:
+    """A list of rendered items at depth, as indent=2 writes it."""
+    pad = "\n" + "  " * (depth + 1)
+    sep = "[" + pad
+    for item in items:
+        yield sep
+        yield item
+        sep = "," + pad
+    yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
+
+
+def _json_object(fields: dict[str, Iterable[str]], depth: int) -> Iterator[str]:
+    """A non-empty object of rendered values at depth, keys sorted, as
+    indent=2 writes it."""
+    pad = "\n" + "  " * (depth + 1)
+    sep = "{" + pad
+    for key in sorted(fields):
+        yield f"{sep}{json.dumps(key)}: "
+        yield from fields[key]
+        sep = "," + pad
+    yield "\n" + "  " * depth + "}"
+
+
+@_gc_paused
+def _json_chunks(circuit: GateCircuit) -> list[str]:
+    """The text of json.dumps(circuit_to_jsonable(circuit), indent=2,
+    sort_keys=True), in chunks.
+
+    Each distinct layer object and slot-pair tuple is rendered once, by
+    json.dumps and re-indented to its depth; a recurrence reuses its
+    text, so the cost follows the circuit's distinct content.
+    """
+    layer_text: dict[int, str] = {}
+    sigma_text: dict[int, str] = {}
+
+    def layer(gates: tuple[Gate, ...]) -> str:
+        text = layer_text.get(id(gates))
+        if text is None:
+            text = layer_text[id(gates)] = _indented([g.to_jsonable() for g in gates], 2)
+        return text
+
+    def relabeling(after: int, pairs: tuple[tuple[int, int], ...]) -> str:
+        text = sigma_text.get(id(pairs))
+        if text is None:
+            text = sigma_text[id(pairs)] = _indented([[s, d] for s, d in pairs], 3)
+        return "".join(_json_object({"after_layer": [_indented(after, 3)], "sigma": [text]}, 2))
+
+    fields = {
+        "version": [_indented(circuit.lattice_version, 1)],
+        "qubits": [_indented(list(circuit.qubits), 1)],
+        "allocated": [_indented(list(circuit.allocated), 1)],
+        "released": [_indented(list(circuit.released), 1)],
+        "layers": _json_list(map(layer, circuit.layers), 1),
+        "permutations": _json_list((relabeling(a, p) for a, p in circuit.permutation_layers), 1),
+    }
+    return list(_json_object(fields, 0))
+
+
+@_gc_paused
 def export_circuit(circuit: GateCircuit, destination) -> str:
     """Write the circuit as JSON; returns the rendered text.
 
     destination may be a path or a writable text stream. Output is
     deterministic: sorted keys, two-space indent, numbers at 15
     significant digits (compile-time constants are pre-rounded so this
-    is lossless for shipped circuits).
+    is lossless for shipped circuits). The text is that of
+    json.dumps(circuit_to_jsonable(circuit), indent=2, sort_keys=True),
+    but each distinct layer object and slot-pair tuple is rendered once,
+    so rendering costs scale with the circuit's distinct layers rather
+    than with its gate count. The cyclic garbage collector is paused
+    while it runs (gadgets._gc_paused).
     """
-    text = json.dumps(circuit_to_jsonable(circuit), indent=2, sort_keys=True)
+    chunks = _json_chunks(circuit)
+    text = "".join(chunks)
     if hasattr(destination, "write"):
         destination.write(text)
         return text
     try:
         with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            # chunk by chunk, so the file's encoder holds no copy of the whole text
+            fh.writelines(chunks)
     except OSError as exc:
         raise MoveError(f"cannot write circuit to {destination}: {exc}") from exc
     return text
 
 
+@_gc_paused
 def import_circuit(source) -> GateCircuit:
-    """Read a circuit written by export_circuit; path or readable stream."""
+    """Read a circuit written by export_circuit; path or readable stream.
+
+    Gate dicts become Gates while the JSON decodes. Each distinct gate
+    is built and validated once (malformed gates raise MoveError), and
+    equal gates, layers and slot-pair lists are one shared object in the
+    result, so building Gates and checking layers cost scale with the
+    circuit's distinct layers; the JSON parse itself still reads every
+    occurrence. The cyclic garbage collector is paused while it runs.
+    """
+    reader = _Reader()
     if hasattr(source, "read"):
-        return circuit_from_jsonable(json.loads(source.read()))
+        return reader.circuit(json.loads(source.read(), object_hook=reader.hook))
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            return circuit_from_jsonable(json.load(fh))
+            doc = json.load(fh, object_hook=reader.hook)
     except OSError as exc:
         raise MoveError(f"cannot read circuit from {source}: {exc}") from exc
+    return reader.circuit(doc)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circuits import compile_schedule, export_circuit
+from .circuits import _json_chunks, compile_schedule, export_circuit
 from .errors import _braid_setup, report_to_csv, report_to_json, stretch_report
 from .coherence import pentagon_residual
 from .fusion import PHI, f_unitarity_residual, fibonacci_data
@@ -68,11 +68,12 @@ class RunConfig:
         return doc
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write one output artifact; a failed write is a MoveError."""
+def _write_out(path: str, *chunks: str) -> None:
+    """Write one output artifact, given as text chunks; a failed write
+    is a MoveError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise MoveError(f"cannot write {path}: {exc}") from exc
 
@@ -362,24 +363,20 @@ def cmd_errors(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_compile(cfg: RunConfig) -> tuple[dict, int]:
     *_, circ = _distance_braid(cfg.params["distance"], fibonacci_data())
-    text = export_circuit(circ, _NullSink())
+    # export_circuit's text, never joined: recurring layers share chunks
+    chunks = _json_chunks(circ)
     if cfg.out:
-        _write_out(cfg.out, text)
+        _write_out(cfg.out, *chunks)
     report = {
         "config": cfg.to_jsonable(),
         "qubits": len(circ.qubits),
         "gate_depth": circ.depth(),
         "gates": circ.gate_count(),
         "permutation_layers": len(circ.permutation_layers),
-        "bytes": len(text),
+        "bytes": sum(map(len, chunks)),
         "passed": True,
     }
     return report, 0
-
-
-class _NullSink:
-    def write(self, _text: str) -> None:
-        pass
 
 
 # ---- rendering and entry -------------------------------------------------------

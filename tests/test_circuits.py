@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvq.fusion import fibonacci_data, trivial_data
 from tvq.lattice import (
@@ -53,9 +55,12 @@ from tvq.gadgets import (
 )
 from tvq.circuits import (
     SPREP_ANGLE,
+    GATE_KINDS,
     THETA,
     Gate,
     GateCircuit,
+    circuit_from_jsonable,
+    circuit_to_jsonable,
     compile_fmove,
     compile_pachner13,
     compile_schedule,
@@ -357,6 +362,16 @@ def test_repeated_groups_share_layer_objects_and_check_reads_each_once():
             GateCircuit(qubits=(0, 1), layers=layers).check()
 
 
+def test_check_reads_a_recurring_relabeling_once_but_places_each():
+    swap = ((0, 1), (1, 0))
+    GateCircuit(qubits=(0, 1), layers=((),), permutation_layers=((0, swap), (1, swap))).check()
+    with pytest.raises(MoveError, match="placed outside"):
+        GateCircuit(qubits=(0, 1), layers=((),), permutation_layers=((0, swap), (2, swap))).check()
+    bad = ((0, 1), (1, 1))
+    with pytest.raises(MoveError, match="bijection"):
+        GateCircuit(qubits=(0, 1), permutation_layers=((0, bad), (0, bad))).check()
+
+
 def test_compile_schedule_rejects_record_without_slots():
     lat = build_tetra_sphere()
     sched = MoveSchedule((MoveGroup(LOCAL, ((MoveRecord(F_MOVE, edge=0),),)),))
@@ -495,3 +510,123 @@ def test_import_rejects_permutation_layers_out_of_order():
     # equal positions stay allowed and act in their listed order
     for first, second in ((0, 0), (0, 1), (1, 1)):
         assert lightcone_grow({1}, import_circuit(two_swaps(first, second))) == {1}
+
+
+# slot ids and params far from the compiled ones: negative and wide
+# slots, a signed zero, a subnormal-adjacent and a large param
+SLOTS = st.integers(-(2**40), 2**40) | st.sampled_from([-1, 0, 1])
+PARAMS = st.sampled_from([-0.0, 0.0, 1e-300, 1e16, THETA, -SPREP_ANGLE]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def gates(draw):
+    controls = draw(st.lists(SLOTS, max_size=3))
+    return Gate(
+        draw(st.sampled_from(GATE_KINDS)),
+        tuple(draw(st.lists(SLOTS, max_size=2))),
+        tuple(controls),
+        tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=len(controls), max_size=len(controls)))),
+        tuple(draw(st.lists(PARAMS, max_size=2))),
+    )
+
+
+@st.composite
+def circuits(draw):
+    """Unchecked circuits whose layers and slot-pair tuples are drawn
+    from small pools, so objects recur; empty ones included."""
+    layer_pool = draw(st.lists(st.lists(gates(), max_size=3).map(tuple), min_size=1, max_size=4))
+    layers = draw(st.lists(st.sampled_from(layer_pool), max_size=8))
+    pair_pool = draw(st.lists(st.lists(st.tuples(SLOTS, SLOTS), max_size=4).map(tuple), min_size=1, max_size=3))
+    afters = sorted(draw(st.lists(st.integers(0, len(layers)), max_size=5)))
+    return GateCircuit(
+        qubits=tuple(draw(st.lists(SLOTS, max_size=4))),
+        layers=tuple(layers),
+        permutation_layers=tuple((a, draw(st.sampled_from(pair_pool))) for a in afters),
+        allocated=tuple(draw(st.lists(SLOTS, max_size=2))),
+        released=tuple(draw(st.lists(SLOTS, max_size=2))),
+        lattice_version=draw(st.integers(0, 2**40)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits())
+def test_export_renders_the_json_dumps_text(circ):
+    want = json.dumps(circuit_to_jsonable(circ), indent=2, sort_keys=True)
+    assert export_circuit(circ, io.StringIO()) == want
+
+
+def braid_d8():
+    lat, _, anyon = braid_arena(8)
+    return compile_schedule(lat, braid_schedule(lat, anyon, 0, steps=6), DATA)
+
+
+def test_import_shares_equal_gates_layers_and_relabelings():
+    circ = braid_d8()
+    # compile_schedule shares recurring layers and each relabeling's pairs
+    assert len({id(layer) for layer in circ.layers}) == 28
+    assert len({id(pairs) for _, pairs in circ.permutation_layers}) == 1
+    back = import_circuit(io.StringIO(export_circuit(circ, io.StringIO())))
+    assert back == circ
+    assert len({id(layer) for layer in back.layers}) == 28
+    assert len({id(pairs) for _, pairs in back.permutation_layers}) == 1
+    gates = [g for layer in back.layers for g in layer]
+    assert len({id(g) for g in gates}) == len(set(gates))
+    # a plain document comes back the same way, and stays unaliased
+    doc = circuit_to_jsonable(circ)
+    assert circuit_from_jsonable(doc) == circ
+    assert circ.layers[0] is circ.layers[28]
+    doc["layers"][0][0]["targets"].append(-5)
+    doc["permutations"][0]["sigma"].pop()
+    assert doc["layers"][28] == [g.to_jsonable() for g in circ.layers[28]]
+    assert len(doc["permutations"][1]["sigma"]) == len(circ.permutation_layers[1][1])
+
+
+def test_import_keeps_signed_zero_params_apart():
+    doc = {"qubits": [0, 1], "layers": [[{"kind": "RY", "targets": [0], "params": [0.0]}], [{"kind": "RY", "targets": [0], "params": [-0.0]}]]}
+    text = json.dumps(doc)
+    circ = import_circuit(io.StringIO(text))
+    assert circ.layers[0] is not circ.layers[1]
+    again = export_circuit(circ, io.StringIO())
+    assert export_circuit(import_circuit(io.StringIO(again)), io.StringIO()) == again
+    assert '"params": [\n          -0.0\n' in again
+
+
+def gate_doc(*gates):
+    return {"qubits": [0, 1, 2], "layers": [[g] for g in gates]}
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        # left unvalidated, the first two die in simulate_circuit with an
+        # IndexError, and the next two simulate silently wrong
+        ({"kind": "X", "targets": []}, "exactly one target"),
+        ({"kind": "RY", "targets": [0]}, "takes 1 params, got 0"),
+        ({"kind": "RY", "targets": [0, 1], "params": [0.5]}, "exactly one target"),
+        ({"kind": "CX", "targets": [1], "controls": [1], "polarities": [1]}, "differ from its target"),
+        ({"kind": "MCX", "targets": [2], "controls": [0, 0], "polarities": [1, 1]}, "distinct"),
+        ({"kind": "CX", "targets": [1], "controls": [0], "polarities": [2]}, "polarities must be 0 or 1"),
+        ({"kind": "CX", "targets": [1], "controls": [0], "polarities": [1.0]}, "polarities must be 0 or 1"),
+        ({"kind": "X", "targets": [0], "params": [0.5]}, "takes 0 params, got 1"),
+        ({"kind": "SPREP", "targets": [0], "params": [0.5]}, "takes 0 params, got 1"),
+        ({"kind": "RY", "targets": [1], "controls": [0], "polarities": [1], "params": [0.5]}, "takes no controls"),
+        ({"kind": "Z", "targets": [0]}, "unknown gate kind"),
+        ({"kind": "CX", "targets": [1], "controls": [0]}, "one polarity"),
+    ],
+)
+def test_import_rejects_malformed_gates(gate, message):
+    good = {"kind": "X", "targets": [2]}
+    doc = gate_doc(good, gate, gate)
+    with pytest.raises(MoveError, match=message):
+        import_circuit(io.StringIO(json.dumps(doc)))
+    with pytest.raises(MoveError, match=message):
+        circuit_from_jsonable(doc)
+
+
+def test_import_rejects_overlap_in_a_repeated_layer():
+    overlap = [{"kind": "X", "targets": [0]}, {"kind": "CX", "targets": [1], "controls": [0], "polarities": [1]}]
+    doc = {"qubits": [0, 1], "layers": [[{"kind": "X", "targets": [1]}], overlap, overlap, overlap]}
+    with pytest.raises(MoveError, match="overlapping"):
+        import_circuit(io.StringIO(json.dumps(doc)))

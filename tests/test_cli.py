@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, guards, deterministic reports."""
 
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+import tvq
 import tvq.cli
 from tvq.cli import main
 from tvq.coherence import pentagon_residual
@@ -289,6 +291,17 @@ def test_compile_circuit_file_matches_golden(tmp_path, capsys):
     status, _ = run_cli(["compile", "--distance", "4", "--out", str(path)], capsys)
     assert status == 0
     assert path.read_bytes() == (GOLDEN / "compile_d4.json").read_bytes()
+
+
+def test_compile_writes_export_circuit_text_and_counts_its_bytes(tmp_path, capsys):
+    # the command writes the rendered chunks without joining them
+    path = tmp_path / "circ.json"
+    status, rep = run_json(["compile", "--distance", "8", "--out", str(path)], capsys)
+    assert status == 0
+    *_, circ = tvq.cli._distance_braid(8, fibonacci_data())
+    text = tvq.export_circuit(circ, io.StringIO())
+    assert path.read_text(encoding="utf-8") == text
+    assert rep["bytes"] == len(text) == len(path.read_bytes())
 
 
 def test_errors_csv_matches_golden(capsys):

@@ -1,7 +1,8 @@
 """Flat structural cost per move: the collector pause and the F-move templates.
 
 The structural entry points (shear_step, braid_schedule,
-baseline_schedule, run_schedule, compile_schedule) pause Python's
+baseline_schedule, run_schedule, compile_schedule), the circuit
+renderer behind export_circuit and import_circuit pause Python's
 cyclic garbage collector while they run and restore the caller's
 setting on exit. compile_schedule lowers each flip through a cached
 template per leg shape. These tests pin the collector contract, compare
@@ -11,6 +12,7 @@ bytes of compiled circuits.
 
 import gc
 import hashlib
+import io
 import itertools
 import json
 
@@ -24,6 +26,8 @@ from tvq.circuits import (
     circuit_to_jsonable,
     compile_pachner13,
     compile_schedule,
+    export_circuit,
+    import_circuit,
 )
 from tvq.fusion import trivial_data
 from tvq.gadgets import (
@@ -147,6 +151,17 @@ def test_no_collection_starts_while_the_d16_braid_builds_compiles_and_replays(re
     assert during == 0
     assert circ.depth() == 168
     assert end.signature() == lat.signature()
+
+
+def test_no_collection_starts_while_the_d16_braid_circuit_exports_and_imports(restore_gc):
+    gc.enable()
+    lat, _, anyon = braid_arena(16)
+    circ = compile_schedule(lat, braid_schedule(lat, anyon, 0, steps=6))
+    text, during = collections_during(lambda: export_circuit(circ, io.StringIO()))
+    assert during == 0
+    back, during = collections_during(lambda: import_circuit(io.StringIO(text)))
+    assert during == 0
+    assert back == circ
 
 
 # ---- F-move templates against the per-flip lowering -------------------------------

@@ -1,17 +1,20 @@
-"""Stdout hashes of the tvq CLI commands whose bytes must not change.
+"""Output hashes of the tvq CLI commands whose bytes must not change.
 
     python3 tools/cli_bytes.py CHECKOUT [CHECKOUT]
 
 For each checkout, runs every command below as `python -m tvq.cli ...`
 with PYTHONPATH set to that checkout's src, and prints the sha256 prefix
-of its stdout (and its exit status when that is not 0). Given two
-checkouts, it exits 1 when any stdout or exit status differs.
+of its output (and its exit status when that is not 0). Given two
+checkouts, it exits 1 when any output or exit status differs.
 
 A command runs in a new empty working directory. One made of several
 CLI calls joined by " ; " (a `lattice build --out` and the `ground-dim`
 that reads the file) runs them there in order, and stops at the first
-that fails; its hash covers all their stdout. The lattice file's path
-is relative, so the reports name it the same way in every checkout.
+that fails. Its hash covers all their stdout, then the name and bytes
+of each file they left in the working directory, in name order, so a
+written circuit or lattice file is compared byte for byte. Output
+paths are relative, so the reports name them the same way in every
+checkout.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ COMMANDS = [
     "braid --distance 4 --compare-baseline",
     "braid --distance 8",
     "compile --distance 8",
+    "compile --distance 16 --out circ.json",
+    "braid --distance 8 --export-circuit circ.json",
     "errors --distances 4,8 --trials 100 --seed 17",
     "errors --distances 8 --trials 40 --seed 1 --format csv",
     # 175 valid configs, every one a seed, in one block
@@ -59,7 +64,10 @@ def digest(checkout: Path, command: str) -> str:
             status = proc.returncode
             if status:
                 break
-    out = hashlib.sha256(stdout).hexdigest()[:16]
+        h = hashlib.sha256(stdout)
+        for path in sorted(Path(cwd).iterdir()):
+            h.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
+    out = h.hexdigest()[:16]
     return out if status == 0 else f"{out} (exit {status})"
 
 

@@ -9,20 +9,23 @@ side that runs first alternating, with PYTHONPATH set to that
 checkout's src and one BLAS thread, as perfbench runs it: an idle
 OpenBLAS worker spins for a while after numpy's first call, and its
 CPU time would land in whichever stage runs then. The process builds
-`braid_arena(d)` and times, with time.process_time, the three stages
-of the braid: `braid_schedule`, `compile_schedule` and
-`run_schedule(None, ...)` (the lattice-only replay). Per stage it also
-counts the garbage collections that started (a gc.callbacks hook).
+`braid_arena(d)` and times, with time.process_time, the four stages
+of the braid: `braid_schedule`, `compile_schedule`,
+`run_schedule(None, ...)` (the lattice-only replay) and
+`export_circuit` of the compiled circuit to os.devnull. Per stage it
+also counts the garbage collections that started (a gc.callbacks hook)
+and reads its own peak RSS (ru_maxrss) when the stage returns.
 After the stages it times one gc.collect(), so that collection work a
 stage defers past its return shows, and it reads its own peak RSS
-(ru_maxrss). Collections that start between the stages are counted and
+at the end. Collections that start between the stages are counted and
 timed apart: a stage that pauses the collector leaves a young
 collection due at the first allocation after it returns. Per stage,
 side and mode the table keeps the median CPU time over the repeats, in
-seconds and in µs per move (9d² + 6 moves), and the most collections
-any repeat started; per side and mode, the most collections started
-between the stages and the median CPU time they took, the median
-gc.collect() time and the highest peak RSS. The table goes
+seconds and in µs per move (9d² + 6 moves), the most collections any
+repeat started and the highest peak RSS at the stage's return; per
+side and mode, the most collections started between the stages and the
+median CPU time they took, the median gc.collect() time and the
+highest peak RSS. The table goes
 under "layers" of BENCH_<name>.json in the current directory; the rest
 of that file is kept.
 """
@@ -37,11 +40,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-STAGES = ("braid_schedule", "compile_schedule", "run_schedule")
+STAGES = ("braid_schedule", "compile_schedule", "run_schedule", "export_circuit")
 
 CHILD = """
-import gc, json, resource, sys, time
-from tvq.circuits import compile_schedule
+import gc, json, os, resource, sys, time
+from tvq.circuits import compile_schedule, export_circuit
 from tvq.gadgets import braid_arena, braid_schedule, run_schedule
 d, gc_on = int(sys.argv[1]), sys.argv[2] == "on"
 lat, _, anyon = braid_arena(d)
@@ -72,11 +75,14 @@ def stage(name, call):
     out[name + "_collections"] = gcs["started"] - started
     inside["started"] += gcs["started"] - started
     inside["cpu_s"] += gcs["cpu_s"] - cpu_s
+    # getrusage allocates a tracked object, so it reads after the counts
+    out[name + "_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return result
 
 sched = stage("braid_schedule", lambda: braid_schedule(lat, anyon, 0, steps=6))
-stage("compile_schedule", lambda: compile_schedule(lat, sched))
+circ = stage("compile_schedule", lambda: compile_schedule(lat, sched))
 stage("run_schedule", lambda: run_schedule(None, lat, sched))
+stage("export_circuit", lambda: export_circuit(circ, os.devnull))
 # a stage that pauses the collector leaves a young collection due at the
 # first allocation after it returns, outside every timed stage; counting
 # the moves allocates, so the last stage's has run by the reads below
@@ -134,6 +140,7 @@ def main() -> int:
                         "cpu_s": round(cpu, 4),
                         "us_per_move": round(cpu / moves * 1e6, 2),
                         "collections": max(r[stage + "_collections"] for r in got),
+                        "peak_rss_mb": round(max(r[stage + "_rss_mb"] for r in got), 1),
                     }
             for side, got in runs.items():
                 row[side] = {
@@ -154,8 +161,8 @@ def main() -> int:
         "garbage collections any repeat started during the stage; per side, between_collections and "
         "between_collect_s are the collections started outside the timed stages (most over the "
         "repeats) and their median CPU time (gc.callbacks start to stop), final_collect_s is the "
-        "median CPU time of one gc.collect() after the three stages and peak_rss_mb the highest "
-        "ru_maxrss of the runs",
+        "median CPU time of one gc.collect() after the four stages and peak_rss_mb the highest "
+        "ru_maxrss of the runs; a stage's peak_rss_mb is the highest ru_maxrss read as it returned",
         "rows": rows,
     }
     path.write_text(json.dumps(doc, indent=1) + "\n")
