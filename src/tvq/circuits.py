@@ -1,8 +1,11 @@
-"""Gate-level compilation of moves and schedules, with a dense simulator.
+"""Gate-level compilation of moves and schedules, with a sparse simulator.
 
 The semantic simulator applies moves as sparse linear maps; this module
 lowers the same moves to explicit gates so the two implementations can
 cross-check each other, and so depth can be counted at gate granularity.
+simulate_sparse applies a circuit gate by gate to the state kernels'
+sparse configs, so the check runs on registers of up to 64 slots;
+simulate_circuit wraps it for dense vectors of up to 22 qubits.
 
 An edge flip compiles to at most seven single-target layers:
 
@@ -49,7 +52,7 @@ from .lattice import (
     pachner_22,
 )
 from .gadgets import LOCAL, MoveGroup, MoveSchedule, _gc_paused
-from .statevec import _key, _move_bits
+from .statevec import CONFIG_BITS, U64, StringNetState, _coalesce, _key, _move_bits
 
 # angles are rounded to 15 significant digits once, here, so that the
 # JSON export (which prints 15 significant digits) round-trips circuits
@@ -63,6 +66,8 @@ FLIP_PATTERNS = ((0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0))
 GATE_KINDS = ("RY", "X", "CX", "MCX", "SPREP")
 
 MAX_DENSE_QUBITS = 22
+# amplitudes below this are dropped, as the state kernels drop them by default
+_TOL = StringNetState.tolerance
 
 __all__ = [
     "THETA",
@@ -75,6 +80,7 @@ __all__ = [
     "compile_pachner13",
     "compile_schedule",
     "inverse_circuit",
+    "simulate_sparse",
     "simulate_circuit",
     "export_circuit",
     "import_circuit",
@@ -457,67 +463,84 @@ def inverse_circuit(circuit: GateCircuit) -> GateCircuit:
     )
 
 
-# -- dense simulation ----------------------------------------------------------
+# -- simulation ----------------------------------------------------------------
 
 
-def _apply_single(psi: np.ndarray, pos: int, mat: np.ndarray) -> np.ndarray:
-    idx = np.arange(psi.size)
-    low = idx[(idx >> pos) & 1 == 0]
-    high = low | (1 << pos)
-    out = psi.copy()
-    out[low] = mat[0, 0] * psi[low] + mat[0, 1] * psi[high]
-    out[high] = mat[1, 0] * psi[low] + mat[1, 1] * psi[high]
-    return out
+def simulate_sparse(
+    circuit: GateCircuit, configs: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the circuit to a sparse state over its full register.
 
+    Bit i of a config is the label of circuit.qubits[i] (slot order,
+    ascending), as in the state kernels' configs, so registers of up to
+    CONFIG_BITS slots fit. Gates act one at a time in layer order: an
+    RY or SPREP splits each config c into c and c ^ flag, an X, CX or
+    MCX flips the target bit of the configs whose controls match, and a
+    relabeling moves every bit in one pass. Amplitudes below the state
+    tolerance are dropped whenever configs merge. Allocated slots must
+    be supplied in |0>; the caller checks released slots.
 
-def _apply_gate(psi: np.ndarray, posmap: dict[int, int], gate: Gate) -> np.ndarray:
-    if gate.kind == "RY":
-        return _apply_single(psi, posmap[gate.targets[0]], ry_matrix(gate.params[0]))
-    if gate.kind == "SPREP":
-        return _apply_single(psi, posmap[gate.targets[0]], sprep_matrix())
-    if gate.kind in ("X", "CX", "MCX"):
-        idx = np.arange(psi.size)
-        want = sum(pol << k for k, pol in enumerate(gate.polarities))
-        mask = _key(idx.view(np.uint64), [posmap[q] for q in gate.controls]) == want
-        flipped = idx ^ (1 << posmap[gate.targets[0]])
-        out = psi.copy()
-        out[mask] = psi[flipped[mask]]
-        return out
-    raise MoveError(f"unknown gate kind {gate.kind!r}")
-
-
-def _apply_relabel(psi: np.ndarray, posmap: dict[int, int], sigma: dict[int, int]) -> np.ndarray:
-    new_idx = _move_bits(
-        np.arange(psi.size, dtype=np.uint64),
-        ((p_src, posmap[sigma.get(slot, slot)]) for slot, p_src in posmap.items()),
-    )
-    out = np.empty_like(psi)
-    out[new_idx] = psi
-    return out
+    Returns the sorted configs and their amplitudes. Raises MoveError on
+    a register wider than CONFIG_BITS, on configs and amps that are not
+    parallel 1-d arrays, and on a config that sets a bit at or above the
+    register.
+    """
+    n = len(circuit.qubits)
+    if n > CONFIG_BITS:
+        raise MoveError(f"{n} qubit slots exceed the {CONFIG_BITS}-bit config width")
+    configs, amps = np.asarray(configs), np.asarray(amps)
+    if configs.ndim != 1 or amps.shape != configs.shape:
+        raise MoveError(
+            f"configs and amps must be parallel 1-d arrays, got shapes {configs.shape} and {amps.shape}"
+        )
+    configs = configs.astype(U64)
+    if n < CONFIG_BITS and np.any(configs >> U64(n)):
+        raise MoveError(f"config sets a bit at or above the circuit's {n} qubit slots")
+    circuit.check()
+    pos = {q: i for i, q in enumerate(circuit.qubits)}
+    # flips and relabelings permute the configs; only a rotation merges
+    # them, so it alone sorts them (_coalesce), and so does the return
+    c, a = _coalesce(configs, amps.astype(np.complex128), _TOL)
+    for sigma, layer in circuit.steps():
+        if sigma is not None:
+            c = _move_bits(c, ((p, pos[sigma.get(q, q)]) for q, p in pos.items()))
+            continue
+        for gate in layer:
+            flag = U64(1) << U64(pos[gate.targets[0]])
+            if gate.kind in ("RY", "SPREP"):
+                mat = ry_matrix(gate.params[0]) if gate.kind == "RY" else sprep_matrix()
+                bit = ((c & flag) != 0).astype(np.intp)
+                c, a = _coalesce(
+                    np.concatenate([c, c ^ flag]),
+                    np.concatenate([a * mat[bit, bit], a * mat[1 - bit, bit]]),
+                    _TOL,
+                )
+            else:
+                want = sum(pol << k for k, pol in enumerate(gate.polarities))
+                fire = _key(c, [pos[q] for q in gate.controls]) == want
+                c = np.where(fire, c ^ flag, c)
+    return _coalesce(c, a, _TOL)
 
 
 def simulate_circuit(circuit: GateCircuit, psi: np.ndarray) -> np.ndarray:
-    """Dense application over the circuit's full register.
+    """Dense application over the circuit's full register, through
+    simulate_sparse on psi's nonzero entries.
 
     psi indexes basis states by bits at the qubit's rank in
-    circuit.qubits (slot order, ascending), matching the convention the
-    sparse simulator uses for its configuration integers. Allocated
-    slots must be supplied in |0>; the caller checks released slots.
+    circuit.qubits (slot order, ascending), matching the convention of
+    simulate_sparse and of the state kernels' configuration integers.
+    Allocated slots must be supplied in |0>; the caller checks released
+    slots.
     """
     n = len(circuit.qubits)
     if n > MAX_DENSE_QUBITS:
         raise MoveError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits, got {n}")
     if psi.shape != (1 << n,):
         raise MoveError(f"state must have length {1 << n}")
-    circuit.check()
-    posmap = {q: i for i, q in enumerate(circuit.qubits)}
-    out = np.asarray(psi, dtype=np.complex128).copy()
-    for sigma, layer in circuit.steps():
-        if sigma is not None:
-            out = _apply_relabel(out, posmap, sigma)
-            continue
-        for gate in layer:
-            out = _apply_gate(out, posmap, gate)
+    idx = np.flatnonzero(psi)
+    configs, amps = simulate_sparse(circuit, idx, psi[idx])
+    out = np.zeros(1 << n, dtype=np.complex128)
+    out[configs.astype(np.intp)] = amps
     return out
 
 
@@ -529,7 +552,7 @@ def circuit_to_jsonable(circuit: GateCircuit) -> dict:
 
 
 def _validated(gate: Gate) -> Gate:
-    """The gate, if simulate_circuit applies it as its fields say."""
+    """The gate, if simulate_sparse applies it as its fields say."""
     if len(gate.targets) != 1:
         raise MoveError(f"{gate.kind} gate needs exactly one target, got {len(gate.targets)}")
     if len(set(gate.controls)) != len(gate.controls) or gate.targets[0] in gate.controls:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circuits import _json_chunks, compile_schedule, export_circuit
+from .circuits import _json_chunks, compile_schedule
 from .errors import _braid_setup, report_to_csv, report_to_json, stretch_report
 from .coherence import pentagon_residual
 from .fusion import PHI, f_unitarity_residual, fibonacci_data
@@ -317,7 +317,7 @@ def cmd_braid(cfg: RunConfig) -> tuple[dict, int]:
             report["state_check"] = _loop_closure_check(cfg.seed, data)
             report["passed"] = report["state_check"]["passed"]
     if cfg.params.get("export_circuit"):
-        export_circuit(circ, cfg.params["export_circuit"])
+        _write_out(cfg.params["export_circuit"], *_json_chunks(circ))
         report["circuit_file"] = cfg.params["export_circuit"]
     return report, 0 if report["passed"] else 1
 

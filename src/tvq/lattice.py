@@ -523,12 +523,13 @@ def build_planar_patch(
     edges = {e: Edge(*ends) for e, ends in enumerate(layout_edges)}
     triangles = dict(enumerate(layout_triangles))
 
+    punctures = list(punctures)  # read once: an iterator is consumed by the loop
     marked: set[int] = set()
     for ring, sector in punctures:
         if not (0 <= ring <= m - 1):
             raise MoveError(f"puncture ring {ring} outside the interior (0..{m - 1})")
         marked.add(polar_vertex_id(n, ring, sector))
-    if len(marked) != len(list(punctures)):
+    if len(marked) != len(punctures):
         raise MoveError("duplicate punctures")
 
     lat = SurfaceLattice("disk", vertices, edges, triangles, punctures=frozenset(marked))

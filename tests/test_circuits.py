@@ -3,11 +3,13 @@
 The two implementations share no code path for the actual linear maps:
 the semantic side contracts F-symbol tensors over sparse configs, the
 compiled side applies rotation-sandwiched and classically controlled X
-gates to dense vectors. Agreement on the valid subspace is the main
+gates one at a time (simulate_sparse, and simulate_circuit on dense
+vectors through it). Agreement on the valid subspace is the main
 correctness evidence for both.
 """
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvq.fusion import fibonacci_data, trivial_data
+from tvq.fusion import f_unitarity_residual, fibonacci_data, trivial_data, verify_pentagon_coherence
 from tvq.lattice import (
     F_MOVE,
     MoveError,
@@ -34,11 +36,14 @@ from tvq.statevec import (
     apply_fmove,
     apply_pachner13,
     apply_pachner31,
+    diff_norm,
     enumerate_valid_configs,
     ground_project,
     make_delta_state,
     make_state,
+    bit_positions,
     random_valid_state,
+    rebind_state,
     valid_mask,
 )
 from tvq.gadgets import (
@@ -69,6 +74,7 @@ from tvq.circuits import (
     inverse_circuit,
     ry_matrix,
     simulate_circuit,
+    simulate_sparse,
     sprep_matrix,
 )
 
@@ -451,6 +457,190 @@ def test_simulate_rejects_wrong_state_length():
     circ = GateCircuit(qubits=(0, 1))
     with pytest.raises(MoveError, match="length"):
         simulate_circuit(circ, np.zeros(3, dtype=np.complex128))
+
+
+# ---- sparse simulation above the dense cap -------------------------------------
+
+
+def star_state(lat, rng, count):
+    """Random normalized state over XORs of vertex stars, drawn as
+    tests/test_gadgets.py draws it; every config is branching-valid.
+    Test modules import nothing from each other, so that they collect
+    in every pytest import mode."""
+    pos = bit_positions(lat)
+    stars = [
+        sum(1 << pos[e] for e in edges)
+        for _, edges in sorted(lat.vertex_edges().items())
+        if all(e in pos for e in edges)
+    ]
+    stars = np.array(stars, dtype=np.uint64)
+    pick = rng.random((count, len(stars))) < 0.5
+    configs = np.unique(np.bitwise_xor.reduce(np.where(pick, stars, np.uint64(0)), axis=1))
+    amps = rng.normal(size=len(configs)) + 1j * rng.normal(size=len(configs))
+    return make_state(lat, configs, amps / np.linalg.norm(amps))
+
+
+def embed_configs(configs, small_slots, big_slots):
+    """Lift configs onto a larger register, new bits in 0."""
+    pos_big = {q: i for i, q in enumerate(sorted(big_slots))}
+    out = np.zeros(len(configs), dtype=np.uint64)
+    for i, q in enumerate(sorted(small_slots)):
+        out |= ((configs >> np.uint64(i)) & np.uint64(1)) << np.uint64(pos_big[q])
+    return out
+
+
+def assert_sparse_matches(circ, start_configs, start_amps, want_configs, want_amps):
+    """simulate_sparse gives the wanted support, amplitudes within 1e-12."""
+    configs, amps = simulate_sparse(circ, start_configs, start_amps)
+    assert np.array_equal(configs, want_configs)
+    assert np.max(np.abs(amps - want_amps), initial=0.0) <= 1e-12
+    return configs, amps
+
+
+@functools.lru_cache(maxsize=None)
+def star_patch():
+    """The 52-qubit 5x4 two-puncture patch, where the braid's flips have
+    no pinned leg and the golden F-block fires, and a star state of 50
+    draws on it."""
+    lat = build_planar_patch(5, 4, punctures=[(0, 0), (2, 0)])
+    return lat, star_state(lat, np.random.default_rng(11), 50)
+
+
+def patch_protocol(lat, name):
+    anyon = polar_vertex_id(4, 2, 0)
+    if name == "baseline":
+        path = [polar_vertex_id(4, 2, -(i + 1) % 4) for i in range(4)]
+        return baseline_schedule(lat, anyon, path, data=DATA)
+    return braid_schedule(lat, anyon, 0, steps=int(name.split()[-1]), data=DATA)
+
+
+@pytest.mark.parametrize("name", ["braid steps 4", "braid steps 2", "baseline"])
+def test_sparse_simulation_matches_replay_above_the_dense_cap(name):
+    lat, start = star_patch()
+    sched = patch_protocol(lat, name)
+    circ = compile_schedule(lat, sched, DATA)
+    assert len(circ.qubits) == 52
+    want, out_lat = run_schedule(start, lat, sched, data=DATA)
+    assert tuple(out_lat.qubit_slots()) == circ.qubits
+    assert want.nnz() > start.nnz()  # the golden F-blocks spread amplitude
+    assert_sparse_matches(circ, start.configs, start.amps, want.configs, want.amps)
+
+
+@pytest.mark.parametrize("rows, row", [(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4)])
+def test_sparse_simulation_matches_split_then_merge(rows, row):
+    """A split allocates 12 slots, so the 5x4 patch's 52 reach the full
+    64-bit config, and the merge releases them again."""
+    lat = build_planar_patch(rows, 4)
+    start = star_state(lat, np.random.default_rng(11), 50)
+    split = split_row(lat, row, data=DATA)
+    mid, mid_lat = run_schedule(start, lat, split, data=DATA)
+    merge = merge_rows(mid_lat, [rec.vertex for rec in split.groups[0].layers[0]], data=DATA)
+    out, out_lat = run_schedule(mid, mid_lat, merge, data=DATA)
+    assert out_lat.signature() == lat.signature()
+
+    circ = compile_schedule(lat, split, DATA)
+    assert len(circ.qubits) == {4: 52, 5: 64}[rows]
+    assert tuple(mid_lat.qubit_slots()) == circ.qubits
+    got = assert_sparse_matches(
+        circ, embed_configs(start.configs, lat.qubit_slots(), circ.qubits), start.amps, mid.configs, mid.amps
+    )
+    if rows == 5:
+        assert np.any(got[0] >> np.uint64(63))
+
+    back = compile_schedule(mid_lat, merge, DATA)
+    assert back.qubits == circ.qubits and set(back.released) == set(circ.allocated)
+    want = embed_configs(out.configs, out_lat.qubit_slots(), back.qubits)
+    assert_sparse_matches(back, *got, want, out.amps)
+
+
+@st.composite
+def flip_schedules(draw):
+    """One LOCAL group of up to three layers, each of up to four flips
+    on disjoint slots, drawn on the star patch. Gates act in layer
+    order, so each rotation layer can double the support; four flips a
+    layer keep it small."""
+    cur, _ = star_patch()
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        layer, used = [], set()
+        for _ in range(draw(st.integers(1, 4))):
+            flips = []
+            for e, rec in sorted(cur.edges.items()):
+                if rec.qubit is None:
+                    continue
+                try:
+                    nxt, move = pachner_22(cur, e)
+                except MoveError:
+                    continue  # a flip the patch does not admit
+                if used.isdisjoint(q for q in move.qubits if q >= 0):
+                    flips.append((nxt, move))
+            if not flips:
+                break
+            cur, move = draw(st.sampled_from(flips))
+            used.update(q for q in move.qubits if q >= 0)
+            layer.append(move)
+        layers.append(tuple(layer))
+    return MoveSchedule((MoveGroup(LOCAL, tuple(layers)),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(flip_schedules())
+def test_sparse_simulation_matches_replay_of_random_flips(sched):
+    lat, start = star_patch()
+    circ = compile_schedule(lat, sched, DATA)
+    want, _ = run_schedule(start, lat, sched, data=DATA)
+    assert_sparse_matches(circ, start.configs, start.amps, want.configs, want.amps)
+
+
+def test_compiled_braid_sees_wrong_f_symbols_that_the_baseline_does_not():
+    """The golden F-block with its diagonal signs swapped is unitary but
+    no pentagon solution. Braid and baseline replayed with it still
+    agree exactly, so comparing them (AC7) cannot see it; the compiled
+    braid takes its angles from THETA, not from fsym, and disagrees."""
+    fsym = DATA.fsym.copy()
+    fsym[1, 1, 1, 1, 0, 0] *= -1
+    fsym[1, 1, 1, 1, 1, 1] *= -1
+    bad = dataclasses.replace(DATA, fsym=fsym)
+    assert f_unitarity_residual(bad) < 1e-12 and not verify_pentagon_coherence(bad)
+
+    lat, start = star_patch()
+    braid, base = patch_protocol(lat, "braid steps 4"), patch_protocol(lat, "baseline")
+    braided, out_lat = run_schedule(start, lat, braid, data=bad)
+    based, base_lat = run_schedule(start, lat, base, data=bad)
+    assert base_lat.signature() == out_lat.signature()
+    assert diff_norm(out_lat, braided, rebind_state(based, out_lat)) == 0.0
+
+    configs, amps = simulate_sparse(compile_schedule(lat, braid, DATA), start.configs, start.amps)
+    assert (len(configs), braided.nnz()) == (217, 241)
+    assert diff_norm(out_lat, make_state(out_lat, configs, amps), braided) > 1.0
+
+
+def test_simulate_sparse_refuses_a_register_past_the_config_width():
+    circ = GateCircuit(qubits=tuple(range(65)))
+    with pytest.raises(MoveError, match="64-bit config width"):
+        simulate_sparse(circ, np.zeros(1, dtype=np.uint64), np.ones(1))
+
+
+@pytest.mark.parametrize(
+    "configs, amps",
+    [
+        (np.zeros((2, 1), dtype=np.uint64), np.ones((2, 1))),
+        (np.zeros(2, dtype=np.uint64), np.ones(3)),
+        (np.uint64(0), np.complex128(1)),
+    ],
+)
+def test_simulate_sparse_refuses_arrays_that_are_not_parallel(configs, amps):
+    with pytest.raises(MoveError, match="parallel 1-d arrays"):
+        simulate_sparse(GateCircuit(qubits=(0, 1)), configs, amps)
+
+
+def test_simulate_sparse_refuses_a_config_past_the_register():
+    with pytest.raises(MoveError, match="at or above the circuit's 2 qubit slots"):
+        simulate_sparse(GateCircuit(qubits=(3, 7)), np.array([0b100], dtype=np.uint64), np.ones(1))
+    # a full 64-slot register reads and writes bit 63
+    wide = GateCircuit(qubits=tuple(range(64)), layers=((Gate("RY", (63,), params=(math.pi,)),),))
+    configs, amps = simulate_sparse(wide, np.array([1], dtype=np.uint64), np.ones(1))
+    assert configs.tolist() == [1 | 1 << 63] and np.allclose(amps, [1.0])
 
 
 # ---- persistence ---------------------------------------------------------------

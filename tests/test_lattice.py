@@ -83,6 +83,16 @@ def test_planar_patch_rejects_adjacent_punctures():
         build_planar_patch(6, 6, [(2, 2), (2, 3)])
 
 
+def test_planar_patch_reads_punctures_from_a_generator():
+    # the punctures are read once, so an iterator is not taken for duplicates
+    want = build_planar_patch(5, 4, punctures=[(0, 0), (2, 0)])
+    lat = build_planar_patch(5, 4, punctures=((r, s) for r, s in [(0, 0), (2, 0)]))
+    assert lat.punctures == want.punctures
+    assert lat.signature() == want.signature()
+    with pytest.raises(MoveError, match="duplicate"):
+        build_planar_patch(5, 4, punctures=iter([(2, 0), (2, 0)]))
+
+
 def test_planar_patch_qubit_count():
     m, n = 4, 4
     lat = build_planar_patch(m, n, [])
