@@ -12,7 +12,9 @@ its many passes run in cache. A block holds both members of every pair
 (c, c ^ flag) of the switched edge's bit, and the move mixes nothing
 else, so each output config gets its (at most two) terms from one
 block; their sum does not depend on the order, and the blocked result
-equals the whole-array one bit for bit. The other kernels make
+equals the whole-array one bit for bit. Each block writes straight into
+the move's one result allocation, so a move's peak is its input, its
+output and one block. The other kernels make
 whole-array passes. The plaquette projector runs on a block of states
 that share one support, one amplitude column each: it sorts its terms
 once by output config and sums one column at a time through that
@@ -75,12 +77,14 @@ def _sig_key(lat: SurfaceLattice) -> int:
     return hash(lat.signature())
 
 
-def _check_width(lat: SurfaceLattice) -> None:
-    """Configs hold one bit per qubit slot; numpy reads shifts of 64 or
-    more as 0, so wider lattices would silently drop labels."""
+def _check_width(lat: SurfaceLattice) -> int:
+    """lat's qubit slot count. Configs hold one bit per qubit slot; numpy
+    reads shifts of 64 or more as 0, so wider lattices would silently
+    drop labels (MoveError)."""
     n = sum(1 for rec in lat.edges.values() if rec.qubit is not None)
     if n > CONFIG_BITS:
         raise MoveError(f"{n} qubit slots exceed the {CONFIG_BITS}-bit config width")
+    return n
 
 
 def _check_bound(state: StringNetState, lat: SurfaceLattice) -> None:
@@ -201,11 +205,18 @@ def make_state(
     amps: np.ndarray,
     tolerance: float = 1e-14,
 ) -> StringNetState:
-    _check_width(lat)
+    """The state sum amps[k] |configs[k]> bound to lat, sorted and merged
+    (_coalesce). Raises MoveError when a config sets a bit at or above
+    lat's qubit count: no edge reads that bit, and a relabeling would
+    drop it."""
+    nq = _check_width(lat)
+    configs = np.asarray(configs, dtype=U64)
+    if nq < CONFIG_BITS and len(configs) and int(configs.max()) >> nq:
+        raise MoveError(f"config sets a bit at or above the lattice's {nq} qubit edges")
     amps = np.asarray(amps, dtype=np.complex128)
     if not np.isfinite(amps).all():
         raise ValueError("state amplitudes must be finite")
-    c, a = _coalesce(np.asarray(configs, dtype=U64), amps, tolerance)
+    c, a = _coalesce(configs, amps, tolerance)
     return StringNetState(
         lattice_version=lat.version,
         sig_key=_sig_key(lat),
@@ -814,9 +825,12 @@ def apply_fmove(
     one staying and one flipped, both from its own pair. So the sorted
     configs are cut into blocks of at most FMOVE_BLOCK that hold whole
     pairs (_pair_blocks), the kernel runs on each block in cache
-    (_fmove_block), and the blocks' sorted outputs are concatenated in
-    order. The sum of two doubles does not depend on their order, so the
-    amplitudes equal those of one pass over the whole state, bit for bit.
+    (_fmove_block), and the blocks' sorted outputs are written in order
+    into one result allocation of 2n entries, trimmed in place at the end.
+    A one-slice block is read as a view of the state's arrays. So a move
+    holds its input, its output and one block at a time. The sum of two
+    doubles does not depend on their order, so the amplitudes equal
+    those of one pass over the whole state, bit for bit.
 
     layout, which only run_schedule passes, gives the config bit that
     holds each of lat's canonical bits (bit_positions) while relabelings
@@ -833,10 +847,28 @@ def apply_fmove(
     bits = _fmove_bits(pos, edge_id, rec.legs)
     flag = U64(1) << U64(ebit)
     cfg, amps = state.configs, state.amps
-    pieces: list[tuple[np.ndarray, np.ndarray]] = []
+    # a block holds whole pairs and a pair gives at most two outputs, so
+    # 2n bounds the result; pages that no output reaches are never touched
+    configs = np.empty(2 * len(cfg), dtype=U64)
+    new_amps = np.empty(2 * len(cfg), dtype=np.complex128)
+
+    def put(at: int, c: np.ndarray, a: np.ndarray) -> int:
+        configs[at : at + len(c)] = c
+        new_amps[at : at + len(a)] = a
+        return at + len(c)
+
+    m = 0  # outputs written
     for blocks, split in _pair_blocks(cfg, ebit):
-        outs = [
-            _fmove_block(
+        if split is None:
+            for (s,) in blocks:
+                m = put(m, *_fmove_block(cfg[s], amps[s], bits, flag, tables, state.tolerance))
+            continue
+        # a pair gives at most one output below split, so the group's
+        # below halves end before m + its input size, where its above
+        # halves wait until they slide down behind them (in place)
+        park = top = m + blocks[-1][-1].stop - blocks[0][0].start
+        for block in blocks:
+            c, a = _fmove_block(
                 np.concatenate([cfg[s] for s in block]),
                 np.concatenate([amps[s] for s in block]),
                 bits,
@@ -844,16 +876,14 @@ def apply_fmove(
                 tables,
                 state.tolerance,
             )
-            for block in blocks
-        ]
-        if split is None:
-            pieces += outs
-            continue
-        cuts = [int(np.searchsorted(c, U64(split))) for c, _ in outs]
-        pieces += [(c[:j], a[:j]) for (c, a), j in zip(outs, cuts)]
-        pieces += [(c[j:], a[j:]) for (c, a), j in zip(outs, cuts)]
-    configs = np.concatenate([c for c, _ in pieces])
-    return _moved(state, out, configs, np.concatenate([a for _, a in pieces]))
+            j = int(np.searchsorted(c, U64(split)))
+            m = put(m, c[:j], a[:j])
+            top = put(top, c[j:], a[j:])
+        m = put(m, configs[park:top], new_amps[park:top])
+    # shrink in place (realloc), so the result owns exactly its entries
+    configs.resize(m, refcheck=False)
+    new_amps.resize(m, refcheck=False)
+    return _moved(state, out, configs, new_amps)
 
 
 def _pachner13_table(data: FusionData) -> np.ndarray:
@@ -1022,16 +1052,19 @@ def state_to_jsonlines(state: StringNetState, lat: SurfaceLattice) -> str:
 
 def state_from_jsonlines(text: str, lat: SurfaceLattice) -> StringNetState:
     """The state a state_to_jsonlines snapshot holds, bound to lat.
-    Raises MoveError when the snapshot's edge_count is not lat's qubit
-    count or a config sets a bit at or above it."""
+    Raises MoveError when the text has no header, the header lacks
+    edge_count or tolerance, edge_count is not lat's qubit count, or a
+    config sets a bit at or above it (make_state)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise MoveError("snapshot is empty: no header line")
     header = json.loads(lines[0])
+    if not isinstance(header, dict) or not {"edge_count", "tolerance"} <= header.keys():
+        raise MoveError(f"snapshot header needs edge_count and tolerance, got {lines[0]}")
     nq = len(lat.qubit_slots())
     if header["edge_count"] != nq:
         raise MoveError(f"snapshot has {header['edge_count']} qubit edges, the lattice {nq}")
     rows = [json.loads(ln) for ln in lines[1:]]
     configs = np.array([int(r["config"], 16) for r in rows], dtype=U64)
-    if nq < CONFIG_BITS and np.any(configs >> U64(nq)):
-        raise MoveError(f"snapshot config sets a bit at or above the lattice's {nq} qubit edges")
     amps = np.array([complex(r["re"], r["im"]) for r in rows], dtype=np.complex128)
     return make_state(lat, configs, amps, tolerance=float(header["tolerance"]))

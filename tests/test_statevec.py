@@ -1108,6 +1108,51 @@ def test_blocked_fmove_on_the_empty_state():
     assert got.nnz() == 0
 
 
+@pytest.mark.parametrize(
+    "where, block, path",
+    [(13, 1 << 15, "one block"), (0, 64, "many blocks"), (26, 64, "split hi group")],
+)
+def test_blocked_fmove_result_owns_exactly_its_entries(where, block, path):
+    """Each path of apply_fmove's assembly (one block; many one-slice
+    blocks; a hi group cut at its split) returns arrays that own their
+    data and hold exactly nnz entries, and leaves the input arrays,
+    which the blocks read as views, as they were."""
+    lat = TORUS3
+    edge = BLOCK_FLIPS[id(lat)][0]
+    rng = np.random.default_rng(5)
+    valid = BLOCK_VALID[id(lat)]
+    picks = valid[rng.choice(len(valid), size=2000, replace=False)]
+    bit = bit_positions(lat)[edge]
+    # every other pick brings its partner across the flipped edge
+    partners = picks[::2] ^ np.uint64(1 << bit)
+    canon = np.union1d(picks, partners[np.isin(partners, valid)])
+    layout = list(range(len(lat.qubit_slots())))
+    layout[bit], layout[where] = where, bit
+    configs = _move_bits(canon, enumerate(layout))
+    order = np.argsort(configs)
+    amps = rng.normal(size=len(canon)) + 1j * rng.normal(size=len(canon))
+    state = replace(make_state(lat, canon, amps), configs=configs[order], amps=amps[order])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevec, "FMOVE_BLOCK", block)
+        groups = list(_pair_blocks(state.configs, where))
+    if sum(len(blocks) for blocks, _ in groups) == 1:
+        assert path == "one block"
+    else:
+        assert path == ("many blocks" if all(s is None for _, s in groups) else "split hi group")
+    before = (state.configs.copy(), state.amps.copy())
+    state.configs.flags.writeable = state.amps.flags.writeable = False
+
+    got, _ = fmove_in_blocks(state, lat, edge, tuple(layout), block)
+    assert got.nnz() > len(state.configs) // 2
+    for arr, width in ((got.configs, 8), (got.amps, 16)):
+        assert arr.base is None and arr.flags.owndata and arr.flags.c_contiguous
+        assert arr.nbytes == width * got.nnz()
+    assert np.array_equal(state.configs, before[0])
+    assert np.array_equal(state.amps.view(np.uint64), before[1].view(np.uint64))
+    whole, _ = fmove_in_blocks(state, lat, edge, tuple(layout), len(state.configs))
+    assert_bit_equal(got, (whole.configs, whole.amps))
+
+
 def golden_config(lat, edge):
     """A config with every leg of the flip set to tau and its edge to 0."""
     _, rec = pachner_22(lat, edge)
@@ -1312,6 +1357,31 @@ def test_state_from_jsonlines_refuses_a_snapshot_of_another_width(torus, tetra):
     forged = "\n".join([header, json.dumps(row, sort_keys=True), *rest])
     with pytest.raises(MoveError, match="at or above"):
         state_from_jsonlines(forged, torus)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " \n\n", '{"tolerance": 1e-14}\n', '{"edge_count": 12}\n', "[12]\n"],
+    ids=["empty", "blank", "no edge_count", "no tolerance", "not a mapping"],
+)
+def test_state_from_jsonlines_refuses_a_snapshot_without_its_header(torus, text):
+    with pytest.raises(MoveError, match="snapshot"):
+        state_from_jsonlines(text, torus)
+
+
+def test_make_state_refuses_a_bit_above_the_qubit_count():
+    """The 52-qubit patch reads config bits 0-51. The braid's relabelings
+    would drop bit 60 of a config, which would then come back equal to
+    its partner without the bit and break the strictly increasing
+    support, so make_state refuses it."""
+    nq = len(PATCH.qubit_slots())
+    x, _ = golden_config(PATCH, next(e for e in PATCH_FLIPS if not has_pinned_leg(PATCH, e)))
+    with pytest.raises(MoveError, match=f"at or above the lattice's {nq} qubit edges"):
+        make_state(PATCH, np.array([x, x | 1 << 60], dtype=np.uint64), np.array([0.6, 0.8]))
+    with pytest.raises(MoveError, match="at or above"):
+        make_state(PATCH, [1 << nq], [1.0])
+    top = make_state(PATCH, [x, 1 << (nq - 1)], [0.6, 0.8])
+    assert top.configs.tolist() == sorted([x, 1 << (nq - 1)])
 
 
 def test_rebind_requires_matching_signature(torus, tetra):
