@@ -27,6 +27,14 @@ compiled flips; the inverse move is the reversed gate list.
 
 Permutations stay free relabelings: they interleave with gate layers
 but never add depth, mirroring how the depth reports count move groups.
+
+A Gate is a typed tuple (typing.NamedTuple): immutable and hashable,
+compared field by field, copied with _replace (not dataclasses.replace).
+Its constructor refuses every gate that simulate_sparse would not apply
+as its fields say, and import runs no other gate check. A flip's gates
+are stamped from its shape's cached template, which the constructor
+checked once, with Gate._make; compile_schedule still checks every
+circuit it builds (GateCircuit.check).
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,21 +97,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: targets act, controls gate with explicit polarity."""
-
+class _GateFields(NamedTuple):
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     polarities: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise MoveError(f"unknown gate kind {self.kind!r}")
-        if len(self.controls) != len(self.polarities):
+
+class Gate(_GateFields):
+    """One gate: targets act, controls gate with explicit polarity.
+
+    A typed tuple: immutable, hashable and compared field by field; copy
+    one with _replace. The constructor refuses (MoveError) any gate that
+    simulate_sparse would not apply as its fields say. Gate._make builds
+    a gate unchecked, for gates stamped from a checked template.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, targets, controls=(), polarities=(), params=()):
+        if kind not in GATE_KINDS:
+            raise MoveError(f"unknown gate kind {kind!r}")
+        if len(controls) != len(polarities):
             raise MoveError("each control needs exactly one polarity")
+        if len(targets) != 1:
+            raise MoveError(f"{kind} gate needs exactly one target, got {len(targets)}")
+        if len(set(controls)) != len(controls) or targets[0] in controls:
+            raise MoveError(f"{kind} gate controls must be distinct and differ from its target")
+        if any(not isinstance(p, numbers.Integral) or p not in (0, 1) for p in polarities):
+            raise MoveError(f"{kind} gate polarities must be 0 or 1, got {list(polarities)}")
+        if kind in ("RY", "SPREP") and controls:
+            raise MoveError(f"{kind} gate takes no controls")
+        want = 1 if kind == "RY" else 0
+        if len(params) != want:
+            raise MoveError(f"{kind} gate takes {want} params, got {len(params)}")
+        return tuple.__new__(cls, (kind, targets, controls, polarities, params))
 
     def support(self) -> frozenset[int]:
         return frozenset(self.targets) | frozenset(self.controls)
@@ -274,12 +303,21 @@ def _fmove_template(shape: tuple[int, ...]) -> tuple[Gate, ...]:
 
 
 def _fmove_layers(target: int, legs: Sequence[int]) -> list[list[Gate]]:
-    """One flip's gate layers: its shape's template, ranks mapped to slots."""
+    """One flip's gate layers: its shape's template, ranks mapped to slots.
+
+    The template's gates were checked when it was built. A stamped gate
+    keeps their kind, polarities and params and maps distinct ranks to
+    distinct slots, so it is built unchecked (Gate._make); only its
+    target, which the template leaves open, is checked, once per flip.
+    """
     slots = sorted({s for s in legs if s >= 0})
     rank = {s: i for i, s in enumerate(slots)}
+    if target in rank:
+        raise MoveError(f"flipped slot {target} is also one of its legs")
+    targets = (target,)
     return [
-        [Gate(g.kind, (target,), tuple(slots[c] for c in g.controls), g.polarities, g.params)]
-        for g in _fmove_template(tuple(rank.get(s, -1) for s in legs))
+        [Gate._make((g.kind, targets, tuple([slots[c] for c in g.controls]), g.polarities, g.params))]
+        for g in _fmove_template(tuple([rank.get(s, -1) for s in legs]))
     ]
 
 
@@ -325,7 +363,7 @@ def _inverted_layers(layers: Sequence[Sequence[Gate]]) -> list[list[Gate]]:
 
 def _invert_gate(gate: Gate) -> Gate:
     if gate.kind == "RY":
-        return replace(gate, params=tuple(-p for p in gate.params))
+        return gate._replace(params=tuple(-p for p in gate.params))
     if gate.kind == "SPREP":
         return Gate("RY", gate.targets, params=(-SPREP_ANGLE,))
     # X, CX, MCX are involutions
@@ -551,22 +589,6 @@ def circuit_to_jsonable(circuit: GateCircuit) -> dict:
     return circuit.to_jsonable()
 
 
-def _validated(gate: Gate) -> Gate:
-    """The gate, if simulate_sparse applies it as its fields say."""
-    if len(gate.targets) != 1:
-        raise MoveError(f"{gate.kind} gate needs exactly one target, got {len(gate.targets)}")
-    if len(set(gate.controls)) != len(gate.controls) or gate.targets[0] in gate.controls:
-        raise MoveError(f"{gate.kind} gate controls must be distinct and differ from its target")
-    if any(not isinstance(p, numbers.Integral) or p not in (0, 1) for p in gate.polarities):
-        raise MoveError(f"{gate.kind} gate polarities must be 0 or 1, got {list(gate.polarities)}")
-    if gate.kind in ("RY", "SPREP") and gate.controls:
-        raise MoveError(f"{gate.kind} gate takes no controls")
-    want = 1 if gate.kind == "RY" else 0
-    if len(gate.params) != want:
-        raise MoveError(f"{gate.kind} gate takes {want} params, got {len(gate.params)}")
-    return gate
-
-
 class _Reader:
     """Gate dicts to Gates, for circuit_from_jsonable and as the import
     decoder's object_hook.
@@ -594,7 +616,7 @@ class _Reader:
         key = (*fields, repr(params))
         gate = self.gates.get(key)
         if gate is None:
-            gate = self.gates[key] = _validated(Gate(*fields, tuple(float(p) for p in params)))
+            gate = self.gates[key] = Gate(*fields, tuple(float(p) for p in params))
         return gate
 
     def hook(self, obj: dict):

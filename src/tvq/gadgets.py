@@ -360,7 +360,7 @@ def run_schedule(
 
 
 def _cpi_grid_range(lat: SurfaceLattice, vmap: dict[int, int], cols: int) -> float:
-    ends = {v for edge in lat.edges.values() if edge.qubit is not None for v in edge.endpoints()}
+    ends = {v for edge in lat.edges.values() if edge.qubit is not None for v in (edge.v1, edge.v2)}
     return float(max((_grid_distance(v, vmap[v], cols) for v in ends), default=0))
 
 

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 F_MOVE = "F_MOVE"
 PACHNER_13 = "PACHNER_13"
@@ -62,9 +61,11 @@ class Edge:
         return frozenset((self.v1, self.v2))
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """One rewrite, resolved on the lattice right before it.
+
+    A typed tuple: immutable and compared field by field; copy one with
+    _replace.
 
     ``qubits`` holds the qubit slots the move's gates act on, -1 for a
     pinned leg, so the move lowers without that lattice:
@@ -847,12 +848,18 @@ def _relabel(
                 raise MoveError(f"edge {e} would land on an edge of the other kind")
             raise MoveError(f"edge {e} has no image under the vertex map")
         emap[e] = hits.pop()
-    tris = Counter(frozenset(es) for es in target.triangles.values())
-    for t, es in lat.triangles.items():
-        img = frozenset(emap[e] for e in es)
-        if not tris[img]:
+    # target triangles counted as sorted edge-id triples, a true multiset
+    # of three edges even where a triangle repeats an edge
+    tris: dict[tuple[int, ...], int] = {}
+    for es in target.triangles.values():
+        key = tuple(sorted(es))
+        tris[key] = tris.get(key, 0) + 1
+    for t, (x, y, z) in lat.triangles.items():
+        img = tuple(sorted((emap[x], emap[y], emap[z])))
+        left = tris.get(img)
+        if not left:
             raise MoveError(f"triangle {t} does not land on a target triangle")
-        tris[img] -= 1
+        tris[img] = left - 1
     return full, emap
 
 

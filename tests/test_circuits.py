@@ -378,6 +378,49 @@ def test_check_reads_a_recurring_relabeling_once_but_places_each():
         GateCircuit(qubits=(0, 1), permutation_layers=((0, bad), (0, bad))).check()
 
 
+def stamped_circuits():
+    """Compiled circuits of every move kind: the d = 4 and 8 braids, the
+    d = 8 baseline, a split and a merge of row 1 of the 4x4 patch, and a
+    1-3 and a 3-1 move."""
+    for d in (4, 8):
+        lat, cols, anyon = braid_arena(d)
+        yield compile_schedule(lat, braid_schedule(lat, anyon, 0, steps=6), DATA)
+    path = [polar_vertex_id(cols, 2, -(i + 1) % cols) for i in range(cols)]
+    yield compile_schedule(lat, baseline_schedule(lat, anyon, path, data=DATA), DATA)
+    lat = build_planar_patch(4, 4)
+    split = split_row(lat, 1, data=DATA)
+    mid = run_schedule(None, lat, split)[1]
+    yield compile_schedule(lat, split, DATA)
+    yield compile_schedule(mid, merge_rows(mid, [rec.vertex for rec in split.groups[0].layers[0]], data=DATA), DATA)
+    tetra = build_tetra_sphere()
+    tri = sorted(tetra.triangles)[0]
+    sub, rec13 = pachner_13(tetra, tri)
+    yield compile_pachner13(tetra, tri)
+    yield compile_schedule(sub, MoveSchedule((MoveGroup(LOCAL, ((pachner_31(sub, rec13.vertex)[1],),)),)))
+
+
+def test_stamped_gates_equal_validated_gates():
+    # flips stamp their gates unchecked from a checked template, so each
+    # must be a gate the constructor accepts, and equal to what it builds
+    kinds = set()
+    for circ in stamped_circuits():
+        for layer in circ.layers:
+            for g in layer:
+                assert type(g) is Gate
+                assert Gate(*g) == g
+                kinds.add(g.kind)
+    # a bare X needs a flip whose controls all fold away; none does here
+    assert kinds == {"RY", "CX", "MCX", "SPREP"}
+
+
+def test_compile_schedule_rejects_a_flip_whose_target_is_a_leg():
+    lat = build_tetra_sphere()
+    rec = pachner_22(lat, 0)[1]
+    bad = rec._replace(qubits=(rec.qubits[1],) + rec.qubits[1:])
+    with pytest.raises(MoveError, match="also one of its legs"):
+        compile_schedule(lat, MoveSchedule((MoveGroup(LOCAL, ((bad,),)),)))
+
+
 def test_compile_schedule_rejects_record_without_slots():
     lat = build_tetra_sphere()
     sched = MoveSchedule((MoveGroup(LOCAL, ((MoveRecord(F_MOVE, edge=0),),)),))
@@ -712,13 +755,18 @@ PARAMS = st.sampled_from([-0.0, 0.0, 1e-300, 1e16, THETA, -SPREP_ANGLE]) | st.fl
 
 @st.composite
 def gates(draw):
-    controls = draw(st.lists(SLOTS, max_size=3))
+    """Gates the constructor accepts: one target, distinct controls off
+    the target (none on a rotation), one param on RY alone."""
+    kind = draw(st.sampled_from(GATE_KINDS))
+    target = draw(SLOTS)
+    rotation = kind in ("RY", "SPREP")
+    controls = draw(st.lists(SLOTS.filter(lambda s: s != target), unique=True, max_size=0 if rotation else 3))
     return Gate(
-        draw(st.sampled_from(GATE_KINDS)),
-        tuple(draw(st.lists(SLOTS, max_size=2))),
+        kind,
+        (target,),
         tuple(controls),
         tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=len(controls), max_size=len(controls)))),
-        tuple(draw(st.lists(PARAMS, max_size=2))),
+        (draw(PARAMS),) if kind == "RY" else (),
     )
 
 
@@ -813,6 +861,9 @@ def test_import_rejects_malformed_gates(gate, message):
         import_circuit(io.StringIO(json.dumps(doc)))
     with pytest.raises(MoveError, match=message):
         circuit_from_jsonable(doc)
+    # the constructor is the one validation import runs
+    with pytest.raises(MoveError, match=message):
+        Gate(**gate)
 
 
 def test_import_rejects_overlap_in_a_repeated_layer():

@@ -212,8 +212,31 @@ def test_cpi_rejects_distant_transposition():
     # swapping a ring-1 vertex with a far ring-3 vertex tears the edge map
     lat = build_planar_patch(3, 6, [])
     u, w = polar_vertex_id(6, 1, 0), polar_vertex_id(6, 3, 3)
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match="has no image under the vertex map"):
         apply_cpi(lat, {u: w, w: u})
+
+
+def test_cpi_rejects_a_target_of_another_size():
+    lat = build_planar_patch(3, 4, [])
+    edges = dict(lat.edges)
+    del edges[max(edges)]
+    target = replace_lattice(lat, edges=edges)
+    with pytest.raises(MoveError, match="different number of edges or triangles"):
+        apply_cpi(lat, {}, target=target)
+    with pytest.raises(MoveError, match="different number of edges or triangles"):
+        apply_cpi(target, {}, target=lat)
+
+
+def test_cpi_counts_triangles_that_share_all_their_edges():
+    # the theta sphere's two triangles hold the same three edges, so
+    # each relabeling must find that triple twice among the targets
+    lat = build_theta_sphere()
+    out, rec = apply_cpi(lat, {})
+    assert out.signature() == lat.signature()
+    assert rec.sigma == {0: 0, 1: 1, 2: 2}
+    out, rec = apply_cpi(lat, {0: 1, 1: 0})
+    assert out.signature() == lat.signature()
+    assert rec.sigma == {0: 0, 1: 2, 2: 1}
 
 
 def test_cpi_rejects_relabelings_that_scramble_triangles():
