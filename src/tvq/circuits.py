@@ -56,6 +56,7 @@ from .lattice import (
     MoveError,
     MoveRecord,
     SurfaceLattice,
+    _refusing_malformed,
     pachner_13,
     pachner_22,
 )
@@ -606,6 +607,8 @@ class _Reader:
         self.pairs: dict[tuple, tuple[tuple[int, int], ...]] = {}
 
     def gate(self, g: dict) -> Gate:
+        if not isinstance(g, dict):
+            raise MoveError(f"a gate must be an object, got {type(g).__name__}")
         params = g.get("params", ())
         fields = (
             g.get("kind"),
@@ -633,24 +636,39 @@ class _Reader:
             sigma = tuple(map(tuple, p["sigma"]))
             pairs = self.pairs.get(sigma)
             if pairs is None:
+                _integers((x for pair in sigma for x in pair), "sigma")
                 pairs = self.pairs[sigma] = tuple((int(s), int(d)) for s, d in sigma)
-            perms.append((int(p["after_layer"]), pairs))
+            perms.append((_integer(p["after_layer"], "after_layer"), pairs))
         circ = GateCircuit(
-            qubits=tuple(doc["qubits"]),
+            qubits=_integers(doc["qubits"], "qubits"),
             layers=tuple(layers),
             permutation_layers=tuple(perms),
-            allocated=tuple(doc.get("allocated", ())),
-            released=tuple(doc.get("released", ())),
-            lattice_version=int(doc.get("version", 0)),
+            allocated=_integers(doc.get("allocated", ()), "allocated"),
+            released=_integers(doc.get("released", ()), "released"),
+            lattice_version=_integer(doc.get("version", 0), "version"),
         )
         circ.check()
         return circ
 
 
+def _integer(value, field: str) -> int:
+    if not isinstance(value, numbers.Integral):
+        raise MoveError(f"circuit {field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values, field: str) -> tuple:
+    out = tuple(values)
+    if not all(isinstance(v, numbers.Integral) for v in out):
+        raise MoveError(f"circuit {field} must hold integers only")
+    return out
+
+
 def circuit_from_jsonable(doc: dict) -> GateCircuit:
-    """The circuit of a document like circuit_to_jsonable's; malformed
-    gates raise MoveError."""
-    return _Reader().circuit(doc)
+    """The circuit of a document like circuit_to_jsonable's; a malformed
+    document raises MoveError."""
+    with _refusing_malformed("circuit JSON"):
+        return _Reader().circuit(doc)
 
 
 def _indented(value, depth: int) -> str:
@@ -754,14 +772,16 @@ def import_circuit(source) -> GateCircuit:
     equal gates, layers and slot-pair lists are one shared object in the
     result, so building Gates and checking layers cost scale with the
     circuit's distinct layers; the JSON parse itself still reads every
-    occurrence. The cyclic garbage collector is paused while it runs.
+    occurrence. Text that is not a circuit document raises MoveError. The
+    cyclic garbage collector is paused while it runs.
     """
     reader = _Reader()
-    if hasattr(source, "read"):
-        return reader.circuit(json.loads(source.read(), object_hook=reader.hook))
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_hook=reader.hook)
-    except OSError as exc:
-        raise MoveError(f"cannot read circuit from {source}: {exc}") from exc
-    return reader.circuit(doc)
+    with _refusing_malformed("circuit JSON"):
+        if hasattr(source, "read"):
+            return reader.circuit(json.loads(source.read(), object_hook=reader.hook))
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh, object_hook=reader.hook)
+        except OSError as exc:
+            raise MoveError(f"cannot read circuit from {source}: {exc}") from exc
+        return reader.circuit(doc)

@@ -427,6 +427,8 @@ def stretch_report(
         raise MoveError("need at least one trial")
     if not lattice_sizes:
         raise MoveError("need at least one distance")
+    if len(set(lattice_sizes)) != len(lattice_sizes):
+        raise MoveError(f"distances must be distinct, got {list(lattice_sizes)}")
     rows_out = []
     summary = []
     for d in lattice_sizes:

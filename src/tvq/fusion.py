@@ -19,9 +19,12 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .lattice import MoveError, _refusing_malformed
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -174,18 +177,25 @@ def fusion_to_json(data: FusionData) -> str:
 
 
 def fusion_from_json(text: str) -> FusionData:
-    doc = json.loads(text)
-    n = int(doc["num_labels"])
-    branching = np.zeros((n, n, n), dtype=bool)
-    for a, b, c in doc["branching"]:
-        branching[a, b, c] = True
-    fsym = np.asarray(doc["fsym"], dtype=float)
-    if fsym.shape != (n,) * 6:
-        raise ValueError(f"fsym shape {fsym.shape} does not match num_labels {n}")
-    return FusionData(
-        num_labels=n,
-        qdim=_freeze(np.asarray(doc["qdim"], dtype=float)),
-        branching=_freeze(branching),
-        fsym=_freeze(fsym),
-        total_dim_sq=float(doc["total_dim_sq"]),
-    )
+    """Inverse of fusion_to_json; text that is not a well-formed fusion
+    document raises MoveError."""
+    with _refusing_malformed("fusion JSON"):
+        doc = json.loads(text)
+        n = doc["num_labels"]
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise MoveError(f"num_labels must be a positive integer, got {n!r}")
+        branching = np.zeros((n, n, n), dtype=bool)
+        for a, b, c in doc["branching"]:
+            if not all(isinstance(x, numbers.Integral) and 0 <= x < n for x in (a, b, c)):
+                raise MoveError(f"branching entry {[a, b, c]} is not a triple of labels below {n}")
+            branching[a, b, c] = True
+        fsym = np.asarray(doc["fsym"], dtype=float)
+        if fsym.shape != (n,) * 6:
+            raise MoveError(f"fsym shape {fsym.shape} does not match num_labels {n}")
+        return FusionData(
+            num_labels=n,
+            qdim=_freeze(np.asarray(doc["qdim"], dtype=float)),
+            branching=_freeze(branching),
+            fsym=_freeze(fsym),
+            total_dim_sq=float(doc["total_dim_sq"]),
+        )

@@ -25,6 +25,7 @@ kind and triangles to triangles.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,6 +39,20 @@ PERMUTATION = "PERMUTATION"
 
 class MoveError(ValueError):
     """A rewrite precondition failed."""
+
+
+@contextlib.contextmanager
+def _refusing_malformed(what: str):
+    """Turns the KeyError, TypeError, ValueError or OverflowError that a
+    document of the wrong shape raises while it is read into
+    MoveError("not <what>: ..."); a MoveError (a ValueError) passes as
+    it is, so the readers' own messages survive."""
+    try:
+        yield
+    except MoveError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MoveError(f"not {what}: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -1019,7 +1034,7 @@ def lattice_to_json(lat: SurfaceLattice) -> str:
 def lattice_from_json(text: str) -> SurfaceLattice:
     """Inverse of lattice_to_json; text that is not a well-formed lattice
     document raises MoveError."""
-    try:
+    with _refusing_malformed("lattice JSON"):
         doc = json.loads(text)
         lat = SurfaceLattice(
             topology=doc["topology"],
@@ -1033,8 +1048,4 @@ def lattice_from_json(text: str) -> SurfaceLattice:
             version=int(doc["version"]),
         )
         lat.check()
-    except MoveError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MoveError(f"not lattice JSON: {type(exc).__name__}: {exc}") from None
     return lat

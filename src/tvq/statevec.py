@@ -40,6 +40,7 @@ from .fusion import FusionData, fibonacci_data
 from .lattice import (
     MoveError,
     SurfaceLattice,
+    _refusing_malformed,
     apply_cpi,
     pachner_13,
     pachner_22,
@@ -1053,18 +1054,20 @@ def state_to_jsonlines(state: StringNetState, lat: SurfaceLattice) -> str:
 def state_from_jsonlines(text: str, lat: SurfaceLattice) -> StringNetState:
     """The state a state_to_jsonlines snapshot holds, bound to lat.
     Raises MoveError when the text has no header, the header lacks
-    edge_count or tolerance, edge_count is not lat's qubit count, or a
-    config sets a bit at or above it (make_state)."""
+    edge_count or tolerance, edge_count is not lat's qubit count, a
+    config sets a bit at or above it (make_state), or a line is not a
+    JSON object with the fields state_to_jsonlines writes."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MoveError("snapshot is empty: no header line")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or not {"edge_count", "tolerance"} <= header.keys():
-        raise MoveError(f"snapshot header needs edge_count and tolerance, got {lines[0]}")
-    nq = len(lat.qubit_slots())
-    if header["edge_count"] != nq:
-        raise MoveError(f"snapshot has {header['edge_count']} qubit edges, the lattice {nq}")
-    rows = [json.loads(ln) for ln in lines[1:]]
-    configs = np.array([int(r["config"], 16) for r in rows], dtype=U64)
-    amps = np.array([complex(r["re"], r["im"]) for r in rows], dtype=np.complex128)
-    return make_state(lat, configs, amps, tolerance=float(header["tolerance"]))
+    with _refusing_malformed("a state snapshot"):
+        header = json.loads(lines[0])
+        if not isinstance(header, dict) or not {"edge_count", "tolerance"} <= header.keys():
+            raise MoveError(f"snapshot header needs edge_count and tolerance, got {lines[0]}")
+        nq = len(lat.qubit_slots())
+        if header["edge_count"] != nq:
+            raise MoveError(f"snapshot has {header['edge_count']} qubit edges, the lattice {nq}")
+        rows = [json.loads(ln) for ln in lines[1:]]
+        configs = np.array([int(r["config"], 16) for r in rows], dtype=U64)
+        amps = np.array([complex(r["re"], r["im"]) for r in rows], dtype=np.complex128)
+        return make_state(lat, configs, amps, tolerance=float(header["tolerance"]))

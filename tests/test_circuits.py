@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -864,6 +865,38 @@ def test_import_rejects_malformed_gates(gate, message):
     # the constructor is the one validation import runs
     with pytest.raises(MoveError, match=message):
         Gate(**gate)
+
+
+MALFORMED_CIRCUITS = [
+    ("x", "JSONDecodeError"),
+    ("[]", "TypeError"),
+    ("{}", "KeyError: 'layers'"),
+    ('{"layers": []}', "KeyError: 'qubits'"),
+    ('{"qubits": "ab", "layers": []}', "qubits must hold integers only"),
+    ('{"qubits": 5, "layers": []}', "TypeError"),
+    ('{"qubits": [0], "layers": [], "version": "3"}', "version must be an integer"),
+    ('{"qubits": [0], "layers": [], "allocated": [0.5]}', "allocated must hold integers only"),
+    ('{"qubits": [0], "layers": [], "released": ["0"]}', "released must hold integers only"),
+    ('{"qubits": [0], "layers": [], "permutations": [{"after_layer": 0}]}', "KeyError: 'sigma'"),
+    ('{"qubits": [0], "layers": [], "permutations": [{"after_layer": 0.0, "sigma": []}]}', "after_layer must be"),
+    ('{"qubits": [0, 1], "layers": [], "permutations": [{"after_layer": 0, "sigma": [[0.9, 1], [1, 0]]}]}',
+     "sigma must hold integers only"),
+    ('{"qubits": [0, 1], "layers": [], "permutations": [{"after_layer": 0, "sigma": [[0, 1, 2]]}]}', "ValueError"),
+    ('{"qubits": [0], "layers": [[1]]}', "a gate must be an object"),
+    ('{"qubits": [0], "layers": [[{"kind": ["X"], "targets": [0]}]]}', "TypeError"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_CIRCUITS)
+def test_import_circuit_rejects_malformed_documents(text, message):
+    with pytest.raises(MoveError, match=re.escape(message)):
+        import_circuit(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, message", [(t, m) for t, m in MALFORMED_CIRCUITS if t != "x"])
+def test_circuit_from_jsonable_rejects_malformed_documents(text, message):
+    with pytest.raises(MoveError, match=re.escape(message)):
+        circuit_from_jsonable(json.loads(text))
 
 
 def test_import_rejects_overlap_in_a_repeated_layer():

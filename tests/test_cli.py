@@ -128,6 +128,11 @@ def test_errors_rejects_empty_distance_list(capsys):
     assert_input_error(["errors", "--distances", ","], capsys, "at least one distance")
 
 
+def test_errors_rejects_repeated_distances(capsys):
+    # each distance would print its rows and summary twice
+    assert_input_error(["errors", "--distances", "4,4", "--trials", "1"], capsys, "distances must be distinct")
+
+
 @pytest.mark.parametrize("argv, d", [(["--distances", "5"], 5), (["--distances", "0"], 0), (["--distances=-4"], -4)])
 def test_errors_rejects_distances_without_a_braid_arena(capsys, argv, d):
     assert_input_error(["errors", *argv], capsys, f"braid distance must be a positive even integer, got {d}")

@@ -24,7 +24,7 @@ from tvq.fusion import (
     verify_f_unitarity,
     verify_pentagon_coherence,
 )
-from tvq.lattice import Edge, SurfaceLattice, pachner_22
+from tvq.lattice import Edge, MoveError, SurfaceLattice, pachner_22
 from tvq.statevec import _fmove_tables, bit_positions, enumerate_valid_configs
 
 INV_PHI = 0.6180339887498949
@@ -176,6 +176,27 @@ def test_json_rejects_shape_mismatch(fib):
     doc["num_labels"] = 3
     with pytest.raises(ValueError):
         fusion_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: {}, "KeyError: 'num_labels'"),
+        (lambda doc: [], "TypeError"),
+        (lambda doc: {**doc, "num_labels": "2"}, "num_labels must be a positive integer"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "fsym"}, "KeyError: 'fsym'"),
+        (lambda doc: {**doc, "branching": [[0, 0, 2]]}, "not a triple of labels below 2"),
+        (lambda doc: {**doc, "branching": [[0, 0, -1]]}, "not a triple of labels below 2"),
+        (lambda doc: {**doc, "branching": [[0, 0]]}, "ValueError"),
+        (lambda doc: {**doc, "qdim": "ab"}, "ValueError"),
+    ],
+)
+def test_json_rejects_malformed_documents(fib, edit, message):
+    doc = edit(json.loads(fusion_to_json(fib)))
+    with pytest.raises(MoveError, match=message):
+        fusion_from_json(json.dumps(doc))
+    with pytest.raises(MoveError, match="JSONDecodeError"):
+        fusion_from_json("x")
 
 
 def test_pentagon_coherence_holds(fib):

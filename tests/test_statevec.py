@@ -1369,6 +1369,24 @@ def test_state_from_jsonlines_refuses_a_snapshot_without_its_header(torus, text)
         state_from_jsonlines(text, torus)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("{}", "KeyError: 'config'"),
+        ("x", "JSONDecodeError"),
+        ("[1]", "TypeError"),
+        ('{"config": "zz", "re": 1, "im": 0}', "ValueError"),
+        ('{"config": "-1", "re": 1, "im": 0}', "OverflowError"),
+        ('{"config": "1' + "0" * 16 + '", "re": 1, "im": 0}', "OverflowError"),
+        ('{"config": "0", "re": "1", "im": 0}', "TypeError"),
+    ],
+)
+def test_state_from_jsonlines_refuses_a_malformed_row(torus, row, message):
+    header = state_to_jsonlines(make_delta_state(torus, 0), torus).splitlines()[0]
+    with pytest.raises(MoveError, match=f"not a state snapshot: {message}"):
+        state_from_jsonlines(header + "\n" + row + "\n", torus)
+
+
 def test_make_state_refuses_a_bit_above_the_qubit_count():
     """The 52-qubit patch reads config bits 0-51. The braid's relabelings
     would drop bit 60 of a config, which would then come back equal to
