@@ -16,20 +16,25 @@ ratio must not drift upward with d; that is the constant-factor claim
 this module exists to check.
 
 The report works one distance at a time. It samples every trial's
-string first, then grows all their light cones in one walk of the
-compiled circuit over a (trials x qubit slots) boolean mask: each
+string first and then packs the trials into bits: one uint64 word per
+64 trials for each qubit slot, and for each edge of the end lattice.
+One walk of the compiled circuit grows all the light cones: each
 distinct layer object becomes a CSR table of gate supports once, a gate
-layer is then one reduceat and one repeat over the mask, and a
-relabeling one column scatter. The slot <-> edge maps, the composed
-relabeling of the whole braid and padded neighbour tables for the
-spread search are built once per distance too. lightcone_grow is the
-one-support view of the same walk.
+layer is then one reduceat and one repeat over the words, and a
+relabeling one row copy. One breadth-first search on the end lattice
+then finds every trial's spread, the hops from its string to the far
+side of its cone: a level ORs the words of each vertex's edges and
+hands them on to the unreached qubit edges at that vertex. The composed
+relabeling of the braid and the end lattice's edge-vertex incidence are
+built once per distance too. lightcone_grow and braid_error_trial are
+the one-support and one-string views of the same batch.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -139,21 +144,23 @@ def lightcone_radius_bound(circuit: GateCircuit) -> int:
     """Worst-case support growth in edge hops: depth times gate reach.
 
     Per layer the suspect set can spread at most to the far side of one
-    touching gate, so the reach is the largest gate support minus one.
-    The bound depends only on the compiled shape, which is the point:
+    touching gate, so the reach is the largest gate support (its
+    targets and controls, which are distinct qubits) minus one. The
+    bound depends only on the compiled shape, which is the point:
     depth-invariant protocols get a size-independent radius. A layer
     object that recurs, as compile_schedule's repeated groups do, is
     read once.
     """
     distinct = {id(layer): layer for layer in circuit.layers}.values()
-    reach = max((len(gate.support()) - 1 for layer in distinct for gate in layer), default=0)
-    return circuit.depth() * max(reach, 0)
+    sizes = (len(gate.targets) + len(gate.controls) for layer in distinct for gate in layer)
+    reach = max(sizes, default=1) - 1
+    return circuit.depth() * reach
 
 
 def _columns(qubits: np.ndarray, slots) -> np.ndarray:
     """Column of each slot in the sorted qubit array; MoveError for a
     slot the circuit does not hold."""
-    slots = np.fromiter((int(q) for q in slots), dtype=np.int64)
+    slots = np.fromiter(slots, dtype=np.int64)
     cols = np.searchsorted(qubits, slots)
     found = cols < len(qubits)
     found[found] = qubits[cols[found]] == slots[found]
@@ -162,50 +169,76 @@ def _columns(qubits: np.ndarray, slots) -> np.ndarray:
     return cols
 
 
+def _pack(size: int, sets) -> np.ndarray:
+    """Sets of row numbers below size as (size x ceil(len(sets) / 64))
+    uint64 words: bit t % 64 of word t // 64 in row r says that sets[t]
+    holds r."""
+    sets = [list(rows) for rows in sets]
+    bits = np.zeros((size, 64 * -(-len(sets) // 64)), dtype=bool)
+    trial = np.repeat(np.arange(len(sets)), [len(rows) for rows in sets])
+    bits[list(chain.from_iterable(sets)), trial] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each row of uint64 words, as a (rows x n)
+    bool array."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+
+
 def _layer_table(qubits: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One gate layer as CSR: the columns of every gate's support laid
     end to end, each gate's start in that run, and each gate's size.
-    Gates with an empty support touch nothing and are left out."""
-    sups = [sorted(sup) for sup in (gate.support() for gate in layer) if sup]
+    A gate's one target and its controls are distinct qubits, so
+    together they are its support."""
+    sups = [sorted(gate.targets + gate.controls) for gate in layer]
     sizes = np.array([len(sup) for sup in sups], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    return _columns(qubits, (q for sup in sups for q in sup)), starts, sizes
+    return _columns(qubits, chain.from_iterable(sups)), starts, sizes
 
 
-def _grow_cones(circuit: GateCircuit, supports) -> tuple[np.ndarray, np.ndarray]:
+def _cone_words(circuit: GateCircuit, supports) -> tuple[np.ndarray, np.ndarray]:
     """Grow many suspect-slot sets through a circuit in one walk.
 
-    Returns the circuit's qubit slots in ascending order and a (number
-    of supports) x (number of slots) boolean mask whose row i is the
-    light cone of supports[i] over those slots. The circuit is checked
-    first, so a relabeling that is not a bijection on the circuit's
-    qubits, or a layer whose gates overlap, raises MoveError. Each
-    distinct layer object gets its CSR table once; a gate layer is then
-    one reduceat (which gates touch each row's set) and one repeat (their
-    whole supports join it), and a relabeling is one column scatter.
+    Returns the circuit's qubit slots in ascending order and a (slots)
+    x (ceil(len(supports) / 64)) array of uint64 words whose bit i in
+    row c says slot qubits[c] is in the light cone of supports[i]. The
+    circuit is checked first, so a relabeling that is not a bijection on
+    the circuit's qubits, or a layer whose gates overlap, raises
+    MoveError. Each distinct layer object gets its CSR table once; a
+    gate layer is then one reduceat (which supports each gate touches)
+    and one repeat (its whole support joins them), and a relabeling one
+    row copy.
     """
     circuit.check()
     qubits = np.array(sorted(circuit.qubits), dtype=np.int64)
-    supports = list(supports)
-    mask = np.zeros((len(supports), len(qubits)), dtype=bool)
-    for row, support in enumerate(supports):
-        mask[row, _columns(qubits, support)] = True
+    words = _pack(len(qubits), (_columns(qubits, support) for support in supports))
     tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for sigma, layer in circuit.steps():
         if sigma is not None:
             src, dst = _columns(qubits, sigma.keys()), _columns(qubits, sigma.values())
-            mask[:, dst] = mask[:, src]
+            words[dst] = words[src]
             continue
         table = tables.get(id(layer))
         if table is None:
             table = tables[id(layer)] = _layer_table(qubits, layer)
         flat, starts, sizes = table
         if flat.size:
-            # supports in a layer are disjoint, so a gate's columns all
-            # end up set exactly when any of them was
-            hit = np.logical_or.reduceat(mask[:, flat], starts, axis=1)
-            mask[:, flat] = np.repeat(hit, sizes, axis=1)
-    return qubits, mask
+            # supports in a layer are disjoint, so a gate's rows all end
+            # up holding a support exactly when any of them did
+            hit = np.bitwise_or.reduceat(words[flat], starts, axis=0)
+            words[flat] = np.repeat(hit, sizes, axis=0)
+    return qubits, words
+
+
+def _grow_cones(circuit: GateCircuit, supports) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit's qubit slots in ascending order and a (number of
+    supports) x (number of slots) boolean mask whose row i is the light
+    cone of supports[i] over those slots: _cone_words, unpacked."""
+    supports = list(supports)
+    qubits, words = _cone_words(circuit, supports)
+    return qubits, _unpack(words, len(supports)).T
 
 
 def lightcone_grow(support, circuit: GateCircuit) -> frozenset[int]:
@@ -215,7 +248,7 @@ def lightcone_grow(support, circuit: GateCircuit) -> frozenset[int]:
     alphabet. Each gate layer adds the full support of every gate that
     touches the current set; relabelings move the set without growing
     it, in the order GateCircuit.steps gives. An empty circuit returns
-    the input unchanged. This is the one-support view of the batched
+    the input unchanged. This is the one-support view of the packed
     walk stretch_report uses for all trials of a distance at once. The
     circuit is checked first, so a relabeling that is not a bijection,
     and a support slot the circuit does not hold, raise MoveError.
@@ -225,22 +258,6 @@ def lightcone_grow(support, circuit: GateCircuit) -> frozenset[int]:
 
 
 # ---- braid-level analysis ------------------------------------------------------
-
-
-def _neighbour_table(lat: SurfaceLattice) -> np.ndarray:
-    """Row e lists the qubit edges sharing a vertex with edge e,
-    ascending and padded with -1; rows of absent edge ids are all -1."""
-    ve, edges = lat.vertex_edges(), lat.edges
-    rows = {}
-    for e, rec in edges.items():
-        near = {x for v in (rec.v1, rec.v2) for x in ve[v] if edges[x].qubit is not None}
-        near.discard(e)
-        rows[e] = sorted(near)
-    width = max((len(row) for row in rows.values()), default=0)
-    table = np.full((max(edges, default=-1) + 1, width), -1, dtype=np.int64)
-    for e, row in rows.items():
-        table[e, : len(row)] = row
-    return table
 
 
 def _sample_pool(lat: SurfaceLattice, cols: int, rings: tuple[int, int]) -> list[int]:
@@ -259,22 +276,24 @@ def _sample_string(
     length: int,
     cols: int,
     pool: list[int],
-    neighbours: np.ndarray,
 ) -> ErrorString:
     """Random connected path over qubit-bearing edges, length edges.
 
-    The first edge is drawn from pool, each next one from the unused
-    qubit neighbours (a _neighbour_table of lat) of the last. Resamples
-    until the endpoints are distinct vertices, so the span ratio below
-    is well defined (a walk that loops back would report a zero-length
-    anyon pair).
+    The first edge is drawn from pool, each next one from the qubit
+    edges that share an endpoint with the last, ascending, minus those
+    already used. Resamples until the endpoints are distinct vertices,
+    so the span ratio below is well defined (a walk that loops back
+    would report a zero-length anyon pair).
     """
+    ve, edges = lat.vertex_edges(), lat.edges
     for _ in range(256):
         start = pool[int(rng.integers(len(pool)))]
         path = [start]
         used = {start}
         while len(path) < length:
-            options = [o for o in neighbours[path[-1]].tolist() if o >= 0 and o not in used]
+            last = edges[path[-1]]
+            near = {x for v in (last.v1, last.v2) for x in ve[v] if edges[x].qubit is not None}
+            options = sorted(near - used)
             if not options:
                 break
             nxt = options[int(rng.integers(len(options)))]
@@ -288,54 +307,135 @@ def _sample_string(
     raise MoveError("could not sample a connected error string")
 
 
-def _bfs_distance(neighbours: np.ndarray, seeds, targets) -> int:
-    """Max over targets of hop distance to the seed set, along qubit
-    edges that share a vertex (a _neighbour_table); the search stops
-    once every target is reached, and a target it cannot reach raises
-    MoveError naming that edge."""
-    seeds = np.fromiter(seeds, dtype=np.int64)
-    targets = np.fromiter(sorted(targets), dtype=np.int64)
-    outside = targets[(targets < 0) | (targets >= len(neighbours))]
-    if outside.size:
-        raise MoveError(f"edge {int(outside[0])} is not on the lattice")
-    hops = np.full(len(neighbours), -1, dtype=np.int64)
-    hops[seeds] = 0
-    frontier, level = seeds, 0
-    while frontier.size and (hops[targets] < 0).any():
+class _Incidence:
+    """One lattice's edges and vertices as arrays for the packed spread
+    search. Rows are edge ids, so an id the lattice lacks is a row with
+    no endpoint; vertex rows hold only vertices with an edge, plus one
+    last row that stays empty, the endpoint of those absent ids."""
+
+    def __init__(self, lat: SurfaceLattice):
+        ve = lat.vertex_edges()
+        verts = [v for v, es in ve.items() if es]
+        row = {v: i for i, v in enumerate(verts)}
+        self.size = max(lat.edges, default=-1) + 1
+        self.verts = len(verts)
+        ids = list(lat.edges)
+        recs = lat.edges.values()
+        self.v1 = np.full(self.size, self.verts, dtype=np.int64)
+        self.v2 = np.full(self.size, self.verts, dtype=np.int64)
+        self.v1[ids] = [row[rec.v1] for rec in recs]
+        self.v2[ids] = [row[rec.v2] for rec in recs]
+        self.qubit_mask = np.zeros((self.size, 1), dtype=np.uint64)
+        self.qubit_mask[[e for e, rec in lat.edges.items() if rec.qubit is not None]] = ~np.uint64(0)
+        sizes = np.array([len(ve[v]) for v in verts], dtype=np.int64)
+        self.flat = np.fromiter(chain.from_iterable(ve[v] for v in verts), dtype=np.int64)
+        self.starts = np.cumsum(sizes) - sizes
+
+
+def _spreads(inc: _Incidence, seeds: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
+    """Bit-parallel breadth-first search, one bit per trial.
+
+    seeds and targets are (inc.size x words) uint64 arrays; bit t of row
+    e says edge e is a seed, or a target, of trial t < n. Returns each
+    trial's spread: the max over its targets of the hop distance to its
+    seeds, along qubit edges that share a vertex. A level ORs the
+    frontier words of each vertex's edges (one reduceat), and a qubit
+    edge joins the next frontier for the trials that hold either of its
+    endpoints and have not reached it yet; a trial's spread is the level
+    at which its last target is reached. A trial with a target it
+    cannot reach raises MoveError naming its lowest such edge, the first
+    such trial in trial order.
+    """
+    rows = np.flatnonzero(targets.any(axis=1))
+    want = targets[rows]
+    reached = seeds.copy()
+    frontier = seeds
+    pending = np.bitwise_or.reduce(want & ~reached[rows], axis=0)
+    spread = np.zeros(n, dtype=np.int64)
+    near = np.zeros((inc.verts + 1, seeds.shape[1]), dtype=np.uint64)
+    level = 0
+    while pending.any() and frontier.any():
         level += 1
-        near = neighbours[frontier].ravel()
-        near = near[near >= 0]
-        hops[near[hops[near] < 0]] = level
-        frontier = np.flatnonzero(hops == level)
-    lost = targets[hops[targets] < 0]
-    if lost.size:
-        raise MoveError(f"edge {int(lost[0])} cannot be reached along qubit edges")
-    return int(hops[targets].max())
+        near[:-1] = np.bitwise_or.reduceat(frontier[inc.flat], inc.starts, axis=0)
+        frontier = (near[inc.v1] | near[inc.v2]) & ~reached & inc.qubit_mask
+        reached |= frontier
+        left = np.bitwise_or.reduce(want & ~reached[rows], axis=0)
+        spread[_unpack((pending & ~left)[None], n)[0]] = level
+        pending = left
+    lost = _unpack(pending[None], n)[0]
+    if lost.any():
+        t = int(np.argmax(lost))
+        missing = _unpack(want & ~reached[rows], n)[:, t]
+        raise MoveError(f"edge {int(rows[np.argmax(missing)])} cannot be reached along qubit edges")
+    return spread
 
 
-class _BraidTables:
-    """What every error trial through one braid shares, built once.
+def _bfs_distance(lat: SurfaceLattice, seeds, targets) -> int:
+    """One trial's _spreads: the max over targets of the hop distance to
+    the seed set, along qubit edges of lat that share a vertex. A target
+    that is not an edge of lat, or that the search cannot reach, raises
+    MoveError naming that edge."""
+    targets = sorted(int(e) for e in targets)
+    outside = [e for e in targets if e not in lat.edges]
+    if outside:
+        raise MoveError(f"edge {outside[0]} is not on the lattice")
+    inc = _Incidence(lat)
+    return int(_spreads(inc, _pack(inc.size, [seeds]), _pack(inc.size, [targets]), 1)[0])
+
+
+class _TrialBatch:
+    """Error trials through one braid, all at once.
 
     The end lattice is the target of the schedule's last group, which
-    must be a relabeling with a target; otherwise MoveError. Holds the
-    start lattice's edge -> slot map, the end lattice's slot -> edge
-    map, the composed relabeling of the whole circuit (slot at the
-    start -> slot at the end) and the end lattice's neighbour table.
+    must be a relabeling with a target; otherwise MoveError. Each string
+    is followed by its qubit slots through the composed relabeling of
+    the whole circuit to its edges on the end lattice, and a string
+    whose edge count changes on the way raises MoveError. The strings
+    before the first such one grow their light cones in one packed walk
+    of the circuit (_cone_words), and one packed search on the end
+    lattice (_spreads) measures how far each cone reaches from its
+    string's end edges; that raises the first failing trial's error,
+    in trial order, ahead of the edge-count error. results maps each
+    string to its end edges, support size and spread.
     """
 
-    def __init__(self, lat: SurfaceLattice, schedule: MoveSchedule, circuit: GateCircuit):
+    def __init__(
+        self,
+        lat: SurfaceLattice,
+        schedule: MoveSchedule,
+        circuit: GateCircuit,
+        errs: list[ErrorString],
+    ):
         end_lat = schedule.groups[-1].target if schedule.groups else None
         if end_lat is None:
             raise MoveError("error trial needs a schedule that ends on a relabeling with a target")
         self.end_lat = end_lat
-        self.slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
-        self.edge_of = end_lat.slot_edge_map()
-        moved = {q: q for q in self.slot_of.values()}
+        slot_of = {e: rec.qubit for e, rec in lat.edges.items() if rec.qubit is not None}
+        edge_of = end_lat.slot_edge_map()
+        strings = [[slot_of[e] for e in err.edges] for err in errs]
+        moved = {q: q for q in chain.from_iterable(strings)}
         for sigma, _ in circuit.steps():
             if sigma is not None:
                 moved = {q: sigma.get(s, s) for q, s in moved.items()}
-        self.moved = moved
-        self.end_neighbours = _neighbour_table(end_lat)
+        finals = []
+        for err, slots in zip(errs, strings):
+            final = tuple(edge_of.get(moved[s]) for s in slots)
+            if None in final or len(set(final)) != err.length:
+                break
+            finals.append(final)
+        n = len(finals)
+        self.results: dict[ErrorString, tuple[tuple[int, ...], int, int]] = {}
+        if n:
+            qubits, cones = _cone_words(circuit, strings[:n])
+            inc = _Incidence(end_lat)
+            targets = np.zeros((inc.size, cones.shape[1]), dtype=np.uint64)
+            targets[[edge_of[q] for q in qubits.tolist()]] = cones
+            spreads = _spreads(inc, _pack(inc.size, finals), targets, n)
+            sizes = _unpack(cones, n).sum(axis=0)
+            for err, final, size, spread in zip(errs, finals, sizes.tolist(), spreads.tolist()):
+                self.results[err] = (final, size, spread)
+        if n < len(errs):
+            raise MoveError("relabeling changed an error string's edge count")
 
 
 def braid_error_trial(
@@ -345,8 +445,7 @@ def braid_error_trial(
     err: ErrorString,
     cols: int,
     *,
-    tables: _BraidTables | None = None,
-    cone=None,
+    batch: _TrialBatch | None = None,
 ) -> dict:
     """Push one string through one braid, both mechanisms at once.
 
@@ -363,34 +462,22 @@ def braid_error_trial(
     is made. The returned lengths count edges: initial the string,
     final the light-cone-grown support.
 
-    stretch_report passes the per-distance tables and the trial's cone
-    (its slots after lightcone growth), both made for all trials of a
-    distance at once; a lone call builds the tables and grows the cone
-    itself. The string's edge count is checked before the cone is used.
+    The slots, cone and spread come from a _TrialBatch: stretch_report
+    passes the one it made for all trials of a distance, which holds
+    err, and a lone call makes one of err alone.
     """
-    tables = _BraidTables(lat, schedule, circuit) if tables is None else tables
-    edge_of = tables.edge_of
-    slots = [tables.slot_of[e] for e in err.edges]
-    cur_edges = tuple(edge_of.get(tables.moved[s]) for s in slots)
-    if None in cur_edges or len(set(cur_edges)) != err.length:
-        raise MoveError("relabeling changed an error string's edge count")
-    final_err = ErrorString(cur_edges)
-
-    if cone is None:
-        cone = lightcone_grow(slots, circuit)
-    final_edges = sorted(edge_of[q] for q in cone)
-
-    spread = _bfs_distance(tables.end_neighbours, cur_edges, final_edges)
+    batch = _TrialBatch(lat, schedule, circuit, [err]) if batch is None else batch
+    final, support_size, spread = batch.results[err]
     span0 = grid_span(lat, err, cols)
-    span1 = grid_span(tables.end_lat, final_err, cols)
+    span1 = grid_span(batch.end_lat, ErrorString(final), cols)
     return {
         # the anyon-pair separation is the length a decoder sees; the
-        # edge count is invariant by construction and asserted above
+        # edge count is invariant by construction and checked by the batch
         "initial_len": span0,
         "final_len": span1,
         "ratio": span1 / span0,
         "edge_count": err.length,
-        "support_size": len(final_edges),
+        "support_size": support_size,
         "lightcone_spread": spread,
     }
 
@@ -415,13 +502,13 @@ def stretch_report(
     through. Identical inputs give identical reports, including the CSV
     rendering.
 
-    Work is batched per distance: the braid, its _BraidTables, the
-    sampling pool and the start lattice's neighbour table are built
-    once, every trial's string is sampled first, and one walk of the
-    compiled circuit grows all the trials' light cones together
-    (_grow_cones). braid_error_trial then runs once per trial with that
-    trial's cone. Since the RNG streams are keyed per trial, the
-    strings, and so the report, do not depend on the batching.
+    Work is batched per distance: the braid and the sampling pool are
+    built once, every trial's string is sampled first, and one
+    _TrialBatch grows all the trials' light cones in one packed walk of
+    the compiled circuit and measures all their spreads in one packed
+    search. braid_error_trial then reads each trial from that batch.
+    Since the RNG streams are keyed per trial, the strings, and so the
+    report, do not depend on the batching.
     """
     if trials < 1:
         raise MoveError("need at least one trial")
@@ -433,22 +520,18 @@ def stretch_report(
     summary = []
     for d in lattice_sizes:
         lat, cols, sched, circ = _braid_setup(int(d), data)
-        tables = _BraidTables(lat, sched, circ)
         k = cols // 6
         pool = _sample_pool(lat, cols, (2, k + 4))  # transport corridor plus one ring either side
-        neighbours = _neighbour_table(lat)
         errs = []
         for t in range(trials):
             rng = np.random.default_rng((int(seed), int(d), t))
             length = STRING_LENGTHS[int(rng.integers(len(STRING_LENGTHS)))]
-            errs.append(_sample_string(lat, rng, length, cols, pool, neighbours))
-        qubits, cones = _grow_cones(circ, ([tables.slot_of[e] for e in err.edges] for err in errs))
+            errs.append(_sample_string(lat, rng, length, cols, pool))
+        batch = _TrialBatch(lat, sched, circ, errs)
         ratios = []
         spreads = []
-        for t, (err, cone) in enumerate(zip(errs, cones)):
-            res = braid_error_trial(
-                lat, sched, circ, err, cols, tables=tables, cone=qubits[cone].tolist()
-            )
+        for t, err in enumerate(errs):
+            res = braid_error_trial(lat, sched, circ, err, cols, batch=batch)
             ratios.append(res["ratio"])
             spreads.append(res["lightcone_spread"])
             rows_out.append(

@@ -563,7 +563,7 @@ def braid_schedule(
         cur_a = polar_vertex_id(cols, ring_a, sec_a)
         if cur_a not in cur.punctures:
             raise MoveError("puncture tracking lost during braid")
-    if cur.signature() != lat.signature():
+    if not cur.same_signature(lat):
         raise MoveError("braid did not return the lattice to its start")
     return MoveSchedule(tuple(groups))
 

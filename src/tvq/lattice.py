@@ -250,6 +250,17 @@ class SurfaceLattice:
             tuple(sorted(self.punctures)),
         )
 
+    def same_signature(self, other: "SurfaceLattice") -> bool:
+        """signature() == other.signature(), without building or sorting
+        either: equal topology, punctures and edge records, and per
+        triangle id the same three edges in any order."""
+        if (self.topology, self.punctures, self.edges) != (other.topology, other.punctures, other.edges):
+            return False
+        tris = other.triangles
+        if tris.keys() != self.triangles.keys():
+            return False
+        return all(es == tris[t] or sorted(es) == sorted(tris[t]) for t, es in self.triangles.items())
+
     def check(self) -> None:
         """Basic sanity: each edge in 1 or 2 triangles, triangles well formed."""
         et = self._maps()[0]

@@ -1,11 +1,12 @@
 """Batched error trials against the per-trial reference algorithm.
 
-stretch_report grows the light cones of all trials of one distance in a
-single walk over a boolean mask and reads neighbours from padded int
-tables. The references below are the per-gate set growth, the per-call
-neighbour sets and the per-trial loop that the batching replaced; the
-batched code must give the same cones and byte-for-byte the same
-reports.
+stretch_report packs the trials of one distance into the bits of
+uint64 words: one walk of the circuit grows all their light cones and
+one breadth-first search measures all their spreads. The references
+below are the per-gate set growth, the per-call neighbour sets, a dict
+BFS and the per-trial loop that the batching replaced; the batched
+code must give the same cones, the same spreads and byte-for-byte the
+same reports, across word boundaries too.
 """
 
 import numpy as np
@@ -17,8 +18,12 @@ from tvq.circuits import Gate, GateCircuit
 from tvq.errors import (
     STRING_LENGTHS,
     ErrorString,
+    _Incidence,
+    _bfs_distance,
     _braid_setup,
     _grow_cones,
+    _pack,
+    _spreads,
     braid_error_trial,
     error_string,
     grid_span,
@@ -28,7 +33,7 @@ from tvq.errors import (
 )
 from tvq.fusion import fibonacci_data
 from tvq.gadgets import _disk_coords
-from tvq.lattice import MoveError
+from tvq.lattice import MoveError, build_planar_patch
 
 DATA = fibonacci_data()
 
@@ -193,7 +198,8 @@ def circuits_with_supports(draw):
         moved = draw(st.lists(st.sampled_from(qubits), unique=True))
         perms.append((after, tuple(zip(moved, draw(st.permutations(moved))))))
     circ = GateCircuit(qubits=tuple(qubits), layers=tuple(layers), permutation_layers=tuple(perms))
-    supports = draw(st.lists(st.sets(st.sampled_from(qubits)), min_size=1, max_size=4))
+    # past 64 supports the cones span several words
+    supports = draw(st.lists(st.sets(st.sampled_from(qubits)), min_size=1, max_size=150))
     return circ, supports
 
 
@@ -235,3 +241,67 @@ def test_stretch_report_matches_the_per_trial_reference(braid_setups, seed):
         # report ratio 0, batched or not
         zeros = {(r["d"], r["trial"]) for r in rep["rows"] if r["ratio"] == 0}
         assert zeros == {(8, 5), (8, 18)}
+
+
+def test_stretch_report_matches_the_per_trial_reference_across_words(braid_setups):
+    # 130 trials fill three words, so trials 63 and 64 sit on either
+    # side of a word boundary
+    ref, _ = reference_report(braid_setups, 130, 3)
+    assert stretch_report([4, 8], trials=130, seed=3) == ref
+
+
+# ---- the packed spread search --------------------------------------------------
+
+
+def packed_spreads(lat, seeds, targets):
+    """_spreads over per-trial seed and target edge lists."""
+    inc = _Incidence(lat)
+    return _spreads(inc, _pack(inc.size, seeds), _pack(inc.size, targets), len(seeds))
+
+
+@pytest.fixture(scope="module")
+def end_lattice(braid_setups):
+    _, _, sched, _ = braid_setups[4]
+    return sched.groups[-1].target
+
+
+def test_packed_spreads_match_a_dict_bfs(end_lattice):
+    lat = end_lattice
+    qubit_edges = [e for e, rec in lat.edges.items() if rec.qubit is not None]
+    rng = np.random.default_rng(7)
+    seeds, targets = [], []
+    for _ in range(150):
+        seeds.append(rng.choice(qubit_edges, size=int(rng.integers(1, 4)), replace=False).tolist())
+        targets.append(rng.choice(qubit_edges, size=int(rng.integers(1, 12)), replace=False).tolist())
+    got = packed_spreads(lat, seeds, targets)
+    want = [reference_bfs(lat, set(s), set(t)) for s, t in zip(seeds, targets)]
+    assert got.tolist() == want
+    assert len(set(want)) > 3  # the trials finish at different levels
+    for s, t, w in list(zip(seeds, targets, want))[::25]:
+        assert _bfs_distance(lat, s, t) == w
+
+
+def test_a_batch_raises_the_first_unreachable_trial_in_trial_order():
+    lat = build_planar_patch(3, 6, punctures=[(0, 0)])
+    qubit_edges = sorted(e for e, rec in lat.edges.items() if rec.qubit is not None)
+    pinned = sorted(e for e, rec in lat.edges.items() if rec.qubit is None)
+    assert pinned == [18, 19, 20, 21, 22, 23]  # no qubit-edge path reaches them
+    start = qubit_edges[0]
+    seeds = [[start]] * 130
+    targets = [[qubit_edges[t % len(qubit_edges)]] for t in range(130)]
+    # the lowest lost edge of the first failing trial names the error,
+    # ahead of a lower edge lost by a later trial
+    targets[70] = [qubit_edges[5], 23, 20]
+    targets[100] = [18]
+    with pytest.raises(MoveError, match="edge 20 cannot be reached") as batch:
+        packed_spreads(lat, seeds, targets)
+    with pytest.raises(MoveError) as lone:
+        _bfs_distance(lat, seeds[70], targets[70])
+    assert str(batch.value) == str(lone.value)
+    targets[70] = [qubit_edges[5]]
+    with pytest.raises(MoveError, match="edge 18 cannot be reached"):
+        packed_spreads(lat, seeds, targets)
+    targets[100] = [qubit_edges[5]]
+    assert packed_spreads(lat, seeds, targets).tolist() == [
+        reference_bfs(lat, set(s), set(t)) for s, t in zip(seeds, targets)
+    ]

@@ -1,5 +1,7 @@
 """Builders, Pachner rewrites, permutations, serialization."""
 
+import dataclasses
+
 import pytest
 
 from tvq.lattice import (
@@ -307,6 +309,34 @@ def test_isomorphism_respects_punctures():
     # a rotation by two sectors maps one onto the other
     assert got is not None
     assert got["vertices"][polar_vertex_id(4, 1, 0)] == polar_vertex_id(4, 1, 2)
+
+
+def test_same_signature_agrees_with_signature_equality():
+    lat = build_planar_patch(4, 6, [(1, 0)])
+    tid, (a, b, c) = next(iter(lat.triangles.items()))
+    e = next(e for e, rec in lat.edges.items() if rec.qubit is not None)
+    rec = lat.edges[e]
+    flip_back = lat.plaquette(polar_vertex_id(6, 2, 3)).boundary[0]
+    cases = {
+        "permuted triangle edge order": dataclasses.replace(
+            lat, triangles={**lat.triangles, tid: (c, a, b)}
+        ),
+        "moved puncture": dataclasses.replace(lat, punctures=frozenset({polar_vertex_id(6, 2, 0)})),
+        "changed qubit slot": dataclasses.replace(
+            lat, edges={**lat.edges, e: Edge(rec.v1, rec.v2, rec.qubit + 1000)}
+        ),
+        "flipped and flipped back": pachner_22(pachner_22(lat, flip_back)[0], flip_back)[0],
+    }
+    want = {
+        "permuted triangle edge order": True,
+        "moved puncture": False,
+        "changed qubit slot": False,
+        "flipped and flipped back": True,
+    }
+    for name, other in cases.items():
+        assert (other.signature() == lat.signature()) is want[name], name
+        assert lat.same_signature(other) is want[name], name
+        assert other.same_signature(lat) is want[name], name
 
 
 def test_lattice_json_round_trip():

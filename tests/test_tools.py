@@ -49,6 +49,7 @@ def bench():
 
 def child_programs(bench):
     yield "layers", bench.LAYERS_CHILD
+    yield "report", bench.REPORT_CHILD
     for name, walk in bench.RSS_WALKS.items():
         yield f"rss {name}", bench.RSS_PRELUDE + walk + bench.RSS_CHECK
 
@@ -197,3 +198,17 @@ def test_layers_rows_have_the_table_fields(bench):
     (row, _) = section(pairs)["rows"]
     assert set(row) == {"d", "gc", "moves", "parent", "change", *stages}
     assert row["braid_schedule"]["parent"] == {"cpu_s": 0.0023, "us_per_move": 1.0, "collections": 0, "peak_rss_mb": 40.0}
+
+
+def test_report_rows_take_medians_over_the_runs_that_did_not_fail(bench):
+    args = argparse.Namespace(runs=["32:100", "4,8:40"], repeats=1)
+    keys, _, jobs, section = bench.report_mode(args)
+    units = [unit for unit, _, _ in jobs]
+    assert keys == ("report",) and units == [{"distances": "32", "trials": 100}, {"distances": "4,8", "trials": 40}]
+    assert jobs[1][1][2:] == ["4,8", "40"]
+    runs = [{"exit": 0, "out": {"cpu_s": s, "peak_rss_mb": 40.0 + s}} for s in (0.2, 0.1, 0.4)]
+    pairs = [{"unit": units[0], "parent": r, "change": r} for r in runs]
+    pairs.append({"unit": units[0], "parent": {"exit": 1, "out": None}, "change": runs[0]})
+    (row,) = section(pairs)["rows"]
+    assert row["parent"] == {"cpu_s": 0.2, "peak_rss_mb": 40.4}
+    assert row["change"] == {"cpu_s": 0.2, "peak_rss_mb": 40.4}

@@ -26,6 +26,11 @@ layers --distances 16,32,64,128  ->  layers
     four stages (time.process_time), counts the collections in and
     between them and reads peak RSS as each returns; per stage and side
     the median CPU time, also in µs per move (9d² + 6 moves).
+report 32:100 4,8:40  ->  report
+    REPORT_CHILD times one tvq.errors.stretch_report call at the given
+    distances and trial count (seed 1, time.process_time), after the
+    imports and the fusion data; per unit and side, the median CPU
+    seconds and the highest peak RSS of the process.
 rss --workload braid_compile|state_loop  ->  check_rss
     RSS_PRELUDE, a walk and RSS_CHECK run the checkout's workload at
     seed 1 as perfbench/worker.py does and read peak RSS after each step
@@ -102,6 +107,18 @@ gc.collect()
 out["final_collect"] = time.process_time() - t
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
+"""
+
+REPORT_CHILD = """
+import json, resource, sys, time
+from tvq.errors import stretch_report
+from tvq.fusion import fibonacci_data
+distances, trials = [int(d) for d in sys.argv[1].split(",")], int(sys.argv[2])
+data = fibonacci_data()
+t = time.process_time()
+stretch_report(distances, trials, 1, data)
+cpu_s = time.process_time() - t
+print(json.dumps({"cpu_s": cpu_s, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 RSS_PRELUDE = """
@@ -359,6 +376,26 @@ def layers_mode(args):
     return ("layers",), f"layers --distances {args.distances}", jobs, section
 
 
+def report_mode(args):
+    units = [run.split(":") for run in args.runs]
+    jobs = [({"distances": d, "trials": int(n)}, ["-c", REPORT_CHILD, d, n], False) for d, n in units]
+
+    def section(pairs):
+        rows = []
+        for unit, runs in by_unit(pairs):
+            got = {side: outs(rs) for side, rs in runs.items()}
+            row = dict(unit)
+            for side, rs in got.items():
+                row[side] = {
+                    "cpu_s": stat(median, (r["cpu_s"] for r in rs), 4),
+                    "peak_rss_mb": stat(max, (r["peak_rss_mb"] for r in rs), 1),
+                }
+            rows.append(row)
+        return {"what": "median CPU seconds of one stretch_report call and highest peak RSS", "rows": rows}
+
+    return ("report",), "report " + " ".join(args.runs), jobs, section
+
+
 def rss_mode(args):
     jobs = [({"workload": args.workload}, ["-c", RSS_PRELUDE + RSS_WALKS[args.workload] + RSS_CHECK], True)]
 
@@ -402,7 +439,7 @@ def write_bench(name: str, keys: tuple[str, ...], section: dict) -> Path:
     return path
 
 
-MODES = {"workload": workload_mode, "cli": cli_mode, "layers": layers_mode, "rss": rss_mode}
+MODES = {"workload": workload_mode, "cli": cli_mode, "layers": layers_mode, "report": report_mode, "rss": rss_mode}
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -420,6 +457,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     mode.add_argument("commands", nargs="+", help="tvq CLI arguments, one quoted string per command")
     mode = modes.add_parser("layers", parents=[common])
     mode.add_argument("--distances", default="16,32,64,128", help="comma list of even distances")
+    mode = modes.add_parser("report", parents=[common])
+    mode.add_argument("runs", nargs="+", help="DISTANCES:TRIALS, e.g. 16,32:100")
     mode = modes.add_parser("rss", parents=[common])
     mode.add_argument("--workload", choices=sorted(RSS_WALKS), default="braid_compile")
     return ap.parse_args(argv)
