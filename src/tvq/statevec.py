@@ -22,10 +22,17 @@ order, so a block of seeds pays one sort per plaquette and holds no
 (terms x columns) array. Every projection onto the code space runs one
 plaquette loop (_project): ground_project on one column, and
 code_space, the only builder of a code-space basis, on blocks of
-seeds. The kernels read small read-only tables derived from a
-category, each built on first use and kept in that category object's
-own FusionData.tables (_table). Configs hold one bit per edge, so
-_table refuses data without exactly two labels.
+seeds. A plaquette's tables are built for many leg patterns at once,
+each fan factor read from the flat F-symbol array by one index per
+position, in the order one pattern alone would multiply them. A
+projected block is filtered against the basis by a screen, one einsum
+over all its columns, and only the columns the screen cannot rule out
+get the exact Gram-Schmidt test; the screen's threshold leaves room for
+its rounding, so it rules out only columns the test would drop. Neither
+changes a bit of a table or a basis. The kernels read small read-only
+tables derived from a category, each built on first use and kept in
+that category object's own FusionData.tables (_table). Configs hold
+one bit per edge, so _table refuses data without exactly two labels.
 """
 
 from __future__ import annotations
@@ -160,14 +167,13 @@ def _coalesce(configs: np.ndarray, amps: np.ndarray, tol: float) -> tuple[np.nda
 def _drop(uniq: np.ndarray, summed: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Drop the amplitudes below tol of merged configs. summed is parallel
     to uniq, or a block of states (states x configs) that share them:
-    then an amplitude below tol is zeroed in its state, in place and one
-    state at a time, a config is dropped when it is zero in every state,
-    and the amplitudes come back as (configs x states)."""
+    then an amplitude below tol is zeroed in its state, in place and in
+    one pass over the block, a config is dropped when it is zero in every
+    state, and the amplitudes come back as (configs x states)."""
     if summed.ndim == 1:
         keep = np.abs(summed) >= tol
         return (uniq, summed) if keep.all() else (uniq[keep], summed[keep])
-    for row in summed:
-        row[np.abs(row) < tol] = 0
+    summed[np.abs(summed) < tol] = 0
     keep = summed.any(axis=0)
     if keep.all():
         return uniq, summed.T
@@ -307,12 +313,6 @@ def enumerate_valid_configs(
     return configs
 
 
-def uniform_state(lat: SurfaceLattice, data: FusionData | None = None) -> StringNetState:
-    configs = enumerate_valid_configs(lat, data)
-    amps = np.full(len(configs), 1.0 / np.sqrt(len(configs)), dtype=np.complex128)
-    return make_state(lat, configs, amps)
-
-
 def random_valid_state(
     lat: SurfaceLattice,
     rng: np.random.Generator,
@@ -398,22 +398,29 @@ def _bp_build(
 
     A pattern can have nonzero entries only if every fan factor can be
     nonzero, which the fan masks (_bp_fans) decide for all 2^n patterns
-    at once. Entries are computed over the stacked candidates only, by
-    leg pattern, then input, then output, as ones * F_0 * ... * F_{n-1}
-    * (d_s/D^2) summed over s from zeros: per pattern, the same products
-    in the same order as one pattern alone.
+    at once: per position and leg label, one row over the patterns, read
+    from the mask flat over the two fan labels and gathered by each leg
+    pattern's label. Entries are computed over the stacked candidates
+    only, by leg pattern, then input, then output. Per position, one flat
+    index into data.fsym.ravel() (its five labels other than s, from
+    small per-pattern code tables) reads the factor for both values of
+    s; each s keeps its own product, ones * F_0 * ... * F_{n-1} *
+    (d_s/D^2), and the products are summed over s from zeros: per
+    pattern, the same factors multiplied and added in the same order as
+    one pattern alone, so the entries do not change by a bit.
     """
-    f = data.fsym
-    pin, pout = _bp_fans(data)
+    fsym = data.fsym.ravel()  # index 32 leg + 16 in_i + 8 s + 4 out_{i+1} + 2 in_{i+1} + out_i
+    pin, pout = (t.reshape(2, 4) for t in _bp_fans(data))  # (leg, 2 * label + label)
     size = 1 << n
     pats = np.arange(size)
+    bits = [(pats >> i) & 1 for i in range(n)]
     ok_in = np.ones((len(lkeys), size), dtype=bool)
     ok_out = np.ones_like(ok_in)
     for i in range(n):
         j = (i + 1) % n
-        leg = (lkeys[:, None] >> i) & 1
-        ok_in &= pin[leg, (pats >> i) & 1, (pats >> j) & 1]
-        ok_out &= pout[leg, (pats >> j) & 1, (pats >> i) & 1]
+        leg = (lkeys >> i) & 1
+        ok_in &= pin[:, 2 * bits[i] + bits[j]][leg]
+        ok_out &= pout[:, 2 * bits[j] + bits[i]][leg]
     # candidates: each (pattern k, input p) with every output o of pattern k
     k, p = np.nonzero(ok_in)
     n_out = ok_out.sum(axis=1)
@@ -424,13 +431,16 @@ def _bp_build(
     o = outs[np.arange(rep.sum()) + first]
     k = np.repeat(k, rep)
     p = np.repeat(p, rep)
-    legs = lkeys[k]
+    prods = np.ones((data.num_labels, len(p)))
+    for i in range(n):
+        j = (i + 1) % n
+        at = (((lkeys >> i) & 1) << 5)[k]
+        at |= (16 * bits[i] + 2 * bits[j])[p]
+        at |= (4 * bits[j] + bits[i])[o]
+        for s, prod in enumerate(prods):
+            prod *= fsym[at + 8 * s]
     mat = np.zeros(len(p))
-    for s in range(data.num_labels):
-        prod = np.ones_like(mat)
-        for i in range(n):
-            j = (i + 1) % n
-            prod *= f[(legs >> i) & 1, (p >> i) & 1, s, (o >> j) & 1, (p >> j) & 1, (o >> i) & 1]
+    for s, prod in enumerate(prods):
         prod *= data.qdim[s] / data.total_dim_sq
         mat += prod
     nz = np.flatnonzero(mat)
@@ -593,21 +603,33 @@ def _filter_block(
     the basis so far, |p|^2 - sum |<b|p>|^2, is above tol * |p|^2.
 
     Each basis state is found once on the block's configs (_locate, as
-    inner does), when a column first needs it; an overlap then sums the
-    products over the configs both hold, in config order, as inner does.
-    A kept column has all its overlaps subtracted in one make_state, and
-    the remainder is normalised.
+    inner does). The exact test of a column sums each overlap's products
+    over the configs both hold, in config order, as inner does; a kept
+    column has all its overlaps subtracted in one make_state, and the
+    remainder is normalised.
+
+    A block of several columns first screens every column it has not
+    passed yet: the basis states' amplitudes are scattered into rows over
+    the block's configs, one einsum (no BLAS call, no gathered copy of
+    the block) takes each column's overlaps with them, and the screened
+    residual is its weight minus their squares. Only a column whose
+    screened residual is above (tol / 2 - slack) * its weight gets the
+    exact test; the first one kept joins the basis, its overlaps are
+    taken off the later columns' residuals, and the screen goes on from
+    the next column. Both ways of summing an overlap are within about
+    (rows + 2) * eps * |b| * |p| of the true one, and slack, 4 * (basis +
+    1) * (rows + basis + 2) * eps, is about twice what the rounding of
+    both residuals can add up to; so a column the screen passes by is
+    one the exact test would drop, and every basis is the same bit for
+    bit. With tol below 2 * slack the screen passes by nothing.
     """
 
     def on_block(b: StringNetState) -> tuple[np.ndarray, np.ndarray]:
         at, hit = _locate(configs, b.configs)
         return at[hit], b.amps[hit]
 
-    if len(configs) == 0:  # every seed projected to 0
-        return
-    index: list[tuple[np.ndarray, np.ndarray]] = []  # per basis state: block rows, amplitudes
-    for p in amps.T:
-        index += [on_block(b) for b in basis[len(index) :]]
+    def kept(p: np.ndarray) -> bool:
+        index.extend(on_block(b) for b in basis[len(index) :])
         c = np.zeros(len(basis), dtype=np.complex128)
         for k, (at, b_amps) in enumerate(index):
             mine = p[at]
@@ -616,13 +638,40 @@ def _filter_block(
         rows = np.flatnonzero(p)
         weight = float(np.sum(np.abs(p[rows]) ** 2))
         if weight - float(np.sum(np.abs(c) ** 2)) <= tol * weight:
-            continue
+            return False
         r = make_state(
             lat,
             np.concatenate([configs[rows], *(b.configs for b in basis)]),
             np.concatenate([p[rows], *(-cb * b.amps for cb, b in zip(c, basis))]),
         )
         basis.append(replace(r, amps=r.amps / r.norm()))
+        return True
+
+    if len(configs) == 0:  # every seed projected to 0
+        return
+    index: list[tuple[np.ndarray, np.ndarray]] = []  # per basis state: block rows, amplitudes
+    n_cols = amps.shape[1]
+    if n_cols == 1:
+        kept(amps[:, 0])
+        return
+    weight = np.einsum("rc,rc->c", amps.real, amps.real) + np.einsum("rc,rc->c", amps.imag, amps.imag)
+    resid = weight.copy()
+    col = screened = 0  # the first column not passed yet; basis states taken off resid
+    while col < n_cols:
+        index.extend(on_block(b) for b in basis[len(index) :])
+        on_rows = np.zeros((len(basis) - screened, len(configs)), dtype=np.complex128)
+        for row, (at, b_amps) in zip(on_rows, index[screened:]):
+            row[at] = np.conj(b_amps)
+        over = np.einsum("kr,rc->kc", on_rows, amps[:, col:])
+        resid[col:] -= np.einsum("kc,kc->c", over.real, over.real) + np.einsum("kc,kc->c", over.imag, over.imag)
+        screened = len(basis)
+        slack = 4 * (len(basis) + 1) * (len(configs) + len(basis) + 2) * np.finfo(float).eps
+        ahead = col + np.flatnonzero(resid[col:] > (0.5 * tol - slack) * weight[col:])
+        col = n_cols
+        for j in ahead.tolist():
+            if kept(amps[:, j]):
+                col = j + 1
+                break
 
 
 def code_space(
@@ -653,11 +702,18 @@ def code_space(
     A projected seed p joins the basis unless its weight outside the
     basis so far, |p|^2 - sum |<b|p>|^2, is at most tol * |p|^2;
     otherwise all its overlaps are subtracted in one make_state and the
-    remainder is normalised (_filter_block). The spread can miss a
-    sector, so on large lattices the basis may be smaller than the code
-    space; raise max_seeds to check. Raises MoveError when the lattice
-    has more than max_edges qubits.
+    remainder is normalised (_filter_block). A block of several seeds is
+    screened first, all its columns against the basis in one einsum, and
+    only a seed the screen cannot rule out gets that exact test; the
+    screen leaves a margin for rounding, so it drops only seeds the test
+    would drop, and the basis is the one a test of every seed gives, bit
+    for bit. The spread can miss a sector, so on large lattices the
+    basis may be smaller than the code space; raise max_seeds to check.
+    Raises MoveError when max_seeds is below 1 or the lattice has more
+    than max_edges qubits.
     """
+    if max_seeds < 1:
+        raise MoveError(f"max_seeds must be at least 1, got {max_seeds}")
     data = data or fibonacci_data()
     nq = len(lat.qubit_slots())
     if nq > max_edges:

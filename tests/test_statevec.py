@@ -58,7 +58,6 @@ from tvq.statevec import (
     rebind_state,
     state_from_jsonlines,
     state_to_jsonlines,
-    uniform_state,
     valid_mask,
 )
 
@@ -97,6 +96,13 @@ def amp_diff(a, b):
     for amp in lut.values():
         worst = max(worst, abs(amp))
     return worst
+
+
+def uniform_state(lat, data=None):
+    """Equal weight on every branching-valid config of lat."""
+    configs = enumerate_valid_configs(lat, data)
+    amps = np.full(len(configs), 1.0 / np.sqrt(len(configs)), dtype=np.complex128)
+    return make_state(lat, configs, amps)
 
 
 def dense(state, basis):
@@ -459,6 +465,16 @@ def test_disk_with_pinned_boundary_is_nondegenerate():
 def test_code_space_dim_guard():
     with pytest.raises(MoveError):
         code_space_dim(build_planar_patch(4, 4))  # 40 qubit edges
+
+
+@pytest.mark.parametrize("max_seeds", [0, -3])
+def test_code_space_refuses_fewer_than_one_seed(max_seeds):
+    """On the patch (2250 valid configs, so seeds are spread) max_seeds=0
+    divided by zero and -3 seeded 2247 configs; the torus (175) spreads
+    none and is refused all the same."""
+    for lat in (build_planar_patch(3, 3, punctures=[(0, 0)]), build_honeycomb_torus(2, 2)):
+        with pytest.raises(MoveError, match="max_seeds"):
+            statevec.code_space(lat, DATA, max_seeds=max_seeds)
 
 
 def test_code_space_dim_invariant_under_moves(tetra, torus):
@@ -1722,6 +1738,104 @@ def test_code_space_matches_per_seed_reference(name, max_seeds, cap):
     assert span_gap(got, want) <= 1e-12
     gram = np.array([[inner(a, b) for b in got] for a in got])
     assert np.max(np.abs(gram - np.eye(len(got)))) <= 1e-12
+
+
+def filter_block_reference(lat, basis, configs, amps, tol):
+    """The Gram-Schmidt filter as it was before the screen: the exact
+    test on every column, in column order."""
+
+    def on_block(b):
+        at, hit = statevec._locate(configs, b.configs)
+        return at[hit], b.amps[hit]
+
+    if len(configs) == 0:
+        return
+    index = []
+    for p in amps.T:
+        index += [on_block(b) for b in basis[len(index) :]]
+        c = np.zeros(len(basis), dtype=np.complex128)
+        for k, (at, b_amps) in enumerate(index):
+            mine = p[at]
+            hit = mine != 0
+            c[k] = np.sum(np.conj(b_amps[hit]) * mine[hit])
+        rows = np.flatnonzero(p)
+        weight = float(np.sum(np.abs(p[rows]) ** 2))
+        if weight - float(np.sum(np.abs(c) ** 2)) <= tol * weight:
+            continue
+        r = make_state(
+            lat,
+            np.concatenate([configs[rows], *(b.configs for b in basis)]),
+            np.concatenate([p[rows], *(-cb * b.amps for cb, b in zip(c, basis))]),
+        )
+        basis.append(replace(r, amps=r.amps / r.norm()))
+
+
+# residual share of a drawn column, in units of tol: at and around the
+# screen's cut (tol / 2) and the exact test's (tol), in the span, or zero
+RESIDUAL_SHARES = [None, 0.0, 0.5 * (1 - 1e-6), 0.5 * (1 + 1e-6), 1 - 1e-6, 1 + 1e-6, 4.0, "zero"]
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def drawn_block(draw, rng, lat, basis, configs, tol):
+    """Columns over configs, each drawn as a random column (None), a zero
+    one, or one whose weight outside basis is the drawn share of tol
+    times its weight. configs must hold every basis state's support, so
+    the basis is orthonormal on them; basis grows as the filter would
+    grow it, column by column."""
+    basis = list(basis)
+    cols = []
+    for _ in range(draw(st_.integers(1, 24))):
+        share = draw(st_.sampled_from(RESIDUAL_SHARES))
+        g = complex_normal(rng, len(configs))
+        if share is None or share == "zero":
+            p = g * (share is None)
+        else:
+            b = np.zeros((len(configs), len(basis)), dtype=np.complex128)
+            for k, state in enumerate(basis):
+                b[np.searchsorted(configs, state.configs), k] = state.amps
+            u = b @ complex_normal(rng, len(basis))
+            q = g - b @ (b.conj().T @ g)
+            qq = float(np.vdot(q, q).real)
+            r = min(share * tol, 0.5)
+            w = float(np.vdot(u, u).real) or 1.0
+            # with as many basis states as configs, nothing is left outside
+            p = u + q * np.sqrt(r * w / ((1 - r) * qq)) if qq > 1e-20 else u
+        cols.append(p)
+        filter_block_reference(lat, basis, configs, p[:, None], tol)
+    return np.stack(cols, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_.data())
+def test_screened_filter_appends_the_reference_basis_bit_for_bit(data):
+    """Three blocks on the torus's 2^12 configs: the first random, the
+    second over the basis's support and more (columns near the screen's
+    and the test's cut, in the span, zero), the third over configs drawn
+    afresh, so basis states reach off the block."""
+    draw = data.draw
+    rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
+    tol = draw(st_.sampled_from([1e-8, 1e-4, 1e-13, 0.0]))
+    nq = len(TORUS.qubit_slots())
+    got, want = [], []
+    for kind in ("random", "near", "fresh"):
+        m = draw(st_.integers(1, 40))
+        fresh = rng.choice(1 << nq, size=m, replace=False).astype(np.uint64)
+        held = [s.configs for s in want] if kind == "near" else []
+        configs = np.unique(np.concatenate([fresh, *held]))
+        if kind == "near":
+            amps = drawn_block(draw, rng, TORUS, want, configs, tol)
+        else:
+            amps = complex_normal(rng, len(configs), draw(st_.integers(1, 24)))
+            amps[:, rng.random(amps.shape[1]) < 0.2] = 0  # columns that project to zero
+        filter_block_reference(TORUS, want, configs, amps.copy(), tol)
+        statevec._filter_block(TORUS, got, configs, amps.copy(), tol)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.configs.tobytes() == b.configs.tobytes()
+            assert a.amps.tobytes() == b.amps.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, np.nan), complex(0.0, np.inf)])

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import tvq.gadgets
+import tvq.statevec
 
 ROOT = Path(__file__).resolve().parents[1]
 SPECS = {
@@ -50,6 +51,7 @@ def bench():
 def child_programs(bench):
     yield "layers", bench.LAYERS_CHILD
     yield "report", bench.REPORT_CHILD
+    yield "codespace", bench.CODESPACE_CHILD
     for name, walk in bench.RSS_WALKS.items():
         yield f"rss {name}", bench.RSS_PRELUDE + walk + bench.RSS_CHECK
 
@@ -84,11 +86,17 @@ def test_every_patched_name_is_called_through_the_patched_binding(bench):
     """The state_loop walk swaps tvq.baseline_schedule, which the
     workload calls through the package, and gadgets.apply_fmove, which
     run_schedule calls as a global of tvq.gadgets. If either call went
-    through another binding, the walk would record no F-move steps."""
+    through another binding, the walk would record no F-move steps. The
+    codespace child times three statevec functions that code_space and
+    _bp_tables call as globals of tvq.statevec; through another binding
+    they would read 0 s."""
     patched = {(m, n) for _, source in child_programs(bench) for m, n, store in tvq_names(source) if store}
-    assert patched == {("tvq", "baseline_schedule"), ("tvq.gadgets", "apply_fmove")}
+    timed = {("tvq.statevec", name) for name in ("_bp_build", "_project", "_filter_block")}
+    assert patched == {("tvq", "baseline_schedule"), ("tvq.gadgets", "apply_fmove"), *timed}
     assert "tvq.baseline_schedule(" in (ROOT / "perfbench" / "workloads.py").read_text()
     assert "apply_fmove" in inspect.unwrap(tvq.gadgets.run_schedule).__code__.co_names
+    assert "_bp_build" in tvq.statevec._bp_tables.__code__.co_names
+    assert {"_project", "_filter_block"} <= set(tvq.statevec.code_space.__code__.co_names)
     workloads = load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads").WORKLOADS
     assert set(bench.RSS_WALKS) <= set(workloads)
 
@@ -212,3 +220,23 @@ def test_report_rows_take_medians_over_the_runs_that_did_not_fail(bench):
     (row,) = section(pairs)["rows"]
     assert row["parent"] == {"cpu_s": 0.2, "peak_rss_mb": 40.4}
     assert row["change"] == {"cpu_s": 0.2, "peak_rss_mb": 40.4}
+
+
+def test_codespace_rows_take_per_lattice_medians_over_the_runs_that_did_not_fail(bench):
+    args = argparse.Namespace(repeats=1)
+    keys, _, jobs, section = bench.codespace_mode(args)
+    assert keys == ("codespace",) and [unit for unit, _, _ in jobs] == [{"workload": "code_space"}]
+
+    def ok(s):
+        rows = [{"lattice": name, "dim": dim, **{st: s * (k + 1) for st in bench.CODESPACE_STAGES}}
+                for k, (name, dim) in enumerate([("torus 2x2", 4), ("walked tetra 0", 1)])]
+        return {"exit": 0, "out": {"rows": rows}}
+
+    unit = jobs[0][0]
+    pairs = [{"unit": unit, "parent": ok(s), "change": ok(s / 2)} for s in (0.3, 0.1, 0.2)]
+    pairs.append({"unit": unit, "parent": {"exit": 1, "out": None}, "change": ok(9.0)})
+    torus, tetra = section(pairs)["rows"]
+    assert (torus["lattice"], torus["dim"], tetra["lattice"], tetra["dim"]) == ("torus 2x2", 4, "walked tetra 0", 1)
+    assert torus["parent"] == {st: 0.2 for st in bench.CODESPACE_STAGES}
+    assert tetra["parent"] == {st: 0.4 for st in bench.CODESPACE_STAGES}
+    assert tetra["change"] == {st: 0.25 for st in bench.CODESPACE_STAGES}

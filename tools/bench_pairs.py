@@ -31,6 +31,13 @@ report 32:100 4,8:40  ->  report
     distances and trial count (seed 1, time.process_time), after the
     imports and the fusion data; per unit and side, the median CPU
     seconds and the highest peak RSS of the process.
+codespace  ->  codespace
+    CODESPACE_CHILD runs the code_space workload's lattices (seed 1) in
+    order, one code_space_dim each, with the plaquette-table build
+    (statevec._bp_build), the plaquette loop (statevec._project, less
+    the table builds inside it) and the Gram-Schmidt filter
+    (statevec._filter_block) timed by time.process_time; per lattice and
+    side, the median CPU seconds of each and of the whole call.
 rss --workload braid_compile|state_loop  ->  check_rss
     RSS_PRELUDE, a walk and RSS_CHECK run the checkout's workload at
     seed 1 as perfbench/worker.py does and read peak RSS after each step
@@ -119,6 +126,41 @@ t = time.process_time()
 stretch_report(distances, trials, 1, data)
 cpu_s = time.process_time() - t
 print(json.dumps({"cpu_s": cpu_s, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+CODESPACE_CHILD = """
+import json, sys, time
+sys.path.insert(0, "perfbench")
+import tvq
+import tvq.statevec as statevec
+from workloads import WORKLOADS
+
+spent = {}
+
+def timed(name, fn):
+    def call(*args, **kwargs):
+        t = time.process_time()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] = spent.get(name, 0.0) + time.process_time() - t
+    return call
+
+statevec._bp_build = timed("tables", statevec._bp_build)
+statevec._project = timed("project", statevec._project)
+statevec._filter_block = timed("filter", statevec._filter_block)
+data = tvq.fibonacci_data()
+rows = []
+for label, lat in WORKLOADS["code_space"].setup(1, data):
+    spent.clear()
+    t = time.process_time()
+    dim = tvq.code_space_dim(lat, data)
+    row = {"lattice": label, "dim": dim, "code_space_s": time.process_time() - t}
+    row["tables_s"] = spent.get("tables", 0.0)
+    row["loop_s"] = spent.get("project", 0.0) - row["tables_s"]
+    row["filter_s"] = spent.get("filter", 0.0)
+    rows.append(row)
+print(json.dumps({"rows": rows}))
 """
 
 RSS_PRELUDE = """
@@ -396,6 +438,29 @@ def report_mode(args):
     return ("report",), "report " + " ".join(args.runs), jobs, section
 
 
+CODESPACE_STAGES = ("code_space_s", "tables_s", "loop_s", "filter_s")
+
+
+def codespace_mode(args):
+    jobs = [({"workload": "code_space"}, ["-c", CODESPACE_CHILD], True)]
+
+    def section(pairs):
+        ((_, runs),) = by_unit(pairs)
+        got = {side: outs(rs) for side, rs in runs.items()}
+        labels = [(row["lattice"], row["dim"]) for row in next(r["rows"] for rs in got.values() for r in rs)]
+        rows = []
+        for k, (label, dim) in enumerate(labels):
+            row = {"lattice": label, "dim": dim}
+            for side, rs in got.items():
+                row[side] = {stage: stat(median, (r["rows"][k][stage] for r in rs), 5) for stage in CODESPACE_STAGES}
+            rows.append(row)
+        what = "median CPU seconds per lattice of one code_space_dim call (code_space_s) and, inside it, of the "
+        what += "plaquette-table builds (tables_s), the rest of the plaquette loop (loop_s) and the filter (filter_s)"
+        return {"what": what, "rows": rows}
+
+    return ("codespace",), "codespace", jobs, section
+
+
 def rss_mode(args):
     jobs = [({"workload": args.workload}, ["-c", RSS_PRELUDE + RSS_WALKS[args.workload] + RSS_CHECK], True)]
 
@@ -439,7 +504,14 @@ def write_bench(name: str, keys: tuple[str, ...], section: dict) -> Path:
     return path
 
 
-MODES = {"workload": workload_mode, "cli": cli_mode, "layers": layers_mode, "report": report_mode, "rss": rss_mode}
+MODES = {
+    "workload": workload_mode,
+    "cli": cli_mode,
+    "layers": layers_mode,
+    "report": report_mode,
+    "codespace": codespace_mode,
+    "rss": rss_mode,
+}
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -459,6 +531,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     mode.add_argument("--distances", default="16,32,64,128", help="comma list of even distances")
     mode = modes.add_parser("report", parents=[common])
     mode.add_argument("runs", nargs="+", help="DISTANCES:TRIALS, e.g. 16,32:100")
+    modes.add_parser("codespace", parents=[common])
     mode = modes.add_parser("rss", parents=[common])
     mode.add_argument("--workload", choices=sorted(RSS_WALKS), default="braid_compile")
     return ap.parse_args(argv)
