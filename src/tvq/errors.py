@@ -370,19 +370,6 @@ def _spreads(inc: _Incidence, seeds: np.ndarray, targets: np.ndarray, n: int) ->
     return spread
 
 
-def _bfs_distance(lat: SurfaceLattice, seeds, targets) -> int:
-    """One trial's _spreads: the max over targets of the hop distance to
-    the seed set, along qubit edges of lat that share a vertex. A target
-    that is not an edge of lat, or that the search cannot reach, raises
-    MoveError naming that edge."""
-    targets = sorted(int(e) for e in targets)
-    outside = [e for e in targets if e not in lat.edges]
-    if outside:
-        raise MoveError(f"edge {outside[0]} is not on the lattice")
-    inc = _Incidence(lat)
-    return int(_spreads(inc, _pack(inc.size, [seeds]), _pack(inc.size, [targets]), 1)[0])
-
-
 class _TrialBatch:
     """Error trials through one braid, all at once.
 

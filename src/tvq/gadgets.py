@@ -105,7 +105,6 @@ __all__ = [
     "merge_rows",
     "logical_action",
     "schedule_to_json",
-    "depth_report_to_json",
 ]
 
 
@@ -240,10 +239,6 @@ def schedule_to_json(schedule: MoveSchedule) -> str:
     return json.dumps(schedule.to_jsonable(), indent=2, sort_keys=True)
 
 
-def depth_report_to_json(report: DepthReport) -> str:
-    return json.dumps(report.to_jsonable(), indent=2, sort_keys=True)
-
-
 # -- canonical patch arithmetic ---------------------------------------------
 #
 # All builders below run on lattices with the complex of a
@@ -308,7 +303,7 @@ def run_schedule(
 
     Every LOCAL layer is one parallel time step: its group checked, when
     it was built, that the layer's moves touch disjoint qubit slots.
-    Without a state each layer is rewritten on one private lattice
+    Without a state each group is rewritten on one private lattice
     copy. With assert_code_space the state is re-projected after every
     LOCAL group and must be left unchanged within CODE_TOL (relative).
 
@@ -334,8 +329,7 @@ def run_schedule(
             cur_lat = out_lat
             continue
         if cur is None:
-            for layer in group.layers:
-                cur_lat = replay_moves(cur_lat, layer)
+            cur_lat = replay_moves(cur_lat, group.records())
             continue
         for rec in group.records():
             if rec.kind == F_MOVE:

@@ -236,10 +236,6 @@ class SurfaceLattice:
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.triangles)
 
-    def boundary_edge_ids(self) -> set[int]:
-        et = self._maps()[0]
-        return {e for e, ts in et.items() if len(ts) == 1}
-
     def signature(self) -> tuple:
         """Structural identity: states bound to equal signatures are
         interoperable even if version counters differ."""
@@ -923,102 +919,6 @@ def _relabeled(
     out = replace_lattice(target, punctures=frozenset(vmap[p] for p in punctures))
     out.version = max(version, target.version) + 1
     return out
-
-
-# ---- isomorphism ---------------------------------------------------------------
-
-
-def _structure_tables(lat: SurfaceLattice):
-    ve = lat.vertex_edges()
-    deg = {v: len(ve[v]) for v in lat.vertices}
-    pin = {v: sum(1 for e in ve[v] if lat.edges[e].pinned) for v in lat.vertices}
-    return ve, deg, pin
-
-
-def _verify_iso(a: SurfaceLattice, b: SurfaceLattice, vmap: dict[int, int]):
-    """Edge correspondence induced by a vertex bijection, or None."""
-    try:
-        full, emap = _relabel(a, b, vmap)
-    except MoveError:
-        return None
-    if frozenset(full[p] for p in a.punctures) != b.punctures:
-        return None
-    return {"vertices": full, "edges": emap}
-
-
-def isomorphism_check(a: SurfaceLattice, b: SurfaceLattice):
-    """Structure-preserving isomorphism (vertices + edges), or None.
-
-    Tries the layout-position seeding first; falls back to exhaustive
-    backtracking for lattices of at most 200 edges.
-    """
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
-        return None
-    if len(a.triangles) != len(b.triangles) or len(a.punctures) != len(b.punctures):
-        return None
-
-    def pos_key(lat):
-        return {v: (round(x, 9), round(y, 9)) for v, (x, y) in lat.vertices.items()}
-
-    pa, pb = pos_key(a), pos_key(b)
-    if sorted(pa.values()) == sorted(pb.values()) and len(set(pb.values())) == len(pb):
-        rev = {xy: v for v, xy in pb.items()}
-        vmap = {v: rev[xy] for v, xy in pa.items()}
-        got = _verify_iso(a, b, vmap)
-        if got is not None:
-            return got
-
-    if len(a.edges) > 200:
-        return None
-
-    ve_a, deg_a, pin_a = _structure_tables(a)
-    ve_b, deg_b, pin_b = _structure_tables(b)
-
-    def sig(lat, ve, deg, pin, v):
-        return (
-            deg[v],
-            pin[v],
-            v in lat.punctures,
-            tuple(sorted(deg[_other(lat, e, v)] for e in ve[v])),
-        )
-
-    def _other(lat, e, v):
-        rec = lat.edges[e]
-        return rec.v2 if rec.v1 == v else rec.v1
-
-    sig_b: dict = {}
-    for v in b.vertices:
-        sig_b.setdefault(sig(b, ve_b, deg_b, pin_b, v), []).append(v)
-
-    order = sorted(a.vertices, key=lambda v: (-deg_a[v], v))
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def ok(v, img):
-        for e in ve_a[v]:
-            w = _other(a, e, v)
-            if w in assign:
-                if b.edge_between(img, assign[w]) is None and not (w == v):
-                    return False
-        return True
-
-    def dfs(i):
-        if i == len(order):
-            return _verify_iso(a, b, dict(assign))
-        v = order[i]
-        for img in sig_b.get(sig(a, ve_a, deg_a, pin_a, v), []):
-            if img in used or not ok(v, img):
-                continue
-            assign[v] = img
-            used.add(img)
-            got = dfs(i + 1)
-            if got is not None:
-                return got
-            del assign[v]
-            used.discard(img)
-        return None
-
-    return dfs(0)
 
 
 # ---- serialization ---------------------------------------------------------------

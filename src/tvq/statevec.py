@@ -1041,7 +1041,6 @@ def apply_state_permutation(
     bijection of qubit slots, so the relabeled configs are distinct: one
     sort orders them and nothing is merged.
     """
-    _check_bound(state, lat)
     out, rec = apply_cpi(lat, vmap, target=target)
     moved, layout = _defer_permutation(state, lat, out, rec.sigma, None)
     return _materialize(moved, layout), out

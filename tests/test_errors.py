@@ -195,19 +195,6 @@ def test_lightcone_refuses_a_support_outside_the_circuit():
             lightcone_grow(support, circ)
 
 
-def test_bfs_distance_names_an_edge_it_cannot_reach():
-    from tvq.errors import _bfs_distance
-
-    lat = build_planar_patch(3, 6, punctures=[(0, 0)])
-    start = min(e for e, rec in lat.edges.items() if rec.qubit is not None)
-    assert lat.edges[18].qubit is None  # pinned: no qubit-edge path reaches it
-    with pytest.raises(MoveError, match="edge 18 cannot be reached"):
-        _bfs_distance(lat, {start}, {18})
-    with pytest.raises(MoveError, match=f"edge {10 ** 6} is not on the lattice"):
-        _bfs_distance(lat, {start}, {start, 10 ** 6})
-    assert _bfs_distance(lat, {start}, {start}) == 0
-
-
 def test_lightcone_layer_growth_is_reproducible_by_hand():
     """One layer grows the set by exactly the touching gates' supports."""
     rng = np.random.default_rng(2)
